@@ -27,7 +27,6 @@ from .cech import (
 from .cohomdim import (
     BettiTable,
     CdReport,
-    arithmetic_rank_upper,
     betti_numbers,
     cd_on_prime,
     cohomological_dimension,
@@ -53,7 +52,6 @@ from .monomial import (
     Monomial,
     MonomialIdeal,
     colon,
-    contains,
     ideal_sum,
     intersect,
     minimalize,
@@ -93,7 +91,6 @@ __all__ = [
     "VectorSpaceComplex",
     "annihilation_check",
     "annihilator_bounds",
-    "arithmetic_rank_upper",
     "betti_numbers",
     "build_instance",
     "cd_on_prime",
@@ -101,7 +98,6 @@ __all__ = [
     "cohomological_dimension",
     "cohomology_ranks",
     "colon",
-    "contains",
     "fixture",
     "grade_on_prime",
     "height_in_quotient",

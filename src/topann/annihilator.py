@@ -3,15 +3,17 @@
 The lower bound is the largest ideal T/J of R whose top local cohomology
 vanishes (the intersection of the associated primes achieving cd = c); the
 upper bound intersects the kernels of localization at witness primes q with
-cd(a, R/q) = dim R/q = c.  When every critical prime sits under a witness, the
-two bounds agree and the annihilator is certified exactly.
+cd(a, R/q) = dim R/q = c.  Witnesses come from a closed form, not a search:
+over the polynomial ring R/q, cd = pd of the radical image of a (Lyubeznik),
+and that pd is the full dimension exactly when the image is the maximal ideal.
+When every critical prime sits under a witness, the two bounds agree and the
+annihilator is certified exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .cohomdim import cohomological_dimension, cd_on_prime
+from .cohomdim import cohomological_dimension
 from .errors import InvalidInputError
 from .linalg import FieldSpec
 from .monomial import (
@@ -54,16 +56,9 @@ def _complement_product(q: VarSet, ambient: int) -> Monomial:
     return Monomial.from_support(outside, ambient)
 
 
-def _check_support(q: VarSet, ring: QuotientRing) -> None:
-    if q and not q <= frozenset(range(1, ring.ambient + 1)):
-        raise InvalidInputError("prime contains an out-of-range variable")
-    if not ring.in_support(q):
-        raise InvalidInputError("prime is not in the support of the quotient ring")
-
-
 def localization_kernel(q: VarSet, ring: QuotientRing) -> MonomialIdeal:
     """Lift of ker(R -> R_q): the relations saturated by the variables outside q."""
-    _check_support(q, ring)
+    ring.require_support(q)
     return saturate(ring.relations, _complement_product(q, ring.ambient))
 
 
@@ -71,7 +66,7 @@ def symbolic_power(q: VarSet, n: int, ring: QuotientRing) -> MonomialIdeal:
     """Lift of the n-th symbolic power of qR: ((q)^n + J : w^infinity), w outside q."""
     if n < 1:
         raise InvalidInputError("symbolic power requires n >= 1")
-    _check_support(q, ring)
+    ring.require_support(q)
     qn = power(variable_ideal(q, ring.ambient), n)
     return saturate(ideal_sum(qn, ring.relations), _complement_product(q, ring.ambient))
 
@@ -115,23 +110,23 @@ class AnnBoundsReport:
         return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
-def _witness_for(a: QuotientIdeal, p: VarSet, c: int, field: FieldSpec) -> VarSet | None:
-    """First monomial prime q >= p with |q| = d - c and cd(a, R/q) = c, or None.
+def _witness_for(a: QuotientIdeal, p: VarSet, c: int) -> VarSet | None:
+    """The monomial prime q >= p with |q| = d - c and cd(a, R/q) = c, or None.
 
-    Candidates are enumerated in lexicographic order of the added variables, so
-    reports are deterministic.  Only monomial primes are searched; a miss means
-    "not certified", never "certified unequal".
+    On the polynomial ring R/q of dimension c, cd is the projective dimension
+    of the radical image of a, which is c exactly when that image is the
+    maximal ideal (when c = 0, q holds every variable and both sides are 0).
+    So q works exactly when it contains F = p + {v : u_v is not a generator of
+    radical(lift)}.  Then q = F: the image of a in R/p contains the d - |F|
+    variables u_v of radical(lift) with v outside p, so for the minimal prime p
+    c >= cd(a, R/p) >= height of that image >= d - |F|, and |F| >= d - c.
+    Only monomial primes are considered; a miss means "not certified", never
+    "certified unequal".
     """
     d = a.ring.ambient
-    size = d - c
-    if size < len(p):
-        return None
-    rest = sorted(set(range(1, d + 1)) - p)
-    for extra in combinations(rest, size - len(p)):
-        q = frozenset(p | set(extra))
-        if cd_on_prime(a, q, field) == c:
-            return q
-    return None
+    linear = {min(g.support()) for g in radical(a.lift).gens if g.degree == 1}
+    q = p | (frozenset(range(1, d + 1)) - linear)
+    return q if len(q) == d - c else None
 
 
 def annihilator_bounds(a: QuotientIdeal, field: FieldSpec) -> AnnBoundsReport:
@@ -147,7 +142,7 @@ def annihilator_bounds(a: QuotientIdeal, field: FieldSpec) -> AnnBoundsReport:
     report = cohomological_dimension(a, field)
     lower, delta = _delta_and_lower(report, ring.ambient)
     c = report.c
-    witnesses = tuple((p, _witness_for(a, p, c, field)) for p in delta)
+    witnesses = tuple((p, _witness_for(a, p, c)) for p in delta)
     found = sorted(
         {q for _, q in witnesses if q is not None}, key=lambda s: (len(s), sorted(s))
     )

@@ -49,6 +49,18 @@ def _mask(varset: VarSet) -> int:
     return m
 
 
+def _sign_pattern(deg: tuple[int, ...]) -> tuple[int, int]:
+    """Bitmasks of the negative and the positive coordinates of a degree."""
+    neg = 0
+    pos = 0
+    for i, e in enumerate(deg):
+        if e < 0:
+            neg |= 1 << i
+        elif e > 0:
+            pos |= 1 << i
+    return neg, pos
+
+
 def localization_piece(J: MonomialIdeal, W: VarSet, deg: tuple[int, ...]) -> int:
     """Dimension (0 or 1) of the degree-deg piece of (S/J) localized at prod(W).
 
@@ -61,13 +73,7 @@ def localization_piece(J: MonomialIdeal, W: VarSet, deg: tuple[int, ...]) -> int
     if len(deg) != J.ambient:
         raise InvalidInputError("degree vector has the wrong length")
     wmask = _mask(W)
-    neg = 0
-    pos = 0
-    for i, e in enumerate(deg):
-        if e < 0:
-            neg |= 1 << i
-        elif e > 0:
-            pos |= 1 << i
+    neg, pos = _sign_pattern(deg)
     if neg & ~wmask:
         return 0
     v = pos | wmask
@@ -118,16 +124,6 @@ class _SliceEngine:
             hit = all(jm & ~vmask for jm in self.j_masks)
             self._face_cache[vmask] = hit
         return hit
-
-    def pattern(self, deg: tuple[int, ...]) -> tuple[int, int]:
-        neg = 0
-        pos = 0
-        for i, e in enumerate(deg):
-            if e < 0:
-                neg |= 1 << i
-            elif e > 0:
-                pos |= 1 << i
-        return neg, pos
 
     def _piece(self, smask: int, pat: tuple[int, int]) -> bool:
         neg, pos = pat
@@ -200,7 +196,7 @@ def cech_ranks(
     ranks: dict[tuple[int, ...], tuple[int, ...]] = {}
     top = -1
     for deg in box.degrees():
-        slice_ranks = engine.ranks(engine.pattern(deg))
+        slice_ranks = engine.ranks(_sign_pattern(deg))
         ranks[deg] = slice_ranks
         for i, r in enumerate(slice_ranks):
             if r and i > top:
@@ -251,7 +247,7 @@ def annihilation_check(
             gaps += 1
             continue
         checked += 1
-        key = (engine.pattern(deg), engine.pattern(target))
+        key = (_sign_pattern(deg), _sign_pattern(target))
         is_zero = zero_cache.get(key)
         if is_zero is None:
             is_zero = _induced_map_is_zero(engine, key[0], key[1], i)

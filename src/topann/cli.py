@@ -73,7 +73,7 @@ def monomial_from_obj(obj: dict[str, int], names: list[str]) -> Monomial:
     for name, e in obj.items():
         if name not in index:
             raise InvalidInputError(f"monomial references undeclared variable {name!r}")
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:  # bool is an int subclass; refuse it
             raise InvalidInputError(f"exponent of {name!r} must be a nonnegative integer")
         exps[index[name]] = e
     return Monomial(tuple(exps))
@@ -141,9 +141,12 @@ def load_instance(path: str, field_override: str | None, box_override: str | Non
     elif "box" in data:
         raw = data["box"]
         try:
-            box = DegreeBox(tuple(map(int, raw["lower"])), tuple(map(int, raw["upper"])))
-        except (TypeError, KeyError, ValueError) as exc:
+            bounds = (raw["lower"], raw["upper"])
+        except (TypeError, KeyError) as exc:
             raise InvalidInputError(f"malformed box: {exc}") from exc
+        if not all(isinstance(b, list) and all(type(x) is int for x in b) for b in bounds):
+            raise InvalidInputError("box bounds must be arrays of integers")
+        box = DegreeBox(tuple(bounds[0]), tuple(bounds[1]))
         if len(box.lower) != d:
             raise InvalidInputError("box dimension does not match vars")
     return Instance(names, ring, acting, field, box)

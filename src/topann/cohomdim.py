@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec, homology_ranks_of_faces
-from .monomial import Monomial, MonomialIdeal, VarSet, ideal_sum, minimalize, radical
+from .monomial import Monomial, MonomialIdeal, VarSet, minimalize, radical
 from .stanley_reisner import QuotientIdeal, krull_dim
 
 HOCHSTER_GUARD = 14
@@ -98,10 +98,7 @@ def projective_dimension(ideal: MonomialIdeal, field: FieldSpec) -> int:
 def _image_in_prime_quotient(a: QuotientIdeal, prime: VarSet) -> MonomialIdeal:
     """Image of radical(lift) in S/prime, reindexed onto the surviving variables."""
     d = a.ring.ambient
-    if prime and not prime <= frozenset(range(1, d + 1)):
-        raise InvalidInputError("prime contains an out-of-range variable")
-    if not a.ring.in_support(prime):
-        raise InvalidInputError("prime does not contain a minimal prime of the relations")
+    a.ring.require_support(prime)
     survivors = sorted(set(range(1, d + 1)) - prime)
     position = {v: k for k, v in enumerate(survivors)}
     gens = []
@@ -153,8 +150,3 @@ def cohomological_dimension(a: QuotientIdeal, field: FieldSpec) -> CdReport:
         (p, cd_on_prime(a, p, field)) for p in a.ring.minimal_primes
     )
     return CdReport(field=field, c=max(v for _, v in per_prime), per_prime=per_prime)
-
-
-def arithmetic_rank_upper(a: QuotientIdeal) -> int:
-    """Number of minimal generators of radical(lift + relations), an upper bound for ara."""
-    return len(radical(ideal_sum(a.lift, a.ring.relations)).gens)

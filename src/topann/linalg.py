@@ -6,6 +6,7 @@ never floating point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -18,16 +19,31 @@ if TYPE_CHECKING:  # pragma: no cover
 Matrix = tuple[tuple[int, ...], ...]
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, 2015); larger characteristics are refused.
+PRIME_CHARACTERISTIC_CAP = 3_317_044_064_679_887_385_961_981
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _WITNESS_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _WITNESS_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -38,6 +54,10 @@ class FieldSpec:
     characteristic: int = 0
 
     def __post_init__(self) -> None:
+        if self.characteristic >= PRIME_CHARACTERISTIC_CAP:
+            raise InvalidInputError(
+                f"field characteristic must be below {PRIME_CHARACTERISTIC_CAP}"
+            )
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise InvalidInputError(
                 f"field characteristic must be 0 or prime, got {self.characteristic}"
@@ -59,6 +79,8 @@ class FieldSpec:
 
     @classmethod
     def parse(cls, text: str) -> FieldSpec:
+        if not isinstance(text, str):
+            raise InvalidInputError(f"field spec must be a string, got {text!r}")
         norm = text.strip()
         if norm.upper() in ("Q", "QQ"):
             return cls.rationals()
@@ -75,30 +97,20 @@ def _integer_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     out = []
     for row in rows:
         if any(isinstance(x, Fraction) for x in row):
-            scale = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    den = x.denominator
-                    scale = scale * den // _gcd(scale, den)
+            scale = math.lcm(*(x.denominator for x in row))
             out.append([int(x * scale) for x in row])
-        else:
+        else:  # most rows; scaling them by 1 costs time and peak memory
             out.append([int(x) for x in row])
     return out
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def rank(rows: Sequence[Sequence[int]], field: FieldSpec) -> int:
-    """Exact rank: Bareiss over Q, Gaussian elimination over F_p."""
+    """Exact rank: Bareiss over Q, the pivots of Gaussian elimination over F_p."""
     if not rows or not rows[0]:
         return 0
     if field.is_rationals():
         return _rank_bareiss(_integer_rows(rows))
-    return _rank_mod_p(rows, field.characteristic)
+    return len(_rref(rows, field)[1])
 
 
 def _rank_bareiss(m: list[list[int]]) -> int:
@@ -124,27 +136,6 @@ def _rank_bareiss(m: list[list[int]]) -> int:
     return r
 
 
-def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    m = [[x % p for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def _rref(rows: Sequence[Sequence[int]], field: FieldSpec):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     p = field.characteristic
@@ -161,8 +152,12 @@ def _rref(rows: Sequence[Sequence[int]], field: FieldSpec):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p) if p else 1 / m[r][c]
-        m[r] = [(x * inv) % p if p else x * inv for x in m[r]]
+        if p:
+            inv = pow(m[r][c], p - 2, p)
+            m[r] = [(x * inv) % p for x in m[r]]
+        else:
+            inv = 1 / m[r][c]
+            m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]

@@ -246,10 +246,6 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     return minimalize(products, ideal.ambient)
 
 
-def contains(m: Monomial, ideal: MonomialIdeal) -> bool:
-    return ideal.contains_monomial(m)
-
-
 def radical(ideal: MonomialIdeal) -> MonomialIdeal:
     """Radical of a monomial ideal: minimalized squarefree parts of generators."""
     return minimalize((g.squarefree_part() for g in ideal.gens), ideal.ambient)

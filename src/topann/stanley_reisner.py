@@ -148,8 +148,12 @@ class QuotientRing:
         """dim R/(p) = ambient - |p| for a monomial prime p containing a minimal prime."""
         return self.ambient - len(p)
 
-    def in_support(self, q: VarSet) -> bool:
-        return any(p <= q for p in self.minimal_primes)
+    def require_support(self, q: VarSet) -> None:
+        """Reject q unless it is a set of variables of the ring over a minimal prime."""
+        if q and not q <= frozenset(range(1, self.ambient + 1)):
+            raise InvalidInputError("prime contains an out-of-range variable")
+        if not any(p <= q for p in self.minimal_primes):
+            raise InvalidInputError("prime is not in the support of the quotient ring")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from topann.cohomdim import cd_on_prime
 from topann.linalg import FieldSpec, rank
 from topann.monomial import Monomial, MonomialIdeal, minimalize
 
@@ -117,6 +118,22 @@ def truncated_localization_piece(J: MonomialIdeal, W, deg, extra_steps=6) -> int
     k = k0 + max(extra_steps, max((g.degree for g in J.gens), default=0))
     probe = Monomial(tuple(deg[i] + k * wvec[i] for i in range(d)))
     return 0 if probe in J else 1
+
+
+def search_witness(a, p, c: int, field: FieldSpec):
+    """First monomial prime q >= p with |q| = d - c and cd(a, R/q) = c, or None,
+    by trying every candidate in lexicographic order of the added variables and
+    computing cd on each one from its Hochster Betti table."""
+    d = a.ring.ambient
+    size = d - c
+    if size < len(p):
+        return None
+    rest = sorted(set(range(1, d + 1)) - p)
+    for extra in combinations(rest, size - len(p)):
+        q = frozenset(p | set(extra))
+        if cd_on_prime(a, q, field) == c:
+            return q
+    return None
 
 
 def random_squarefree_ideal(rng, d: int, allow_zero=True) -> MonomialIdeal:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topann.annihilator import (
+    _witness_for,
     annihilator_bounds,
     height_report,
     localization_kernel,
@@ -15,6 +16,7 @@ from topann.annihilator import (
     top_vanishing_ideal,
     torsion_ideal,
 )
+from topann.cohomdim import cohomological_dimension
 from topann.errors import InvalidInputError
 from topann.linalg import FieldSpec
 from topann.lynch import fixture
@@ -253,6 +255,25 @@ def test_sandwich_and_top_self_witnessing_on_random_instances():
             # every critical prime is its own witness at the top
             assert rep.exact
             assert all(q == p for p, q in rep.sigma_witnesses)
+
+
+def test_closed_form_witness_matches_the_search_oracle():
+    # every minimal prime, not only the critical ones, so that both answers
+    # (a witness or None) are exercised at every cd the instance reaches
+    rng = random.Random(83)
+    pairs = found = 0
+    for _ in range(3000):
+        d = rng.randint(1, 7)
+        ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+        a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d))
+        for field in (Q, FieldSpec.prime_field(2)):
+            c = cohomological_dimension(a, field).c
+            for p in ring.minimal_primes:
+                q = _witness_for(a, p, c)
+                assert q == orc.search_witness(a, p, c, field), (a, p, c, field)
+                pairs += 1
+                found += q is not None
+    assert pairs > 3000 and 0 < found < pairs
 
 
 def test_height_report_on_fixtures():

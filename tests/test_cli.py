@@ -194,6 +194,10 @@ def test_non_squarefree_relations_rejected(tmp_path, capsys):
         {"vars": ["x", 2]},                   # non-string name
         {"box": {"lower": [0, 0]}},           # missing upper
         {"box": {"lower": [0] * 4, "upper": ["a"] * 4}},
+        {"field": 5},                         # not a string
+        {"a": [{"x": True}]},                 # bool exponent
+        {"box": {"lower": [-1.7] * 4, "upper": [1] * 4}},   # float bound
+        {"box": {"lower": ["-1"] * 4, "upper": [1] * 4}},   # numeric string bound
     ],
 )
 def test_malformed_instances_exit_2(tmp_path, capsys, patch):
@@ -207,6 +211,19 @@ def test_malformed_instances_exit_2(tmp_path, capsys, patch):
     err = capsys.readouterr().err
     assert code == 2
     assert "invalid input" in err
+
+
+@pytest.mark.parametrize(
+    "spec, code",
+    [
+        ("Fp:1000000000000000003", 0),        # a prime near 10^18, found at once
+        ("Fp:3215031751", 2),                 # strong pseudoprime to bases 2, 3, 5, 7
+        ("Fp:318665857834031151167461", 2),   # strong pseudoprime to bases 2 .. 37
+        (f"Fp:{2 ** 89 - 1}", 2),             # a prime, but above the certified cap
+    ],
+)
+def test_large_field_characteristics(sw_file, capsys, spec, code):
+    assert run_cli(capsys, "--field", spec, "--quiet", "cd", sw_file)[0] == code
 
 
 def test_field_override_and_report_labels(sw_file, capsys):

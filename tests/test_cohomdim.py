@@ -6,7 +6,6 @@ import random
 import pytest
 
 from topann.cohomdim import (
-    arithmetic_rank_upper,
     betti_numbers,
     cd_on_prime,
     cohomological_dimension,
@@ -173,18 +172,6 @@ def test_grade_none_on_torsion():
     ring = QuotientRing(2, ideal(2, (1, 0)))
     a = QuotientIdeal(ring, ideal(2, (1, 0)))
     assert grade_on_prime(a, frozenset({1})) is None
-
-
-# ------------------------------------------------------------------ ara upper
-
-def test_ara_upper_examples():
-    a = sw_ideal()
-    assert arithmetic_rank_upper(a) == 2
-    ring = QuotientRing(2, ideal(2))
-    assert arithmetic_rank_upper(QuotientIdeal(ring, ideal(2, (1, 1)))) == 1
-    ring3 = QuotientRing(3, ideal(3))
-    tri = QuotientIdeal(ring3, ideal(3, (1, 1, 0), (0, 1, 1), (1, 0, 1)))
-    assert arithmetic_rank_upper(tri) == 3  # true ara is 2; this is only a bound
 
 
 # -------------------------------------------------------------- invariants

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from topann.errors import InvalidInputError
 from topann.linalg import (
     FieldSpec,
     VectorSpaceComplex,
+    _is_prime,
     cohomology_ranks,
     kernel_basis,
     rank,
@@ -33,6 +35,13 @@ def test_field_spec_parsing():
         FieldSpec.parse("fp:6")
     with pytest.raises(InvalidInputError):
         FieldSpec.prime_field(1)
+
+
+def test_miller_rabin_matches_trial_division():
+    def by_trial_division(n):
+        return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert all(_is_prime(n) == by_trial_division(n) for n in range(-2, 30000))
 
 
 def test_rank_small_cases():

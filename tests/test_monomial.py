@@ -9,7 +9,6 @@ from topann.errors import InvalidInputError
 from topann.monomial import (
     Monomial,
     colon,
-    contains,
     ideal_sum,
     intersect,
     minimalize,
@@ -154,14 +153,14 @@ def test_power_requires_positive_exponent():
         power(ideal(1, (1,)), 0)
 
 
-# ------------------------------------------------------------------- contains
+# ------------------------------------------------------------------ membership
 
 def test_membership_examples():
     zz = ideal(4, (0, 0, 1, 0), (0, 0, 0, 1))
-    assert contains(mono(1, 1, 1, 0), zz)
-    assert not contains(mono(1, 0), ideal(2, (1, 1)))
+    assert mono(1, 1, 1, 0) in zz
+    assert mono(1, 0) not in ideal(2, (1, 1))
     J = ideal(4, (1, 1, 1, 0), (1, 1, 0, 1))
-    assert contains(mono(1, 1, 1, 0), J)
+    assert mono(1, 1, 1, 0) in J
 
 
 # ------------------------------------------------------------------- radical
