@@ -79,7 +79,9 @@ def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
     if ideal.is_unit():
         raise InvalidInputError("Betti numbers of the zero ring are not defined here")
     if ideal.ambient > HOCHSTER_GUARD:
-        raise GuardExceededError(f"Betti enumeration guarded at ambient {HOCHSTER_GUARD}")
+        raise GuardExceededError(
+            f"Betti enumeration: ambient {ideal.ambient} exceeds the guard {HOCHSTER_GUARD}"
+        )
     supports = [g.support() for g in ideal.gens]
     entries = []
     for sigma in _lcm_support_closure(supports):

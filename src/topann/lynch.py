@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .annihilator import annihilator_bounds, torsion_ideal
-from .cohomdim import cd_on_prime, cohomological_dimension, grade_on_prime
+from .cohomdim import cd_on_prime, grade_on_prime
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec
 from .monomial import MonomialIdeal, VarSet, ideal_sum, intersect, variable_ideal
@@ -136,7 +136,8 @@ def verify_instance(inst: LynchInstance, field: FieldSpec) -> LynchReport:
     )
 
     gamma = torsion_ideal(a)
-    cd_report = cohomological_dimension(a, field)
+    bounds = annihilator_bounds(a, field)
+    c = bounds.c
     dim_mod_torsion = krull_dim(gamma)
     checks.append(
         ClaimCheck(
@@ -145,13 +146,12 @@ def verify_instance(inst: LynchInstance, field: FieldSpec) -> LynchReport:
             computed={
                 "torsion_is_zero": gamma == ring.relations,
                 "dim": dim_mod_torsion,
-                "c": cd_report.c,
+                "c": c,
             },
         )
     )
 
     q = frozenset(range(1, d + 1)) - (inst.Xp | inst.Yp)
-    c = cd_report.c
     checks.append(
         ClaimCheck(
             "v",
@@ -164,7 +164,6 @@ def verify_instance(inst: LynchInstance, field: FieldSpec) -> LynchReport:
         )
     )
 
-    bounds = annihilator_bounds(a, field)
     expected_ann = ideal_sum(variable_ideal(inst.Z, d), ring.relations)
     dim_mod_ann = krull_dim(bounds.lower)
     gap = dim_mod_torsion - dim_mod_ann
@@ -231,7 +230,7 @@ def search_family(
 ) -> list[LynchReport]:
     """Verify every canonical instance with d <= max_d; reports in canonical order."""
     if max_d > guard:
-        raise GuardExceededError(f"family sweep guarded at max_d = {guard}")
+        raise GuardExceededError(f"family sweep: max_d = {max_d} exceeds the guard {guard}")
     return [
         verify_instance(instance_from_sizes(*params), field)
         for params in canonical_parameters(max_d)

@@ -118,10 +118,8 @@ class MonomialIdeal:
                 raise InvalidInputError(
                     f"generator of ambient {g.ambient} in ideal of ambient {self.ambient}"
                 )
-        for g in self.gens:
-            for h in self.gens:
-                if g is not h and g.divides(h):
-                    raise InvalidInputError("generators are not a divisibility antichain")
+        if len(_antichain(self.gens)) != len(self.gens):
+            raise InvalidInputError("generators are not a divisibility antichain")
         if list(self.gens) != sorted(self.gens, reverse=True):
             raise InvalidInputError("generators are not in canonical order")
 
@@ -154,6 +152,33 @@ class MonomialIdeal:
         return "(" + ", ".join(g.pretty(names) for g in self.gens) + ")"
 
 
+def _antichain(gens: Iterable[Monomial]) -> list[Monomial]:
+    """The divisibility-minimal elements of `gens`, each once.
+
+    A proper divisor has a smaller degree, so walking by degree only the
+    monomials already kept can divide the current one.  A kept monomial whose
+    support is not inside the current support cannot divide it; a squarefree
+    one whose support is inside does.
+    """
+    kept: list[tuple[int, tuple[int, ...] | None]] = []
+    out = []
+    for g in sorted(gens, key=lambda m: sum(m.exponents)):
+        exps = g.exponents
+        mask = 0
+        for i, e in enumerate(exps):
+            if e:
+                mask |= 1 << i
+        for hm, hexps in kept:
+            if hm & ~mask == 0 and (
+                hexps is None or all(a <= b for a, b in zip(hexps, exps))
+            ):
+                break
+        else:
+            kept.append((mask, exps if max(exps, default=0) > 1 else None))
+            out.append(g)
+    return out
+
+
 def minimalize(gens: Iterable[Monomial], ambient: int) -> MonomialIdeal:
     """Canonical ideal generated by `gens`: the divisibility antichain, sorted."""
     pool = set()
@@ -165,10 +190,7 @@ def minimalize(gens: Iterable[Monomial], ambient: int) -> MonomialIdeal:
         if g.is_identity():
             return MonomialIdeal(ambient, (g,))
         pool.add(g)
-    minimal = [
-        g for g in pool if not any(h != g and h.divides(g) for h in pool)
-    ]
-    return MonomialIdeal(ambient, tuple(sorted(minimal, reverse=True)))
+    return MonomialIdeal(ambient, tuple(sorted(_antichain(pool), reverse=True)))
 
 
 def _check_same_ambient(*ideals: MonomialIdeal) -> int:
@@ -247,7 +269,12 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def radical(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Radical of a monomial ideal: minimalized squarefree parts of generators."""
+    """Radical of a monomial ideal: minimalized squarefree parts of generators.
+
+    A squarefree ideal is its own radical and comes back unchanged.
+    """
+    if ideal.is_squarefree():
+        return ideal
     return minimalize((g.squarefree_part() for g in ideal.gens), ideal.ambient)
 
 

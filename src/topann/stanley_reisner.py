@@ -26,19 +26,33 @@ def _sorted_varsets(sets) -> tuple[VarSet, ...]:
 
 
 def _minimal_covers(edges: list[VarSet]) -> list[VarSet]:
-    """All inclusion-minimal transversals, by branching on the smallest open edge."""
-    found: set[VarSet] = set()
+    """All inclusion-minimal transversals, by branching on the smallest open edge.
 
-    def descend(chosen: frozenset[int], open_edges: list[VarSet]) -> None:
+    Edges are int bitmasks (bit v - 1 for variable v), sorted once by
+    (size, members), so the first open edge is the smallest one.  The branch
+    on a pivot vertex forbids the pivot vertices branched on before it: a
+    minimal transversal is reached through the first pivot vertex it holds,
+    so a branch in which some open edge has only forbidden vertices is dead.
+    """
+    masks = [sum(1 << (v - 1) for v in e) for e in _sorted_varsets(edges)]
+    found: set[int] = set()
+
+    def descend(chosen: int, open_edges: list[int], forbidden: int) -> None:
         if not open_edges:
             found.add(chosen)
             return
-        pivot = min(open_edges, key=lambda e: (len(e), sorted(e)))
-        for v in sorted(pivot):
-            descend(chosen | {v}, [e for e in open_edges if v not in e])
+        rest = open_edges[0] & ~forbidden
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            left = [e for e in open_edges if not e & low]
+            if all(e & ~forbidden for e in left):
+                descend(chosen | low, left, forbidden)
+            forbidden |= low
 
-    descend(frozenset(), edges)
-    return [c for c in found if not any(o < c for o in found)]
+    descend(0, masks, 0)
+    minimal = [c for c in found if not any(o & c == o and o != c for o in found)]
+    return [frozenset(i + 1 for i in range(c.bit_length()) if c >> i & 1) for c in minimal]
 
 
 def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
@@ -50,7 +64,8 @@ def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
         raise InvalidInputError("the unit ideal has no minimal primes")
     if ideal.ambient > MINIMAL_PRIMES_GUARD:
         raise GuardExceededError(
-            f"minimal prime enumeration guarded at ambient {MINIMAL_PRIMES_GUARD}"
+            f"minimal prime enumeration: ambient {ideal.ambient} exceeds the guard "
+            f"{MINIMAL_PRIMES_GUARD}"
         )
     edges = [g.support() for g in radical(ideal).gens]
     return _sorted_varsets(_minimal_covers(edges))

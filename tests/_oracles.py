@@ -55,6 +55,18 @@ def brute_power_member(f, I, n) -> bool:
     return descend(f, n)
 
 
+def brute_minimalize(gens) -> tuple[Monomial, ...]:
+    """Canonical generators of the ideal of `gens` by the quadratic definition:
+    the distinct monomials no other one divides, sorted, or the identity alone
+    when it is present."""
+    pool = set(gens)
+    units = [g for g in pool if g.is_identity()]
+    if units:
+        return (units[0],)
+    minimal = [g for g in pool if not any(h != g and h.divides(g) for h in pool)]
+    return tuple(sorted(minimal, reverse=True))
+
+
 def brute_minimal_covers(edges, d):
     """All minimal transversals by scanning every subset of the vertex set."""
     covers = []

@@ -107,7 +107,7 @@ def test_guard_on_generator_count():
     ring = QuotientRing(6, ideal(6))
     gens = [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
     a = QuotientIdeal(ring, ideal(6, *gens))
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(GuardExceededError, match="on 6 generators exceeds guard 3"):
         cech_ranks(a, DegreeBox.uniform(6), Q, guard=3)
 
 

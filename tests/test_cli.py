@@ -128,7 +128,7 @@ def test_failing_checklist_exits_1(capsys, monkeypatch):
 def test_lynch_search_guard_exit_code(capsys):
     code, _, err = run_cli(capsys, "--quiet", "lynch", "search", "--max-d", "9")
     assert code == 3
-    assert "guard" in err
+    assert "max_d = 9 exceeds the guard 8" in err
 
 
 def test_oracle_ranks(sw_file, capsys):
@@ -268,7 +268,7 @@ def test_oracle_guard_exit_code(sw_file, capsys):
         capsys, "--quiet", "oracle", "ranks", sw_file, "--guard", "1"
     )
     assert code == 3
-    assert "guard" in err
+    assert "on 2 generators exceeds guard 1" in err
 
 
 def test_summary_and_quiet_modes(sw_file, capsys):

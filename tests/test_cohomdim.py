@@ -70,7 +70,7 @@ def test_betti_ambient_guard():
     from topann.errors import GuardExceededError
 
     wide = ideal(15, tuple([1] + [0] * 14))
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(GuardExceededError, match="ambient 15 exceeds the guard 14"):
         betti_numbers(wide, Q)
 
 

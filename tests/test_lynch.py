@@ -98,7 +98,7 @@ def test_canonical_parameters_small_counts():
 
 
 def test_search_family_guard():
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(GuardExceededError, match="max_d = 9 exceeds the guard 8"):
         search_family(9, Q)
 
 

@@ -1,6 +1,8 @@
 """Monomial ideal arithmetic against hand values and brute-force membership."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from topann.errors import InvalidInputError
 from topann.monomial import (
     Monomial,
+    MonomialIdeal,
     colon,
     ideal_sum,
     intersect,
@@ -53,6 +56,82 @@ def test_minimalize_unit_collapses():
 def test_minimalize_rejects_dimension_mismatch():
     with pytest.raises(InvalidInputError):
         minimalize([mono(1, 0), mono(1, 0, 0)], 2)
+
+
+def test_ideal_rejects_a_repeated_generator():
+    g = mono(1, 0)
+    with pytest.raises(InvalidInputError):
+        MonomialIdeal(2, (g, g))
+    with pytest.raises(InvalidInputError):
+        MonomialIdeal(2, (g, Monomial((1, 0))))
+    assert MonomialIdeal(2, (g,)) == minimalize([g, g], 2)
+
+
+def test_ideal_rejects_a_divisible_generator_and_a_wrong_order():
+    with pytest.raises(InvalidInputError):
+        MonomialIdeal(2, (mono(1, 1), mono(1, 0)))
+    with pytest.raises(InvalidInputError):
+        MonomialIdeal(2, (mono(0, 1), mono(1, 0)))
+
+
+def _random_generator_lists(rng):
+    """Random generator lists: d <= 8, exponents 0..3, with repeats, the identity
+    and the empty list, then lcm products as large as those of the Lynch
+    relations (up to 48 generators times 4)."""
+    yield 3, []
+    for k in range(2000):
+        d = rng.randint(1, 8)
+        top = rng.choice((1, 1, 2, 3))
+        pool = []
+        for _ in range(rng.randint(1, 12)):
+            exps = [rng.randint(0, top) for _ in range(d)]
+            if not any(exps):
+                exps[rng.randrange(d)] = top
+            pool.append(Monomial(tuple(exps)))
+        gens = [rng.choice(pool) for _ in range(rng.randint(0, 16))]
+        if k % 50 == 0:
+            gens.append(Monomial.identity(d))
+        yield d, gens
+    for _ in range(30):
+        nx, ny, nz = rng.choice(((2, 4, 6), (3, 4, 4), (2, 3, 8), (1, 6, 7), (2, 2, 3)))
+        d = nx + ny + nz + rng.randint(0, 2)
+        labels = rng.sample(range(1, d + 1), d)
+        X, Y = labels[:nx], labels[nx:nx + ny]
+        Z = labels[nx + ny:nx + ny + nz]
+        J = intersect(variable_ideal(X, d), variable_ideal(Y, d), variable_ideal(Z, d))
+        others = [
+            Monomial(tuple(rng.randint(0, 3) for _ in range(d))) for _ in range(4)
+        ]
+        yield d, [g.lcm(h) for g in J.gens for h in others]
+
+
+def test_minimalize_matches_the_quadratic_definition():
+    rng = random.Random(47)
+    cases = 0
+    for d, gens in _random_generator_lists(rng):
+        expected = orc.brute_minimalize(gens)
+        got = minimalize(gens, d)
+        assert got.gens == expected
+        # the antichain check in MonomialIdeal accepts exactly the antichains
+        distinct = tuple(sorted(set(gens), reverse=True))
+        if len(distinct) == len(expected):
+            assert MonomialIdeal(d, distinct) == got
+        else:
+            with pytest.raises(InvalidInputError):
+                MonomialIdeal(d, distinct)
+        cases += 1
+    assert cases == 2031
+
+
+def test_radical_of_a_squarefree_ideal_is_itself():
+    rng = random.Random(53)
+    for d, gens in _random_generator_lists(rng):
+        I = minimalize(gens, d)
+        r = radical(I)
+        if I.is_squarefree():
+            assert r is I
+        else:
+            assert r.gens == orc.brute_minimalize(g.squarefree_part() for g in I.gens)
 
 
 # ------------------------------------------------------------------- sum

@@ -59,14 +59,14 @@ def test_minimal_primes_ambient_guard():
     from topann.errors import GuardExceededError
 
     wide = ideal(21, tuple([1] + [0] * 20))
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(GuardExceededError, match="ambient 21 exceeds the guard 20"):
         minimal_primes(wide)
 
 
 def test_minimal_primes_against_brute_force_on_random_ideals():
     rng = random.Random(23)
-    for _ in range(120):
-        d = rng.randint(1, 5)
+    for _ in range(400):
+        d = rng.randint(1, 8)
         I = orc.random_squarefree_ideal(rng, d)
         got = minimal_primes(I)
         edges = [g.support() for g in I.gens]
@@ -75,6 +75,21 @@ def test_minimal_primes_against_brute_force_on_random_ideals():
         for p in got:
             assert all(p & e for e in edges)
         assert not any(p < q for p in got for q in got)
+
+
+def test_minimal_primes_of_lynch_relations_are_the_three_primes():
+    rng = random.Random(43)
+    shapes = [(1, 1, 1), (1, 2, 2), (2, 2, 2), (1, 3, 5), (2, 4, 6), (3, 4, 4), (2, 3, 8)]
+    for _ in range(60):
+        nx, ny, nz = rng.choice(shapes)
+        d = nx + ny + nz + rng.randint(0, 2)
+        labels = rng.sample(range(1, d + 1), d)
+        X = frozenset(labels[:nx])
+        Y = frozenset(labels[nx:nx + ny])
+        Z = frozenset(labels[nx + ny:nx + ny + nz])
+        J = intersect(variable_ideal(X, d), variable_ideal(Y, d), variable_ideal(Z, d))
+        assert len(J.gens) == nx * ny * nz
+        assert set(minimal_primes(J)) == {X, Y, Z}
 
 
 def test_intersection_of_minimal_primes_recovers_radical():
