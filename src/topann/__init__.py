@@ -20,6 +20,7 @@ from .cech import (
     AnnihilationVerdict,
     CechReport,
     DegreeBox,
+    DegreeRanks,
     annihilation_check,
     cech_ranks,
     localization_piece,
@@ -77,6 +78,7 @@ __all__ = [
     "CdReport",
     "CechReport",
     "DegreeBox",
+    "DegreeRanks",
     "FieldSpec",
     "GuardExceededError",
     "HeightReport",

@@ -1,15 +1,29 @@
-"""Independent multigraded verification: Cech cohomology of R degree by degree.
+"""Independent multigraded verification: Cech cohomology of R in a degree box.
 
 The Cech complex on the minimal generators of radical(lift) computes the local
 cohomology of R = S/J with respect to the ideal.  Each Z^d-degree slice is a
 finite complex of vector spaces whose components are 0- or 1-dimensional
-localization pieces; the slice only depends on the sign pattern of the degree,
-which keeps sweeping a whole degree box cheap.
+localization pieces, and the slice depends only on the sign pattern of the
+degree (Takayama's degree-wise formula).  So no box is walked degree by degree:
+
+- `cech_ranks` ranks each sign pattern the box allows once (at most 3^d), and
+  `CechReport.ranks` maps degrees to ranks through their patterns.  Degrees are
+  listed only by `DegreeRanks.nonzero`, each nonzero pattern as the product of
+  its per-coordinate ranges.
+- `annihilation_check` cuts the degrees b with b + deg(m) in the box into
+  their sign intervals (at most 3 per coordinate) and tests only the smallest
+  b of each interval tuple, walking the tuples in lexicographic order.
+  Checked degrees and coverage gaps are counted in closed form.
+
+`CECH_SWEEP_GUARD` bounds the patterns ranked, the interval tuples walked and
+the degrees listed, so cost follows those counts and never the box volume.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks, kernel_basis, rank
@@ -17,6 +31,8 @@ from .monomial import Monomial, MonomialIdeal, VarSet, radical
 from .stanley_reisner import QuotientIdeal
 
 CECH_GUARD_DEFAULT = 10
+# bounds the sign patterns ranked, the interval tuples walked and the degrees listed
+CECH_SWEEP_GUARD = 200_000
 
 
 @dataclass(frozen=True)
@@ -41,6 +57,19 @@ class DegreeBox:
         ranges = [range(a, b + 1) for a, b in zip(self.lower, self.upper)]
         return product(*ranges)
 
+    def widths(self) -> list[int]:
+        return [b - a + 1 for a, b in zip(self.lower, self.upper)]
+
+    def volume(self) -> int:
+        return prod(self.widths())
+
+
+def _check_sweep(count: int, what: str) -> None:
+    if count > CECH_SWEEP_GUARD:
+        raise GuardExceededError(
+            f"Cech sweep: {count} {what} exceed the guard {CECH_SWEEP_GUARD}"
+        )
+
 
 def _mask(varset: VarSet) -> int:
     m = 0
@@ -61,6 +90,18 @@ def _sign_pattern(deg: tuple[int, ...]) -> tuple[int, int]:
     return neg, pos
 
 
+def _is_face(vmask: int, j_masks) -> bool:
+    """Does the variable set vmask span a face of the Stanley-Reisner complex?"""
+    return all(jm & ~vmask for jm in j_masks)
+
+
+def _piece(pat: tuple[int, int], w: int, is_face) -> bool:
+    """The rule of `localization_piece` on bitmasks: pat is a degree's sign
+    pattern, w the localized variables, and `is_face` decides faces."""
+    neg, pos = pat
+    return not neg & ~w and is_face(pos | w)
+
+
 def localization_piece(J: MonomialIdeal, W: VarSet, deg: tuple[int, ...]) -> int:
     """Dimension (0 or 1) of the degree-deg piece of (S/J) localized at prod(W).
 
@@ -72,15 +113,8 @@ def localization_piece(J: MonomialIdeal, W: VarSet, deg: tuple[int, ...]) -> int
         raise InvalidInputError("localization pieces need a squarefree proper ideal")
     if len(deg) != J.ambient:
         raise InvalidInputError("degree vector has the wrong length")
-    wmask = _mask(W)
-    neg, pos = _sign_pattern(deg)
-    if neg & ~wmask:
-        return 0
-    v = pos | wmask
-    for g in J.gens:
-        if _mask(g.support()) & ~v == 0:
-            return 0
-    return 1
+    j_masks = [_mask(g.support()) for g in J.gens]
+    return int(_piece(_sign_pattern(deg), _mask(W), lambda v: _is_face(v, j_masks)))
 
 
 class _SliceEngine:
@@ -121,22 +155,18 @@ class _SliceEngine:
     def _face(self, vmask: int) -> bool:
         hit = self._face_cache.get(vmask)
         if hit is None:
-            hit = all(jm & ~vmask for jm in self.j_masks)
+            hit = _is_face(vmask, self.j_masks)
             self._face_cache[vmask] = hit
         return hit
-
-    def _piece(self, smask: int, pat: tuple[int, int]) -> bool:
-        neg, pos = pat
-        w = self.W[smask]
-        return not (neg & ~w) and self._face(pos | w)
 
     def slice_complex(self, pat: tuple[int, int]):
         """Bases (lists of subset masks per cohomological index) and the complex."""
         hit = self._complex_cache.get(pat)
         if hit is not None:
             return hit
+        W, face = self.W, self._face
         bases = [
-            [m for m in self.sigma_by_card[i] if self._piece(m, pat)]
+            [m for m in self.sigma_by_card[i] if _piece(pat, W[m], face)]
             for i in range(self.t + 1)
         ]
         positions = [{m: k for k, m in enumerate(b)} for b in bases]
@@ -170,12 +200,71 @@ class _SliceEngine:
         return hit
 
 
+def _sign_ranges(lo: int, hi: int) -> list[range]:
+    """[lo, hi] split into its negative, zero and positive values (nonempty parts)."""
+    parts = (
+        range(lo, min(hi, -1) + 1),
+        range(max(lo, 0), min(hi, 0) + 1),
+        range(max(lo, 1), hi + 1),
+    )
+    return [r for r in parts if r]
+
+
+def _lex_rank(deg: tuple[int, ...], lower: tuple[int, ...], widths) -> int:
+    """Number of degrees before deg, in lexicographic order, in the box with
+    these lower corners and widths (deg must lie in that box)."""
+    n = 0
+    for x, lo, w in zip(deg, lower, widths):
+        n = n * w + (x - lo)
+    return n
+
+
+class DegreeRanks(Mapping):
+    """Read-only map from every degree of a box to the cohomology ranks there.
+
+    It holds one entry per sign pattern; iteration follows `box.degrees()`.
+    """
+
+    def __init__(self, box: DegreeBox, by_pattern: dict, nonzero_cells: list):
+        self.box = box
+        self._by_pattern = by_pattern
+        # (per-coordinate ranges of a pattern, its ranks) for nonzero patterns
+        self._nonzero_cells = nonzero_cells
+
+    def __getitem__(self, deg) -> tuple[int, ...]:
+        if (
+            type(deg) is not tuple
+            or len(deg) != len(self.box.lower)
+            or not all(type(x) is int for x in deg)
+            or deg not in self.box
+        ):
+            raise KeyError(deg)
+        return self._by_pattern[_sign_pattern(deg)]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return self.box.degrees()
+
+    def __len__(self) -> int:
+        return self.box.volume()
+
+    def nonzero_count(self) -> int:
+        """Number of degrees with a nonzero rank, from the pattern multiplicities."""
+        return sum(prod(map(len, cell)) for cell, _ in self._nonzero_cells)
+
+    def nonzero(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Sorted (degree, ranks) pairs of the degrees with a nonzero rank."""
+        _check_sweep(self.nonzero_count(), "nonzero degrees")
+        return sorted(
+            (deg, ranks) for cell, ranks in self._nonzero_cells for deg in product(*cell)
+        )
+
+
 @dataclass(frozen=True)
 class CechReport:
     field: FieldSpec
     generators: tuple[Monomial, ...]
     box: DegreeBox
-    ranks: dict[tuple[int, ...], tuple[int, ...]]
+    ranks: DegreeRanks
     top_nonvanishing: int
 
 
@@ -192,20 +281,24 @@ def cech_ranks(
     """
     if len(box.lower) != a.ring.ambient:
         raise InvalidInputError("box dimension does not match the ambient ring")
+    per_coord = [_sign_ranges(lo, hi) for lo, hi in zip(box.lower, box.upper)]
+    _check_sweep(prod(map(len, per_coord)), "sign patterns")
     engine = _SliceEngine(a, field, guard)
-    ranks: dict[tuple[int, ...], tuple[int, ...]] = {}
+    by_pattern: dict[tuple[int, int], tuple[int, ...]] = {}
+    nonzero_cells = []
     top = -1
-    for deg in box.degrees():
-        slice_ranks = engine.ranks(_sign_pattern(deg))
-        ranks[deg] = slice_ranks
-        for i, r in enumerate(slice_ranks):
-            if r and i > top:
-                top = i
+    for cell in product(*per_coord):
+        pat = _sign_pattern(tuple(r[0] for r in cell))
+        slice_ranks = engine.ranks(pat)
+        by_pattern[pat] = slice_ranks
+        if any(slice_ranks):
+            nonzero_cells.append((cell, slice_ranks))
+            top = max(top, max(i for i, r in enumerate(slice_ranks) if r))
     return CechReport(
         field=field,
         generators=engine.gens,
         box=box,
-        ranks=ranks,
+        ranks=DegreeRanks(box, by_pattern, nonzero_cells),
         top_nonvanishing=top,
     )
 
@@ -229,35 +322,36 @@ def annihilation_check(
     """Does multiplication by m act as zero on H^i within the box?
 
     For each degree b with b + deg(m) still inside the box, the induced map
-    H^i(b) -> H^i(b + deg m) is extracted by exact linear algebra; the first
-    degree where it is nonzero is reported.  Degrees whose translate leaves the
-    box are skipped and counted as coverage gaps.
+    H^i(b) -> H^i(b + deg m) is extracted by exact linear algebra; the
+    lexicographically first degree where it is nonzero is reported.  Degrees
+    whose translate leaves the box are counted as coverage gaps.
+
+    The map depends only on the sign patterns of b and b + deg(m).  If b <= b'
+    have the same sign pattern, the map at b' factors as H^i(b') -> H^i(c) ->
+    H^i(b' + deg m), with c between b' and b' + deg(m) and of the sign pattern
+    of b + deg(m), so it is zero when the map at b is.  Hence one test at the
+    smallest degree of each tuple of sign intervals decides the whole tuple,
+    and that degree is the witness.
     """
     if m.ambient != a.ring.ambient or len(box.lower) != a.ring.ambient:
         raise InvalidInputError("monomial or box dimension mismatch")
-    engine = _SliceEngine(a, field, guard)
     shift = m.exponents
-    zero_cache: dict[tuple, bool] = {}
-    checked = 0
-    gaps = 0
-    witness = None
-    for deg in box.degrees():
-        target = tuple(x + s for x, s in zip(deg, shift))
-        if target not in box:
-            gaps += 1
-            continue
-        checked += 1
-        key = (_sign_pattern(deg), _sign_pattern(target))
-        is_zero = zero_cache.get(key)
-        if is_zero is None:
-            is_zero = _induced_map_is_zero(engine, key[0], key[1], i)
-            zero_cache[key] = is_zero
-        if not is_zero:
-            witness = deg
-            break
-    if witness is not None:
-        return AnnihilationVerdict("acts-nonzero", witness, checked, gaps)
-    return AnnihilationVerdict("annihilates-in-box", None, checked, gaps)
+    per_coord = [_sign_ranges(lo, hi - s) for lo, hi, s in zip(box.lower, box.upper, shift)]
+    _check_sweep(prod(map(len, per_coord)), "interval tuples")
+    engine = _SliceEngine(a, field, guard)
+    widths = box.widths()
+    in_range = [max(0, w - s) for w, s in zip(widths, shift)]
+    for cell in product(*per_coord):
+        b = tuple(r[0] for r in cell)
+        target = tuple(x + s for x, s in zip(b, shift))
+        if not _induced_map_is_zero(engine, _sign_pattern(b), _sign_pattern(target), i):
+            before = _lex_rank(b, box.lower, widths)
+            checked_before = _lex_rank(b, box.lower, in_range)
+            return AnnihilationVerdict(
+                "acts-nonzero", b, checked_before + 1, before - checked_before
+            )
+    checked = prod(in_range)
+    return AnnihilationVerdict("annihilates-in-box", None, checked, box.volume() - checked)
 
 
 def _induced_map_is_zero(engine: _SliceEngine, pat1, pat2, i: int) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .annihilator import (
     AnnBoundsReport,
@@ -243,9 +244,7 @@ def _jsonable(value):
 
 def cech_report_dict(rep: CechReport, names) -> dict:
     nonzero = [
-        {"degree": list(deg), "ranks": list(ranks)}
-        for deg, ranks in sorted(rep.ranks.items())
-        if any(ranks)
+        {"degree": list(deg), "ranks": list(ranks)} for deg, ranks in rep.ranks.nonzero()
     ]
     return {
         "format_version": FORMAT_VERSION,
@@ -416,7 +415,7 @@ def _cmd_oracle(args) -> int:
         doc = cech_report_dict(rep, inst.names)
         lines = [
             f"top nonvanishing index in box: {rep.top_nonvanishing} over {inst.field.label()}",
-            f"nonzero slices: {sum(1 for r in rep.ranks.values() if any(r))}"
+            f"nonzero slices: {rep.ranks.nonzero_count()}"
             f" of {len(rep.ranks)} degrees",
         ]
         _emit(doc, lines, args)
@@ -439,6 +438,7 @@ def _cmd_oracle(args) -> int:
     raise InvalidInputError("unknown oracle subcommand")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topann",

@@ -2,12 +2,15 @@
 
 Everything here derives answers from first principles (membership scans over
 degree boxes, full subset enumeration, Koszul homology) and never calls the
-code paths it is checking.
+code paths it is checking.  The Cech sweeps reuse the slice engine and visit
+every degree of a box: they are the reference for the pattern sweep of
+`topann.cech`, which they check.
 """
 from __future__ import annotations
 
 from itertools import combinations, product
 
+from topann.cech import CECH_GUARD_DEFAULT, _induced_map_is_zero, _sign_pattern, _SliceEngine
 from topann.cohomdim import cd_on_prime
 from topann.linalg import FieldSpec, rank
 from topann.monomial import Monomial, MonomialIdeal, minimalize
@@ -168,3 +171,37 @@ def random_monomial_ideal(rng, d: int, max_exp=2, max_gens=4) -> MonomialIdeal:
             exps[rng.randrange(d)] = 1
         gens.append(Monomial(tuple(exps)))
     return minimalize(gens, d)
+
+
+def sweep_cech_ranks(a, box, field: FieldSpec):
+    """Ranks at every degree of the box and the top nonvanishing index, by
+    building the slice of each degree in turn (the per-degree sweep the
+    pattern sweep of `cech.cech_ranks` replaces)."""
+    engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+    ranks = {}
+    top = -1
+    for deg in box.degrees():
+        slice_ranks = engine.ranks(_sign_pattern(deg))
+        ranks[deg] = slice_ranks
+        for i, r in enumerate(slice_ranks):
+            if r and i > top:
+                top = i
+    return ranks, top
+
+
+def sweep_annihilation(m, a, i: int, box, field: FieldSpec):
+    """(verdict, witness degree, degrees checked, coverage gaps) by visiting
+    every degree of the box in lexicographic order up to the first one where
+    multiplication by m is nonzero on H^i."""
+    engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+    checked = 0
+    gaps = 0
+    for deg in box.degrees():
+        target = tuple(x + s for x, s in zip(deg, m.exponents))
+        if target not in box:
+            gaps += 1
+            continue
+        checked += 1
+        if not _induced_map_is_zero(engine, _sign_pattern(deg), _sign_pattern(target), i):
+            return "acts-nonzero", deg, checked, gaps
+    return "annihilates-in-box", None, checked, gaps

@@ -222,3 +222,103 @@ def test_in_box_action_characterizes_certified_annihilator():
             expected = "annihilates-in-box" if f in rep.lower else "acts-nonzero"
             assert verdict == expected, (ring.relations.pretty(), a.lift.pretty(), f.pretty())
     assert exact_seen >= 50
+
+
+def _random_box(rng, d):
+    if rng.random() < 0.15:  # a single degree
+        point = tuple(rng.randint(-3, 2) for _ in range(d))
+        return DegreeBox(point, point)
+    lower, upper = [], []
+    for _ in range(d):
+        lo = rng.randint(-4, 1)  # lo = 1 or hi < 0 leaves 0 out of the coordinate
+        hi = lo + rng.randint(1, 5) if rng.random() < 0.8 else lo
+        lower.append(lo)
+        upper.append(hi)
+    return DegreeBox(tuple(lower), tuple(upper))
+
+
+def _random_shift(rng, d):
+    if rng.random() < 0.15:
+        return Monomial.identity(d)
+    exps = [rng.choice((0, 0, 0, 0, 1, 1, 2)) for _ in range(d)]
+    if rng.random() < 0.1:  # wider than any coordinate's range: nothing is checked
+        exps[rng.randrange(d)] = 6
+    return Monomial(tuple(exps))
+
+
+def test_pattern_sweep_matches_the_degree_sweep():
+    # the pattern sweep against the per-degree sweep it replaces: every rank,
+    # the listed degrees and their count, and the full annihilation verdict
+    rng = random.Random(97)
+    seen = {"acts-nonzero": 0, "annihilates-in-box": 0, "gaps-before-witness": 0}
+    for _ in range(800):
+        d = rng.randint(1, 5)
+        ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+        a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d))
+        box = _random_box(rng, d)
+        for field in (Q, F2):
+            rep = cech_ranks(a, box, field)
+            ranks, top = orc.sweep_cech_ranks(a, box, field)
+            assert list(rep.ranks.items()) == list(ranks.items())
+            assert len(rep.ranks) == len(ranks)
+            nonzero = [(deg, r) for deg, r in sorted(ranks.items()) if any(r)]
+            assert rep.ranks.nonzero() == nonzero
+            assert rep.ranks.nonzero_count() == len(nonzero)
+            assert rep.top_nonvanishing == top
+            live = sorted({i for _, r in nonzero for i, x in enumerate(r) if x})
+            for _ in range(3):
+                m = _random_shift(rng, d)
+                i = rng.choice(live) if live and rng.random() < 0.8 else rng.randint(-1, d + 1)
+                v = annihilation_check(m, a, i, box, field)
+                got = (v.verdict, v.witness_degree, v.degrees_checked, v.coverage_gaps)
+                assert got == orc.sweep_annihilation(m, a, i, box, field), (
+                    ring.relations.pretty(), a.lift.pretty(), box, m.exponents, i)
+                seen[v.verdict] += 1
+                seen["gaps-before-witness"] += bool(v.witness_degree and v.coverage_gaps)
+    assert seen["acts-nonzero"] >= 200 and seen["annihilates-in-box"] >= 200
+    assert seen["gaps-before-witness"] >= 50
+
+
+def test_degree_ranks_is_a_read_only_mapping():
+    inst, _ = fixture("singh-walther")
+    box = DegreeBox((-2, -1, 0, 1), (1, 1, 2, 3))
+    ranks = cech_ranks(inst.ideal, box, Q).ranks
+    assert len(ranks) == 4 * 3 * 3 * 3
+    assert list(ranks) == list(box.degrees())
+    assert (-2, -1, 0, 1) in ranks and (1, 1, 2, 3) in ranks
+    for outside in [(2, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0), [0, 0, 0, 1], (0.0, 0, 0, 1)]:
+        assert outside not in ranks
+        with pytest.raises(KeyError):
+            ranks[outside]
+    with pytest.raises(TypeError):
+        ranks[(0, 0, 0, 1)] = (0,)
+
+
+def test_sweep_guard_counts_before_the_work():
+    from topann import cech
+
+    ring = QuotientRing(12, ideal(12))
+    a = QuotientIdeal(ring, ideal(12, (1,) + (0,) * 11))
+    with pytest.raises(GuardExceededError, match="531441 sign patterns exceed the guard"):
+        cech_ranks(a, DegreeBox.uniform(12, -1, 1), Q)
+    one = Monomial.identity(12)
+    with pytest.raises(GuardExceededError, match="531441 interval tuples exceed the guard"):
+        annihilation_check(one, a, 1, DegreeBox.uniform(12, -1, 1), Q)
+    # H^6 of the polynomial ring at the maximal ideal lives in 10^12 box degrees
+    ring = QuotientRing(6, ideal(6))
+    gens = [tuple(1 if i == j else 0 for i in range(6)) for j in range(6)]
+    rep = cech_ranks(QuotientIdeal(ring, ideal(6, *gens)), DegreeBox.uniform(6, -100, 100), Q)
+    assert rep.ranks.nonzero_count() == 100 ** 6 > cech.CECH_SWEEP_GUARD
+    with pytest.raises(GuardExceededError, match="10{12} nonzero degrees exceed the guard"):
+        rep.ranks.nonzero()
+
+
+def test_top_nonvanishing_is_the_highest_index_of_a_slice():
+    # a slice with H^2 and H^3 both nonzero: the top index is 3, not 2
+    ring = QuotientRing(5, ideal(5))
+    a = QuotientIdeal(ring, ideal(5, (1, 1, 0, 1, 0), (0, 1, 1, 0, 1), (0, 0, 1, 1, 0),
+                                  (0, 0, 0, 1, 1)))
+    point = (0, -1, -1, -1, -1)
+    rep = cech_ranks(a, DegreeBox(point, point), Q)
+    assert rep.ranks[point] == (0, 0, 1, 1, 0)
+    assert rep.top_nonvanishing == 3

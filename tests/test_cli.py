@@ -287,3 +287,83 @@ def test_parse_monomial_text():
     assert parse_monomial_text("z1", names).exponents == (0, 0, 1)
     with pytest.raises(InvalidInputError):
         parse_monomial_text("w", names)
+
+
+def _fresh_process(*argv, script=None):
+    """Run topann (or a script) in a new interpreter; (exit code, stdout, stderr)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import topann
+
+    env = dict(os.environ, PYTHONPATH=str(Path(topann.__file__).resolve().parents[1]))
+    cmd = [sys.executable, script] if script else [sys.executable, "-m", "topann"]
+    done = subprocess.run(cmd + list(argv), capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_main_reuses_its_parser_across_calls(sw_file, capsys):
+    from topann.cli import build_parser
+
+    runs = [
+        ("--quiet", "cd", sw_file),
+        ("--field", "Fp:2", "--pretty", "ann-bounds", sw_file),
+        ("gamma", sw_file),
+        ("--field", "Fp:3", "--quiet", "oracle", "ranks", sw_file, "--box=-1:0"),
+        ("--pretty", "oracle", "ann", sw_file, "--monomial", "x", "--i", "2", "--box=-2:1"),
+        ("--quiet", "oracle", "ranks", sw_file, "--guard", "1"),
+        ("--quiet", "cd", sw_file),
+    ]
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == _fresh_process(*argv)[:2], argv
+    assert build_parser() is build_parser()
+
+
+def _write_d6(tmp_path):
+    # R = K[u1..u6]/(u1) and a = (u2, .., u6): u1 acts as zero and H^5 lives
+    # in the 100^5 degrees with u1-degree 0 and the rest negative
+    names = [f"u{k}" for k in range(1, 7)]
+    path = tmp_path / "d6.json"
+    path.write_text(json.dumps({
+        "vars": names, "J": [{"u1": 1}], "a": [{n: 1} for n in names[1:]],
+    }))
+    return str(path)
+
+
+def test_oracle_ann_on_a_huge_box_counts_in_closed_form(tmp_path, capsys):
+    import time
+
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "--quiet", "oracle", "ann", _write_d6(tmp_path), "--monomial", "u1",
+        "--i", "5", "--box=-100:100",
+    )
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "annihilates-in-box"
+    assert doc["degrees_checked"] == 200 * 201 ** 5
+    assert doc["coverage_gaps"] == 201 ** 5
+    assert elapsed < 5.0  # 3^6 interval tuples for 201^6 box degrees
+
+
+def test_oracle_ranks_on_a_huge_box_exits_3(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "--quiet", "oracle", "ranks", _write_d6(tmp_path), "--box=-100:100"
+    )
+    assert code == 3 and out == ""
+    assert "Cech sweep: 10000000000 nonzero degrees exceed the guard 200000" in err
+
+
+def test_profile_cmd_passes_output_and_exit_code_through(sw_file, capsys):
+    from pathlib import Path
+
+    script = str(Path(__file__).resolve().parents[1] / "scripts" / "profile_cmd.py")
+    for argv in [("--quiet", "oracle", "ranks", sw_file, "--box=-2:1"),
+                 ("--quiet", "oracle", "ranks", sw_file, "--guard", "1")]:
+        code, out, err = _fresh_process("--top", "5", "--", *argv, script=script)
+        assert (code, out) == run_cli(capsys, *argv)[:2]
+        assert "tottime" in err
