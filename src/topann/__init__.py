@@ -52,13 +52,11 @@ from .lynch import (
 from .monomial import (
     Monomial,
     MonomialIdeal,
-    colon,
     ideal_sum,
     intersect,
     minimalize,
     power,
     radical,
-    saturate,
     variable_ideal,
 )
 from .stanley_reisner import (
@@ -99,7 +97,6 @@ __all__ = [
     "cech_ranks",
     "cohomological_dimension",
     "cohomology_ranks",
-    "colon",
     "fixture",
     "grade_on_prime",
     "height_in_quotient",
@@ -115,7 +112,6 @@ __all__ = [
     "projective_dimension",
     "radical",
     "reduced_homology_ranks",
-    "saturate",
     "search_family",
     "sr_complex_of",
     "symbolic_power",

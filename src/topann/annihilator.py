@@ -1,5 +1,12 @@
 """Annihilator bounds for the top local cohomology module H^c_a(R).
 
+Every ideal derived here from J is an intersection of some of J's minimal
+primes.  J is radical, so J = p_1 cap ... cap p_r, and a saturation splits
+over the primes: (p : A^infinity) is the unit ideal when A lies in p and p
+otherwise.  Thus the torsion (J : a^infinity) keeps the primes not containing
+a, and the kernel of R -> R_q, which saturates by the variables outside q,
+keeps the primes inside q.
+
 The lower bound is the largest ideal T/J of R whose top local cohomology
 vanishes (the intersection of the associated primes achieving cd = c); the
 upper bound intersects the kernels of localization at witness primes q with
@@ -17,15 +24,12 @@ from .cohomdim import cohomological_dimension
 from .errors import InvalidInputError
 from .linalg import FieldSpec
 from .monomial import (
-    Monomial,
     MonomialIdeal,
     VarSet,
     ideal_sum,
     intersect,
     power,
     radical,
-    saturate,
-    saturate_by_ideal,
     variable_ideal,
 )
 from .stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient, krull_dim
@@ -40,43 +44,35 @@ EXACTNESS_REASONS = (
 
 
 def torsion_ideal(a: QuotientIdeal) -> MonomialIdeal:
-    """Lift of the a-torsion submodule of R, computed as (J : lift^infinity).
+    """Lift of the a-torsion submodule of R, (J : lift^infinity).
 
-    Rejects ideals that are zero in the quotient, whose torsion submodule
-    would be all of R.
+    It is the intersection of the minimal primes of J that do not contain the
+    lift, i.e. that miss the support of some generator.  Rejects ideals that
+    are zero in the quotient (no such prime), whose torsion would be all of R.
     """
-    relations = a.ring.relations
-    if all(g in relations for g in a.lift.gens):
+    ring = a.ring
+    kept = [p for p in ring.minimal_primes if any(not g.support() & p for g in a.lift.gens)]
+    if not kept:
         raise InvalidInputError("ideal is zero in the quotient; torsion is everything")
-    return saturate_by_ideal(relations, a.lift)
-
-
-def _complement_product(q: VarSet, ambient: int) -> Monomial:
-    outside = frozenset(range(1, ambient + 1)) - q
-    return Monomial.from_support(outside, ambient)
+    return intersect(*(variable_ideal(p, ring.ambient) for p in kept))
 
 
 def localization_kernel(q: VarSet, ring: QuotientRing) -> MonomialIdeal:
-    """Lift of ker(R -> R_q): the relations saturated by the variables outside q."""
+    """Lift of ker(R -> R_q): the intersection of the minimal primes of J inside q."""
     ring.require_support(q)
-    return saturate(ring.relations, _complement_product(q, ring.ambient))
+    return intersect(*(variable_ideal(p, ring.ambient) for p in ring.minimal_primes if p <= q))
 
 
 def symbolic_power(q: VarSet, n: int, ring: QuotientRing) -> MonomialIdeal:
-    """Lift of the n-th symbolic power of qR: ((q)^n + J : w^infinity), w outside q."""
+    """Lift of the n-th symbolic power of qR: ((q)^n + J : w^infinity), w outside q.
+
+    Saturating by a monomial acts generator-wise, so it splits over the sum, and
+    it leaves (q)^n alone because w is coprime to its generators.
+    """
     if n < 1:
         raise InvalidInputError("symbolic power requires n >= 1")
-    ring.require_support(q)
-    qn = power(variable_ideal(q, ring.ambient), n)
-    return saturate(ideal_sum(qn, ring.relations), _complement_product(q, ring.ambient))
-
-
-def _delta_and_lower(report, ambient: int) -> tuple[MonomialIdeal, tuple[VarSet, ...]]:
-    delta = tuple(p for p, v in report.per_prime if v == report.c)
-    lift = variable_ideal(delta[0], ambient)
-    for p in delta[1:]:
-        lift = intersect(lift, variable_ideal(p, ambient))
-    return lift, delta
+    kernel = localization_kernel(q, ring)
+    return ideal_sum(power(variable_ideal(q, ring.ambient), n), kernel)
 
 
 def top_vanishing_ideal(
@@ -87,7 +83,9 @@ def top_vanishing_ideal(
     The critical primes are the associated primes p with cd(a, R/p) = c; the
     ideal is their intersection, and it equals the annihilator of R modulo it.
     """
-    return _delta_and_lower(cohomological_dimension(a, field), a.ring.ambient)
+    report = cohomological_dimension(a, field)
+    delta = tuple(p for p, v in report.per_prime if v == report.c)
+    return intersect(*(variable_ideal(p, a.ring.ambient) for p in delta)), delta
 
 
 @dataclass(frozen=True)
@@ -140,17 +138,15 @@ def annihilator_bounds(a: QuotientIdeal, field: FieldSpec) -> AnnBoundsReport:
     """
     ring = a.ring
     report = cohomological_dimension(a, field)
-    lower, delta = _delta_and_lower(report, ring.ambient)
     c = report.c
+    delta = tuple(p for p, v in report.per_prime if v == c)
+    lower = intersect(*(variable_ideal(p, ring.ambient) for p in delta))
     witnesses = tuple((p, _witness_for(a, p, c)) for p in delta)
-    found = sorted(
-        {q for _, q in witnesses if q is not None}, key=lambda s: (len(s), sorted(s))
-    )
-    upper: MonomialIdeal | None = None
-    if found:
-        upper = localization_kernel(found[0], ring)
-        for q in found[1:]:
-            upper = intersect(upper, localization_kernel(q, ring))
+    # the kernels at the witnesses meet in the minimal primes under some witness
+    # (a witness lies over its critical prime, so none found means none under)
+    found = {q for _, q in witnesses if q is not None}
+    under = [p for p in ring.minimal_primes if any(p <= q for q in found)]
+    upper = intersect(*(variable_ideal(p, ring.ambient) for p in under)) if under else None
     # variables appearing in neither ideal are free polynomial directions: the
     # whole situation is extended flatly from the subring they are absent from,
     # so the small-dimension certificates apply with those directions discounted

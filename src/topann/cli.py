@@ -25,6 +25,7 @@ from .annihilator import (
     torsion_ideal,
 )
 from .cech import (
+    CECH_GUARD_DEFAULT,
     AnnihilationVerdict,
     CechReport,
     DegreeBox,
@@ -35,6 +36,7 @@ from .cohomdim import CdReport, cohomological_dimension
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec
 from .lynch import (
+    SEARCH_GUARD_DEFAULT,
     LynchReport,
     build_instance,
     fixture,
@@ -88,10 +90,13 @@ def parse_monomial_text(text: str, names: list[str]) -> Monomial:
     obj: dict[str, int] = {}
     for token in text.replace("·", "*").split("*"):
         token = token.strip()
-        name, _, exp = token.partition("^")
+        name, caret, exp = token.partition("^")
+        # int() would also take signs, spaces, underscores and non-ASCII digits
+        if caret and not (exp.isascii() and exp.isdigit()):
+            raise InvalidInputError(f"exponent in {token!r} must be ASCII decimal digits")
         try:
-            e = int(exp) if exp else 1
-        except ValueError as exc:
+            e = int(exp) if caret else 1
+        except ValueError as exc:  # more digits than int() converts
             raise InvalidInputError(f"cannot parse exponent in {token!r}") from exc
         obj[name] = obj.get(name, 0) + e
     return monomial_from_obj(obj, names)
@@ -316,18 +321,19 @@ def _cmd_gamma(args) -> int:
     inst = load_instance(args.instance, args.field, None)
     lift = torsion_ideal(inst.acting)
     is_zero = lift == inst.ring.relations
+    dim = krull_dim(lift)
     doc = {
         "format_version": FORMAT_VERSION,
         "report": "torsion",
         "field": inst.field.label(),
         "torsion_lift": ideal_to_list(lift, inst.names),
         "torsion_is_zero": is_zero,
-        "dim_modulo_torsion": krull_dim(lift),
+        "dim_modulo_torsion": dim,
     }
     lines = [
         f"torsion submodule lift: {lift.pretty(inst.names)}"
         + (" (torsion is zero)" if is_zero else ""),
-        f"dim R/torsion = {krull_dim(lift)}",
+        f"dim R/torsion = {dim}",
     ]
     _emit(doc, lines, args)
     return EXIT_OK
@@ -477,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fixture.set_defaults(func=_cmd_lynch)
     p_search = lynch_sub.add_parser("search", help="sweep the canonical family")
     p_search.add_argument("--max-d", dest="max_d", type=int, required=True)
-    p_search.add_argument("--guard", type=int, default=8)
+    p_search.add_argument("--guard", type=int, default=SEARCH_GUARD_DEFAULT)
     p_search.set_defaults(func=_cmd_lynch)
 
     p_oracle = sub.add_parser("oracle", help="multigraded Cech verification")
@@ -485,14 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ranks = oracle_sub.add_parser("ranks", help="cohomology ranks per degree in a box")
     p_ranks.add_argument("instance")
     p_ranks.add_argument("--box", default=None, help="uniform box lo:hi")
-    p_ranks.add_argument("--guard", type=int, default=10)
+    p_ranks.add_argument("--guard", type=int, default=CECH_GUARD_DEFAULT)
     p_ranks.set_defaults(func=_cmd_oracle)
     p_oann = oracle_sub.add_parser("ann", help="does a monomial annihilate H^i in the box?")
     p_oann.add_argument("instance")
     p_oann.add_argument("--monomial", required=True)
     p_oann.add_argument("--i", type=int, required=True)
     p_oann.add_argument("--box", default=None, help="uniform box lo:hi")
-    p_oann.add_argument("--guard", type=int, default=10)
+    p_oann.add_argument("--guard", type=int, default=CECH_GUARD_DEFAULT)
     p_oann.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -55,10 +55,7 @@ def build_instance(d, X, Y, Z, Xp, Yp) -> LynchInstance:
         raise InvalidInputError("Xp must be a nonempty subset of X")
     if not Yp or not Yp <= Y:
         raise InvalidInputError("Yp must be a nonempty subset of Y")
-    relations = intersect(
-        variable_ideal(X, d), variable_ideal(Y, d), variable_ideal(Z, d)
-    )
-    ring = QuotientRing(d, relations)
+    ring = QuotientRing(d, intersect(*(variable_ideal(p, d) for p in (X, Y, Z))))
     acting = QuotientIdeal(ring, ideal_sum(variable_ideal(Xp, d), variable_ideal(Yp, d)))
     return LynchInstance(d=d, X=X, Y=Y, Z=Z, Xp=Xp, Yp=Yp, ring=ring, ideal=acting)
 

@@ -217,44 +217,6 @@ def intersect(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialIdeal:
     return acc
 
 
-def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """(I : m), generated by g / gcd(g, m) over the generators g."""
-    if m.ambient != ideal.ambient:
-        raise InvalidInputError("ambient dimension mismatch")
-    return minimalize((g.quotient_clipped(m) for g in ideal.gens), ideal.ambient)
-
-
-def colon_by_ideal(ideal: MonomialIdeal, divisor: MonomialIdeal) -> MonomialIdeal:
-    """(I : A) for an ideal A, as the intersection of the generator colons."""
-    _check_same_ambient(ideal, divisor)
-    if divisor.is_zero():
-        return minimalize([Monomial.identity(ideal.ambient)], ideal.ambient)
-    acc = colon(ideal, divisor.gens[0])
-    for g in divisor.gens[1:]:
-        acc = intersect(acc, colon(ideal, g))
-    return acc
-
-
-def saturate(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """(I : m^infinity), the stable value of iterated colon."""
-    current = ideal
-    while True:
-        nxt = colon(current, m)
-        if nxt == current:
-            return current
-        current = nxt
-
-
-def saturate_by_ideal(ideal: MonomialIdeal, divisor: MonomialIdeal) -> MonomialIdeal:
-    """(I : A^infinity), the stable value of iterated ideal colon."""
-    current = ideal
-    while True:
-        nxt = colon_by_ideal(current, divisor)
-        if nxt == current:
-            return current
-        current = nxt
-
-
 def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """I^n as the minimalized set of n-fold products of generators."""
     if n < 1:

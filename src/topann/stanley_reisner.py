@@ -148,10 +148,7 @@ class QuotientRing:
         if self.relations.is_unit():
             raise InvalidInputError("quotient by the unit ideal is the zero ring")
         primes = minimal_primes(self.relations)
-        meet = variable_ideal(primes[0], self.ambient)
-        for p in primes[1:]:
-            meet = intersect(meet, variable_ideal(p, self.ambient))
-        if meet != self.relations:
+        if intersect(*(variable_ideal(p, self.ambient) for p in primes)) != self.relations:
             raise InvalidInputError("minimal primes do not intersect to the ideal")
         object.__setattr__(self, "minimal_primes", primes)
 

@@ -4,7 +4,8 @@ Everything here derives answers from first principles (membership scans over
 degree boxes, full subset enumeration, Koszul homology) and never calls the
 code paths it is checking.  The Cech sweeps reuse the slice engine and visit
 every degree of a box: they are the reference for the pattern sweep of
-`topann.cech`, which they check.
+`topann.cech`, which they check.  The iterated colon and saturation loops are
+the reference for the prime-intersection closed forms of `topann.annihilator`.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from itertools import combinations, product
 from topann.cech import CECH_GUARD_DEFAULT, _induced_map_is_zero, _sign_pattern, _SliceEngine
 from topann.cohomdim import cd_on_prime
 from topann.linalg import FieldSpec, rank
-from topann.monomial import Monomial, MonomialIdeal, minimalize
+from topann.monomial import Monomial, MonomialIdeal, intersect, minimalize
 
 
 def box_monomials(d: int, max_exp: int):
@@ -39,6 +40,38 @@ def brute_colon_member(f, I, m) -> bool:
 
 def brute_saturation_member(f, I, m, kmax=12) -> bool:
     return any(member(f * m.power(k), I.gens) for k in range(kmax + 1))
+
+
+def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+    """(I : m), generated by g / gcd(g, m) over the generators g."""
+    return minimalize((g.quotient_clipped(m) for g in ideal.gens), ideal.ambient)
+
+
+def colon_by_ideal(ideal: MonomialIdeal, divisor: MonomialIdeal) -> MonomialIdeal:
+    """(I : A) for an ideal A, as the intersection of the generator colons."""
+    if divisor.is_zero():
+        return minimalize([Monomial.identity(ideal.ambient)], ideal.ambient)
+    return intersect(*(colon(ideal, g) for g in divisor.gens))
+
+
+def saturate(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+    """(I : m^infinity), the stable value of iterated colon."""
+    current = ideal
+    while True:
+        nxt = colon(current, m)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def saturate_by_ideal(ideal: MonomialIdeal, divisor: MonomialIdeal) -> MonomialIdeal:
+    """(I : A^infinity), the stable value of iterated ideal colon."""
+    current = ideal
+    while True:
+        nxt = colon_by_ideal(current, divisor)
+        if nxt == current:
+            return current
+        current = nxt
 
 
 def brute_radical_member(f, I) -> bool:

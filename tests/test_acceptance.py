@@ -24,7 +24,6 @@ from topann.monomial import (
     ideal_sum,
     intersect,
     minimalize,
-    saturate,
     variable_ideal,
 )
 from topann.stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient
@@ -293,7 +292,7 @@ def test_criterion_7_lemma_suite(capsys):
         rest = sorted(set(range(1, d + 1)) - p)
         q = p | frozenset(rng.sample(rest, rng.randint(0, len(rest))))
         w = Monomial.from_support(frozenset(range(1, d + 1)) - q, d)
-        contracted = saturate(total, w)
+        contracted = orc.saturate(total, w)
         for f in orc.box_monomials(d, 2):
             assert (f in contracted) == orc.brute_saturation_member(f, total, w, kmax=10)
 

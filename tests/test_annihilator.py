@@ -19,13 +19,13 @@ from topann.annihilator import (
 from topann.cohomdim import cohomological_dimension
 from topann.errors import InvalidInputError
 from topann.linalg import FieldSpec
-from topann.lynch import fixture
+from topann.lynch import build_instance, fixture
 from topann.monomial import (
     Monomial,
     ideal_sum,
     intersect,
     minimalize,
-    saturate,
+    power,
     variable_ideal,
 )
 from topann.stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient
@@ -151,7 +151,7 @@ def test_contraction_of_annihilator_is_saturation():
         if total.is_unit():
             continue
         w = Monomial.from_support(frozenset(range(1, d + 1)) - q, d)
-        contracted = saturate(total, w)
+        contracted = orc.saturate(total, w)
         for f in orc.box_monomials(d, 2):
             assert (f in contracted) == orc.brute_saturation_member(f, total, w, kmax=10)
 
@@ -189,6 +189,69 @@ def test_symbolic_powers_stabilize_to_localization_kernel():
             prev = s
         assert stabilized is not None
         assert stabilized == kernel
+
+
+# --------------------------------------------- closed forms against the loops
+
+def _random_lynch_ideal(rng):
+    """A Lynch family ideal under a random labelling, with unused variables."""
+    nx, ny, nz = sorted(rng.randint(1, 3) for _ in range(3))
+    d = nx + ny + nz + rng.randint(0, 2)
+    labels = rng.sample(range(1, d + 1), nx + ny + nz)
+    X, Y, Z = labels[:nx], labels[nx:nx + ny], labels[nx + ny:]
+    Xp = rng.sample(X, rng.randint(1, len(X)))
+    Yp = rng.sample(Y, rng.randint(1, len(Y)))
+    return build_instance(d, X, Y, Z, Xp, Yp).ideal
+
+
+def test_saturations_are_prime_intersections():
+    # torsion, localization kernels, symbolic powers and the upper bound are
+    # intersections of minimal primes of J; the iterated colon loops of the
+    # oracle compute the same saturations from their definitions
+    rng = random.Random(131)
+    raised = widened = upper_seen = 0
+    for k in range(300):
+        if k % 5:
+            d = rng.randint(1, 7)
+            ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+            a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d))
+        else:
+            a = _random_lynch_ideal(rng)
+            ring, d = a.ring, a.ring.ambient
+        J = ring.relations
+        everything = frozenset(range(1, d + 1))
+
+        reference = orc.saturate_by_ideal(J, a.lift)
+        if reference.is_unit():
+            with pytest.raises(InvalidInputError):
+                torsion_ideal(a)
+            raised += 1
+        else:
+            assert torsion_ideal(a) == reference, a
+
+        primes = [everything]
+        for p in rng.sample(ring.minimal_primes, min(3, len(ring.minimal_primes))):
+            rest = sorted(everything - p)
+            primes.append(p | frozenset(rng.sample(rest, rng.randint(0, len(rest)))))
+        for q in primes:
+            w = Monomial.from_support(everything - q, d)
+            assert localization_kernel(q, ring) == orc.saturate(J, w), (J, q)
+            for n in (1, 2, 3):
+                qn = power(variable_ideal(q, d), n)
+                assert symbolic_power(q, n, ring) == orc.saturate(ideal_sum(qn, J), w)
+            widened += q not in ring.minimal_primes
+
+        rep = annihilator_bounds(a, Q)
+        found = rep.witnesses_found()
+        if found:
+            kernels = [
+                orc.saturate(J, Monomial.from_support(everything - q, d)) for q in found
+            ]
+            assert rep.upper == intersect(*kernels), a
+            upper_seen += 1
+        else:
+            assert rep.upper is None
+    assert 0 < raised < 150 and widened > 600 and upper_seen > 150
 
 
 # ------------------------------------------------------------------ bounds

@@ -198,15 +198,25 @@ def test_non_squarefree_relations_rejected(tmp_path, capsys):
         {"a": [{"x": True}]},                 # bool exponent
         {"box": {"lower": [-1.7] * 4, "upper": [1] * 4}},   # float bound
         {"box": {"lower": ["-1"] * 4, "upper": [1] * 4}},   # numeric string bound
+        # --monomial text on a valid instance: exponents must be ASCII digits
+        {"--monomial": "x^-1*x^2"},           # negative exponent
+        {"--monomial": "x^\u0662"},           # Arabic-Indic digit two
+        {"--monomial": "x^ 2"},               # space after the caret
+        {"--monomial": "x^1_0"},              # digit group separator
     ],
 )
 def test_malformed_instances_exit_2(tmp_path, capsys, patch):
     bad = dict(SW_INSTANCE)
     bad.update(patch)
+    monomial = bad.pop("--monomial", None)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    cmd = "oracle" if "box" in patch else "cd"
-    argv = ["--quiet", "oracle", "ranks", str(path)] if cmd == "oracle" else ["--quiet", "cd", str(path)]
+    if monomial is not None:
+        argv = ["--quiet", "oracle", "ann", str(path), "--monomial", monomial, "--i", "2"]
+    elif "box" in patch:
+        argv = ["--quiet", "oracle", "ranks", str(path)]
+    else:
+        argv = ["--quiet", "cd", str(path)]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2

@@ -11,13 +11,11 @@ from topann.errors import InvalidInputError
 from topann.monomial import (
     Monomial,
     MonomialIdeal,
-    colon,
     ideal_sum,
     intersect,
     minimalize,
     power,
     radical,
-    saturate,
     variable_ideal,
 )
 
@@ -179,37 +177,39 @@ def test_intersection_two_primes():
 
 
 # ------------------------------------------------------------------- colon
+# The iterated colon and saturation loops live on as the oracle reference for
+# the prime-intersection closed forms; these tests keep that reference honest.
 
 def test_colon_splits_off_common_factor():
     J = ideal(4, (1, 1, 1, 0), (1, 1, 0, 1))
-    assert colon(J, mono(1, 1, 0, 0)) == ideal(4, (0, 0, 1, 0), (0, 0, 0, 1))
+    assert orc.colon(J, mono(1, 1, 0, 0)) == ideal(4, (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def test_colon_by_identity():
     x = ideal(2, (1, 0))
-    assert colon(x, mono(0, 0)) == x
+    assert orc.colon(x, mono(0, 0)) == x
 
 
 def test_colon_exponent_subtraction():
-    assert colon(ideal(2, (2, 1)), mono(1, 0)) == ideal(2, (1, 1))
+    assert orc.colon(ideal(2, (2, 1)), mono(1, 0)) == ideal(2, (1, 1))
 
 
 # ------------------------------------------------------------------- saturate
 
 def test_saturation_reaches_fixpoint():
     J = ideal(4, (1, 1, 1, 0), (1, 1, 0, 1))
-    got = saturate(J, mono(1, 1, 0, 0))
+    got = orc.saturate(J, mono(1, 1, 0, 0))
     assert got == ideal(4, (0, 0, 1, 0), (0, 0, 0, 1))
-    assert colon(got, mono(1, 1, 0, 0)) == got
+    assert orc.colon(got, mono(1, 1, 0, 0)) == got
 
 
 def test_saturation_by_coprime_variable():
     x = ideal(2, (1, 0))
-    assert saturate(x, mono(0, 1)) == x
+    assert orc.saturate(x, mono(0, 1)) == x
 
 
 def test_saturation_removes_factor():
-    assert saturate(ideal(2, (1, 1)), mono(0, 1)) == ideal(2, (1, 0))
+    assert orc.saturate(ideal(2, (1, 1)), mono(0, 1)) == ideal(2, (1, 0))
 
 
 # ------------------------------------------------------------------- power
@@ -295,7 +295,7 @@ def test_colon_membership_duality(pair, data):
     I, _ = pair
     d = I.ambient
     m = Monomial(data.draw(exponent_vectors(d, 2)))
-    q = colon(I, m)
+    q = orc.colon(I, m)
     for f in orc.box_monomials(d, 2):
         assert (f in q) == orc.brute_colon_member(f, I, m)
 
@@ -308,8 +308,8 @@ def test_saturation_fixpoint_and_membership(pair, data):
     m = Monomial(data.draw(exponent_vectors(d, 2)))
     if m.is_identity():
         m = Monomial.variable(1, d)
-    s = saturate(I, m)
-    assert colon(s, m) == s
+    s = orc.saturate(I, m)
+    assert orc.colon(s, m) == s
     for f in orc.box_monomials(d, 2):
         assert (f in s) == orc.brute_saturation_member(f, I, m)
 
