@@ -17,6 +17,12 @@ degree (Takayama's degree-wise formula).  So no box is walked degree by degree:
 
 `CECH_SWEEP_GUARD` bounds the patterns ranked, the interval tuples walked and
 the degrees listed, so cost follows those counts and never the box volume.
+
+A slice is a complex on subsets sigma of the generators.  The subsets whose
+pieces can survive are filtered once per positive support, with their signed
+cofaces; a pattern keeps those whose union of supports holds its negative
+support.  Differentials are sparse +-1 columns, ranked and reduced to kernels
+by `linalg.eliminate`.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from itertools import combinations, product
 from math import prod
 
 from .errors import GuardExceededError, InvalidInputError
-from .linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks, kernel_basis, rank
+from .linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks, eliminate
 from .monomial import Monomial, MonomialIdeal, VarSet, radical
 from .stanley_reisner import QuotientIdeal
 
@@ -95,13 +101,6 @@ def _is_face(vmask: int, j_masks) -> bool:
     return all(jm & ~vmask for jm in j_masks)
 
 
-def _piece(pat: tuple[int, int], w: int, is_face) -> bool:
-    """The rule of `localization_piece` on bitmasks: pat is a degree's sign
-    pattern, w the localized variables, and `is_face` decides faces."""
-    neg, pos = pat
-    return not neg & ~w and is_face(pos | w)
-
-
 def localization_piece(J: MonomialIdeal, W: VarSet, deg: tuple[int, ...]) -> int:
     """Dimension (0 or 1) of the degree-deg piece of (S/J) localized at prod(W).
 
@@ -113,8 +112,9 @@ def localization_piece(J: MonomialIdeal, W: VarSet, deg: tuple[int, ...]) -> int
         raise InvalidInputError("localization pieces need a squarefree proper ideal")
     if len(deg) != J.ambient:
         raise InvalidInputError("degree vector has the wrong length")
-    j_masks = [_mask(g.support()) for g in J.gens]
-    return int(_piece(_sign_pattern(deg), _mask(W), lambda v: _is_face(v, j_masks)))
+    neg, pos = _sign_pattern(deg)
+    w = _mask(W)
+    return int(not neg & ~w and _is_face(pos | w, [_mask(g.support()) for g in J.gens]))
 
 
 class _SliceEngine:
@@ -148,45 +148,56 @@ class _SliceEngine:
                     m |= 1 << j
                 masks.append(m)
             self.sigma_by_card.append(masks)
-        self._face_cache: dict[int, bool] = {}
+        # parity[s] is the parity of the number of elements of the subset s
+        self.parity = [0] * (1 << self.t)
+        for s in range(1, 1 << self.t):
+            self.parity[s] = self.parity[s >> 1] ^ (s & 1)
+        self._by_pos: dict[int, tuple] = {}
         self._complex_cache: dict[tuple[int, int], tuple] = {}
         self._rank_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def _face(self, vmask: int) -> bool:
-        hit = self._face_cache.get(vmask)
+    def _face_family(self, pos: int):
+        """Per cardinality, the subsets sigma with pos | W[sigma] a face; and
+        for each such sigma, the members sigma + j of the family one size up
+        with the coboundary signs (-1)^#{k in sigma: k < j}."""
+        hit = self._by_pos.get(pos)
         if hit is None:
-            hit = _is_face(vmask, self.j_masks)
-            self._face_cache[vmask] = hit
+            W, j_masks, parity = self.W, self.j_masks, self.parity
+            family = [
+                [m for m in masks if _is_face(pos | W[m], j_masks)]
+                for masks in self.sigma_by_card
+            ]
+            members = set().union(*family)
+            cofaces = {}
+            for sm in members:
+                up = [j for j in range(self.t) if not sm >> j & 1 and sm | 1 << j in members]
+                cofaces[sm] = (
+                    [sm | 1 << j for j in up],
+                    [-1 if parity[sm & ((1 << j) - 1)] else 1 for j in up],
+                )
+            hit = self._by_pos[pos] = (family, cofaces)
         return hit
 
     def slice_complex(self, pat: tuple[int, int]):
-        """Bases (lists of subset masks per cohomological index) and the complex."""
+        """Bases (lists of subset masks per cohomological index), their
+        positions and the complex, with sparse columns."""
         hit = self._complex_cache.get(pat)
         if hit is not None:
             return hit
-        W, face = self.W, self._face
-        bases = [
-            [m for m in self.sigma_by_card[i] if _piece(pat, W[m], face)]
-            for i in range(self.t + 1)
-        ]
+        neg, pos = pat
+        W = self.W
+        family, cofaces = self._face_family(pos)
+        # the rule of `localization_piece`: neg inside W[sigma], pos | W[sigma] a
+        # face; a coface of a basis element satisfies the first part as well
+        bases = [[m for m in masks if not neg & ~W[m]] for masks in family]
         positions = [{m: k for k, m in enumerate(b)} for b in bases]
-        dims = tuple(len(b) for b in bases)
         diffs = []
         for i in range(self.t):
-            mat = [[0] * dims[i] for _ in range(dims[i + 1])]
-            for col, sm in enumerate(bases[i]):
-                for j in range(self.t):
-                    bit = 1 << j
-                    if sm & bit:
-                        continue
-                    tm = sm | bit
-                    row = positions[i + 1].get(tm)
-                    if row is None:
-                        continue
-                    sign = -1 if bin(sm & (bit - 1)).count("1") % 2 else 1
-                    mat[row][col] = sign
-            diffs.append(tuple(tuple(r) for r in mat))
-        complex_ = VectorSpaceComplex(self.field, dims, tuple(diffs))
+            row = positions[i + 1].__getitem__
+            diffs.append(tuple(
+                tuple(zip(map(row, cofaces[sm][0]), cofaces[sm][1])) for sm in bases[i]
+            ))
+        complex_ = VectorSpaceComplex(self.field, tuple(map(len, bases)), tuple(diffs))
         result = (bases, positions, complex_)
         self._complex_cache[pat] = result
         return result
@@ -249,7 +260,7 @@ class DegreeRanks(Mapping):
 
     def nonzero_count(self) -> int:
         """Number of degrees with a nonzero rank, from the pattern multiplicities."""
-        return sum(prod(map(len, cell)) for cell, _ in self._nonzero_cells)
+        return sum(prod(r.stop - r.start for r in cell) for cell, _ in self._nonzero_cells)
 
     def nonzero(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Sorted (degree, ranks) pairs of the degrees with a nonzero rank."""
@@ -362,26 +373,18 @@ def _induced_map_is_zero(engine: _SliceEngine, pat1, pat2, i: int) -> bool:
     if ranks1[i] == 0 or ranks2[i] == 0:
         return True
     bases1, _, complex1 = engine.slice_complex(pat1)
-    bases2, positions2, complex2 = engine.slice_complex(pat2)
+    _, positions2, complex2 = engine.slice_complex(pat2)
     field = engine.field
-    d_out = complex1.differentials[i] if i < engine.t else ()
-    cycles = kernel_basis(d_out, field, complex1.dims[i])
+    if i < engine.t:
+        cycles = eliminate(complex1.differentials[i], field, kernel=True)[1]
+    else:
+        cycles = [{c: 1} for c in range(complex1.dims[i])]
     # multiplication sends the basis slice at sigma to the same sigma when the
     # target piece survives, and to zero otherwise
-    n2 = complex2.dims[i]
-    mapped = []
-    for vec in cycles:
-        out = [0] * n2
-        for c1, sm in enumerate(bases1[i]):
-            r2 = positions2[i].get(sm)
-            if r2 is not None:
-                out[r2] = vec[c1]
-        mapped.append(out)
-    boundary = complex2.differentials[i - 1] if i > 0 else ()
-    n_bound = complex2.dims[i - 1] if i > 0 else 0
-    base_rank = rank(boundary, field) if n_bound else 0
-    stacked = [
-        [boundary[r][c] for c in range(n_bound)] + [vec[r] for vec in mapped]
-        for r in range(n2)
+    basis1, to2 = bases1[i], positions2[i]
+    image = [
+        tuple((to2[basis1[c]], v) for c, v in vec.items() if basis1[c] in to2)
+        for vec in cycles
     ]
-    return rank(stacked, field) == base_rank
+    boundary = list(complex2.differentials[i - 1]) if i > 0 else []
+    return len(eliminate(boundary + image, field)[0]) == len(eliminate(boundary, field)[0])

@@ -119,6 +119,8 @@ def load_instance(path: str, field_override: str | None, box_override: str | Non
         raise InvalidInputError(f"cannot read instance file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"instance file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInputError("instance file is nested too deeply") from exc
     if not isinstance(data, dict):
         raise InvalidInputError("instance file must be a JSON object")
     names = data.get("vars")
@@ -129,6 +131,10 @@ def load_instance(path: str, field_override: str | None, box_override: str | Non
         or len(set(names)) != len(names)
     ):
         raise InvalidInputError("\"vars\" must be a nonempty list of unique names")
+    for name in names:
+        # `parse_monomial_text` splits on these, so such a name could not be named
+        if any(c in "*^·" or c.isspace() for c in name):
+            raise InvalidInputError(f"variable name {name!r} holds '*', '^', '·' or whitespace")
     d = len(names)
     for key in ("J", "a"):
         if key in data and not isinstance(data[key], list):
@@ -422,7 +428,7 @@ def _cmd_oracle(args) -> int:
         lines = [
             f"top nonvanishing index in box: {rep.top_nonvanishing} over {inst.field.label()}",
             f"nonzero slices: {rep.ranks.nonzero_count()}"
-            f" of {len(rep.ranks)} degrees",
+            f" of {rep.ranks.box.volume()} degrees",
         ]
         _emit(doc, lines, args)
         return EXIT_OK

@@ -29,50 +29,40 @@ class BettiTable:
     def projective_dimension(self) -> int:
         return max(i for i, _, _ in self.entries)
 
-    def beta(self, i: int, sigma: VarSet) -> int:
-        for j, s, v in self.entries:
-            if j == i and s == sigma:
-                return v
-        return 0
-
     def as_dict(self) -> dict[tuple[int, VarSet], int]:
         return {(i, s): v for i, s, v in self.entries}
 
 
-def _lcm_support_closure(supports: list[VarSet]) -> list[VarSet]:
+def _lcm_support_closure(supports: list[int]) -> set[int]:
     # Betti degrees of a monomial ideal lie in the lcm lattice of the generators
     # (Taylor complex support), so only joins of generator supports matter.
-    closure = {frozenset()}
-    frontier = {frozenset()}
+    closure = {0}
+    frontier = {0}
     while frontier:
-        nxt = set()
-        for s in frontier:
-            for sup in supports:
-                u = s | sup
-                if u not in closure:
-                    closure.add(u)
-                    nxt.add(u)
-        frontier = nxt
-    return sorted(closure, key=lambda s: (len(s), sorted(s)))
+        frontier = {s | sup for s in frontier for sup in supports} - closure
+        closure |= frontier
+    return closure
 
 
-def _restricted_faces(sigma: VarSet, supports: list[VarSet]) -> list[tuple[int, ...]]:
-    """Faces of the Stanley-Reisner complex that lie inside sigma."""
-    verts = sorted(sigma)
-    local = [frozenset(s) for s in supports if s <= sigma]
+def _restricted_faces(sigma: int, supports: list[int]) -> list[int]:
+    """Faces of the Stanley-Reisner complex inside sigma, as submasks of sigma."""
+    local = [s for s in supports if not s & ~sigma]
     faces = []
-    for mask in range(1 << len(verts)):
-        v = frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
-        if not any(s <= v for s in local):
-            faces.append(tuple(sorted(v)))
-    return faces
+    sub = sigma
+    while True:
+        if all(s & ~sub for s in local):
+            faces.append(sub)
+        if not sub:
+            return faces
+        sub = (sub - 1) & sigma
 
 
 def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
     """Graded Betti numbers of S/I for squarefree proper I, by Hochster's formula.
 
     beta_{i, sigma}(S/I) is the reduced homology rank of the restriction of the
-    Stanley-Reisner complex to sigma, in dimension |sigma| - i - 1.
+    Stanley-Reisner complex to sigma, in dimension |sigma| - i - 1.  Supports
+    and faces are variable bitmasks (bit v - 1 for variable v).
     """
     if not ideal.is_squarefree():
         raise InvalidInputError("Hochster's formula needs a squarefree ideal")
@@ -82,13 +72,14 @@ def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
         raise GuardExceededError(
             f"Betti enumeration: ambient {ideal.ambient} exceeds the guard {HOCHSTER_GUARD}"
         )
-    supports = [g.support() for g in ideal.gens]
+    supports = [sum(1 << i for i, e in enumerate(g.exponents) if e) for g in ideal.gens]
     entries = []
     for sigma in _lcm_support_closure(supports):
         hom = homology_ranks_of_faces(_restricted_faces(sigma, supports), field)
-        for dim, h in sorted(hom.items()):
+        verts = frozenset(i + 1 for i in range(ideal.ambient) if sigma >> i & 1)
+        for dim, h in hom.items():
             if h:
-                entries.append((len(sigma) - dim - 1, sigma, h))
+                entries.append((len(verts) - dim - 1, verts, h))
     entries.sort(key=lambda e: (e[0], len(e[1]), sorted(e[1])))
     return BettiTable(field, ideal.ambient, tuple(entries))
 

@@ -1,23 +1,22 @@
 """Exact linear algebra over Q or F_p, plus reduced simplicial homology ranks.
 
-Rank computations use fraction-free (Bareiss) elimination over the rationals
-and ordinary elimination over prime fields; everything is integer arithmetic,
-never floating point.
+One sparse elimination routine, `eliminate`, ranks every matrix and finds
+kernel bases.  Matrices are lists of sparse columns of (row, value) pairs, as
+the Cech slices and simplicial boundaries have at most a handful of +-1
+entries per column.  It reduces mod p over F_p and is fraction-free over Q;
+everything is integer arithmetic, never floating point.  `rank` and
+`kernel_basis` are adapters for dense matrices given by rows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvalidInputError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stanley_reisner import SimplicialComplex
-
-Matrix = tuple[tuple[int, ...], ...]
-
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
 # (Sorenson and Webster, 2015); larger characteristics are refused.
@@ -93,190 +92,188 @@ class FieldSpec:
         raise InvalidInputError(f"cannot parse field spec {text!r} (use Q or Fp:<prime>)")
 
 
-def _integer_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        if any(isinstance(x, Fraction) for x in row):
-            scale = math.lcm(*(x.denominator for x in row))
-            out.append([int(x * scale) for x in row])
-        else:  # most rows; scaling them by 1 costs time and peak memory
-            out.append([int(x) for x in row])
-    return out
+Column = tuple[tuple[int, int], ...]
+
+
+def _combine(a: dict[int, int], s: int, b: dict[int, int], t: int, p: int) -> None:
+    """a <- s*a + t*b in place (mod p when p > 0), dropping zero entries."""
+    if s != 1:
+        for k in a:
+            a[k] *= s
+    for k, v in b.items():
+        x = a.get(k, 0) + t * v
+        if p:
+            x %= p
+        if x:
+            a[k] = x
+        else:
+            del a[k]
+
+
+def eliminate(columns: Sequence[Column], field: FieldSpec, kernel: bool = False):
+    """Pivot rows of the matrix with these sparse columns (as many as its
+    rank), and on request a kernel basis.
+
+    Each column is reduced against the pivot columns found so far, pivoting on
+    its largest row.  Over F_p entries live mod p and every pivot column is
+    scaled to pivot 1.  Over Q a step is the integer combination
+    g*col - f*pivot, and each reduced column is divided by its content, so
+    no fraction is ever formed.  With kernel=True a column carries its
+    combination of the input columns; the columns that reduce to zero give a
+    basis of the right kernel, as {column index: coefficient} dicts.
+    """
+    p = field.characteristic
+    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    basis = []
+    for j, pairs in enumerate(columns):
+        col = {r: v % p for r, v in pairs if v % p} if p else {r: v for r, v in pairs if v}
+        hist = {j: 1} if kernel else {}
+        while col:
+            low = max(col)
+            hit = pivots.get(low)
+            if hit is None:
+                break
+            pcol, phist = hit
+            g, f = pcol[low], col[low]
+            _combine(col, g, pcol, -f, p)
+            if kernel:
+                _combine(hist, g, phist, -f, p)
+        if p:
+            inv = pow(col[low], -1, p) if col else 1
+            if inv != 1:
+                for part in (col, hist):
+                    for k in part:
+                        part[k] = part[k] * inv % p
+        else:
+            content = math.gcd(*col.values(), *hist.values())
+            if content > 1:
+                for part in (col, hist):
+                    for k in part:
+                        part[k] //= content
+        if col:
+            pivots[low] = (col, hist)
+        elif kernel:
+            basis.append(hist)
+    return pivots.keys(), basis
+
+
+def _columns(rows: Sequence[Sequence[int]]) -> list[Column]:
+    ncols = len(rows[0]) if rows else 0
+    return [tuple((r, row[c]) for r, row in enumerate(rows) if row[c]) for c in range(ncols)]
 
 
 def rank(rows: Sequence[Sequence[int]], field: FieldSpec) -> int:
-    """Exact rank: Bareiss over Q, the pivots of Gaussian elimination over F_p."""
-    if not rows or not rows[0]:
-        return 0
-    if field.is_rationals():
-        return _rank_bareiss(_integer_rows(rows))
-    return len(_rref(rows, field)[1])
-
-
-def _rank_bareiss(m: list[list[int]]) -> int:
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        # fraction-free update keeps every intermediate entry integral
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            mrc = m[r][c]
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * mrc - mic * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _rref(rows: Sequence[Sequence[int]], field: FieldSpec):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    p = field.characteristic
-    if p:
-        m = [[x % p for x in row] for row in rows]
-    else:
-        m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        if p:
-            inv = pow(m[r][c], p - 2, p)
-            m[r] = [(x * inv) % p for x in m[r]]
-        else:
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                if p:
-                    m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-                else:
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    """Exact rank of an integer matrix given by its rows."""
+    return len(eliminate(_columns(rows), field)[0])
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], field: FieldSpec, ncols: int):
-    """Basis of the right kernel, as column vectors of length ncols."""
-    if ncols == 0:
-        return []
-    if not rows:
-        unit = Fraction(1) if field.is_rationals() else 1
-        return [[unit if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    m, pivots = _rref(rows, field)
-    p = field.characteristic
-    pivot_of_col = {c: r for r, c in enumerate(pivots)}
-    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
-    basis = []
-    for f in free_cols:
-        vec = [Fraction(0) if not p else 0] * ncols
-        vec[f] = Fraction(1) if not p else 1
-        for c, r in pivot_of_col.items():
-            val = m[r][f]
-            vec[c] = (-val) % p if p else -val
-        basis.append(vec)
-    return basis
-
-
-def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
-    return [
-        [sum(ar[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for ar in a
-    ]
+    """Basis of the right kernel of an integer matrix, as column vectors of length ncols."""
+    columns = _columns(rows) if rows else [()] * ncols
+    return [[vec.get(c, 0) for c in range(ncols)] for vec in eliminate(columns, field, True)[1]]
 
 
 @dataclass(frozen=True)
 class VectorSpaceComplex:
     """A bounded cochain complex of finite dimensional vector spaces.
 
-    differentials[i] maps component i to component i+1 and is stored as a
-    dims[i+1] x dims[i] matrix; consecutive maps must compose to zero.
+    differentials[i] maps component i to component i+1 and is stored as
+    dims[i] sparse columns, each a tuple of (row, value) pairs with distinct
+    rows below dims[i+1]; consecutive maps must compose to zero.
     """
 
     field: FieldSpec
     dims: tuple[int, ...]
-    differentials: tuple[Matrix, ...]
+    differentials: tuple[tuple[Column, ...], ...]
 
     def __post_init__(self) -> None:
         if not self.dims:
             raise InvalidInputError("complex needs at least one component")
         if len(self.differentials) != len(self.dims) - 1:
             raise InvalidInputError("need exactly one differential per adjacent pair")
-        for i, mat in enumerate(self.differentials):
-            if len(mat) != self.dims[i + 1] or any(len(row) != self.dims[i] for row in mat):
+        for i, cols in enumerate(self.differentials):
+            if len(cols) != self.dims[i]:
                 raise InvalidInputError(f"differential {i} has the wrong shape")
+            if any(cols):
+                as_dicts = [dict(col) for col in cols]
+                rows = set().union(*as_dicts)
+                if (
+                    list(map(len, as_dicts)) != list(map(len, cols))
+                    or min(rows) < 0
+                    or max(rows) >= self.dims[i + 1]
+                ):
+                    raise InvalidInputError(f"differential {i} has the wrong shape")
         p = self.field.characteristic
         for i in range(len(self.differentials) - 1):
-            a, b = self.differentials[i + 1], self.differentials[i]
-            if not a or not b or not b[0]:
+            nxt = self.differentials[i + 1]
+            if not any(nxt):
                 continue
-            prod = _matmul(a, b)
-            if any((x % p if p else x) for row in prod for x in row):
-                raise InvalidInputError(f"differentials {i} and {i + 1} do not compose to zero")
+            for col in self.differentials[i]:
+                image: dict[int, int] = {}
+                for r, v in col:
+                    for s, w in nxt[r]:
+                        image[s] = image.get(s, 0) + v * w
+                if any(image.values()) and (not p or any(x % p for x in image.values())):
+                    raise InvalidInputError(
+                        f"differentials {i} and {i + 1} do not compose to zero"
+                    )
 
 
 def cohomology_ranks(complex_: VectorSpaceComplex) -> tuple[int, ...]:
-    """rank H^i = dim_i - rank(d_i) - rank(d_{i-1}) for each component i."""
-    diff_ranks = [rank(mat, complex_.field) for mat in complex_.differentials]
-    out = []
-    for i, dim in enumerate(complex_.dims):
-        r_out = diff_ranks[i] if i < len(diff_ranks) else 0
-        r_in = diff_ranks[i - 1] if i > 0 else 0
-        out.append(dim - r_out - r_in)
-    return tuple(out)
+    """rank H^i = dim_i - rank(d_i) - rank(d_{i-1}) for each component i.
 
-
-def homology_ranks_of_faces(
-    faces: Iterable[tuple[int, ...]], field: FieldSpec
-) -> dict[int, int]:
-    """Reduced homology ranks of a closed face list (must include the empty face).
-
-    Faces are sorted vertex tuples; the empty tuple sits in dimension -1, so the
-    complex {()} has a single rank in dimension -1.
+    A pivot row r of d_i is the last entry of a column of d_i's image, which
+    d_{i+1} kills, so column r of d_{i+1} is a combination of the columns
+    before it: those columns are left out of d_{i+1} without changing its
+    rank (the clearing of persistent homology).
     """
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    diff_ranks = []
+    cleared: Iterable[int] = ()
+    for cols in complex_.differentials:
+        if cleared:
+            cols = [c for j, c in enumerate(cols) if j not in cleared]
+        cleared = eliminate(cols, complex_.field)[0] if any(cols) else ()
+        diff_ranks.append(len(cleared))
+    ranks = [0, *diff_ranks, 0]  # ranks[i] is the rank of d_{i-1}
+    return tuple(dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(complex_.dims))
+
+
+def homology_ranks_of_faces(faces: Iterable[int], field: FieldSpec) -> dict[int, int]:
+    """Reduced homology ranks of a closed face family (must include the empty face).
+
+    Faces are vertex bitmasks; the empty face 0 sits in dimension -1, so the
+    family [0] has a single rank in dimension -1.  Deleting the k-th smallest
+    vertex of a face carries the sign (-1)^k in the boundary.  Boundaries are
+    ranked from the top dimension down, with the clearing of `cohomology_ranks`.
+    """
+    by_dim: dict[int, list[int]] = {}
     for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
     if -1 not in by_dim:
         raise InvalidInputError("face list must contain the empty face")
     top = max(by_dim)
-    for j in by_dim:
-        by_dim[j].sort()
-    index = {j: {f: k for k, f in enumerate(fs)} for j, fs in by_dim.items()}
+    index = {f: k for fs in by_dim.values() for k, f in enumerate(fs)}
     boundary_rank: dict[int, int] = {}
-    for j in range(0, top + 1):
-        cols = by_dim.get(j, [])
-        rows = by_dim.get(j - 1, [])
-        if not cols or not rows:
-            boundary_rank[j] = 0
-            continue
-        mat = [[0] * len(cols) for _ in rows]
-        for cidx, f in enumerate(cols):
-            for k in range(len(f)):
-                g = f[:k] + f[k + 1:]
-                mat[index[j - 1][g]][cidx] = -1 if k % 2 else 1
-        boundary_rank[j] = rank(mat, field)
-    ranks = {}
-    for j in range(-1, top + 1):
-        n = len(by_dim.get(j, []))
-        ranks[j] = n - boundary_rank.get(j, 0) - boundary_rank.get(j + 1, 0)
-    return ranks
+    cleared: Iterable[int] = ()
+    for j in range(top, -1, -1):
+        columns = []
+        for f in by_dim.get(j, ()):
+            if index[f] in cleared:
+                continue
+            col = []
+            rest, k = f, 0
+            while rest:
+                low = rest & -rest
+                col.append((index[f ^ low], -1 if k & 1 else 1))
+                rest ^= low
+                k += 1
+            columns.append(col)
+        cleared = eliminate(columns, field)[0]
+        boundary_rank[j] = len(cleared)
+    return {
+        j: len(by_dim.get(j, ())) - boundary_rank.get(j, 0) - boundary_rank.get(j + 1, 0)
+        for j in range(-1, top + 1)
+    }
 
 
 def reduced_homology_ranks(complex_: "SimplicialComplex", field: FieldSpec) -> dict[int, int]:
@@ -286,4 +283,6 @@ def reduced_homology_ranks(complex_: "SimplicialComplex", field: FieldSpec) -> d
     """
     if complex_.is_void():
         raise InvalidInputError("the void complex has no homology")
-    return homology_ranks_of_faces(complex_.faces(), field)
+    return homology_ranks_of_faces(
+        (sum(1 << (v - 1) for v in f) for f in complex_.faces()), field
+    )

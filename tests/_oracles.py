@@ -6,14 +6,25 @@ code paths it is checking.  The Cech sweeps reuse the slice engine and visit
 every degree of a box: they are the reference for the pattern sweep of
 `topann.cech`, which they check.  The iterated colon and saturation loops are
 the reference for the prime-intersection closed forms of `topann.annihilator`.
+The dense matrices (Bareiss and reduced row echelon form, dense slices, tuple
+faces) are the reference for the sparse elimination kernel of
+`topann.linalg`, and Koszul homology is ranked with them.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations, product
 
-from topann.cech import CECH_GUARD_DEFAULT, _induced_map_is_zero, _sign_pattern, _SliceEngine
+from topann.cech import (
+    CECH_GUARD_DEFAULT,
+    _induced_map_is_zero,
+    _is_face,
+    _sign_pattern,
+    _SliceEngine,
+)
 from topann.cohomdim import cd_on_prime
-from topann.linalg import FieldSpec, rank
+from topann.linalg import FieldSpec
 from topann.monomial import Monomial, MonomialIdeal, intersect, minimalize
 
 
@@ -146,7 +157,7 @@ def koszul_tor_table(ideal: MonomialIdeal, field: FieldSpec):
                     ridx = pos.get(smaller)
                     if ridx is not None:
                         mat[ridx][cidx] = -1 if k % 2 else 1
-            boundary_rank[i] = rank(mat, field)
+            boundary_rank[i] = dense_rank(mat, field)
         for i in range(len(sigma) + 1):
             h = len(bases[i]) - boundary_rank.get(i, 0) - boundary_rank.get(i + 1, 0)
             if h:
@@ -238,3 +249,208 @@ def sweep_annihilation(m, a, i: int, box, field: FieldSpec):
         if not _induced_map_is_zero(engine, _sign_pattern(deg), _sign_pattern(target), i):
             return "acts-nonzero", deg, checked, gaps
     return "annihilates-in-box", None, checked, gaps
+
+
+# ------------------------------------------------------- dense linear algebra
+
+def _integer_rows(rows):
+    out = []
+    for row in rows:
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * scale) for x in row])
+    return out
+
+
+def _rank_bareiss(m) -> int:
+    nrows, ncols = len(m), len(m[0])
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        # fraction-free update keeps every intermediate entry integral
+        for i in range(r + 1, nrows):
+            mic = m[i][c]
+            mrc = m[r][c]
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[i][j] * mrc - mic * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _rref(rows, field: FieldSpec):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    p = field.characteristic
+    if p:
+        m = [[x % p for x in row] for row in rows]
+    else:
+        m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        if p:
+            inv = pow(m[r][c], p - 2, p)
+            m[r] = [(x * inv) % p for x in m[r]]
+        else:
+            inv = 1 / m[r][c]
+            m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                if p:
+                    m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+                else:
+                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def dense_rank(rows, field: FieldSpec) -> int:
+    """Bareiss over Q (rows may hold fractions), the pivots of the reduced row
+    echelon form over F_p."""
+    if not rows or not rows[0]:
+        return 0
+    if field.is_rationals():
+        return _rank_bareiss(_integer_rows(rows))
+    return len(_rref(rows, field)[1])
+
+
+def dense_kernel_basis(rows, field: FieldSpec, ncols: int):
+    """Basis of the right kernel from the reduced row echelon form."""
+    p = field.characteristic
+    one = 1 if p else Fraction(1)
+    if not rows:
+        return [[one if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    m, pivots = _rref(rows, field)
+    pivot_of_col = {c: r for r, c in enumerate(pivots)}
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_of_col):
+        vec = [0] * ncols
+        vec[f] = one
+        for c, r in pivot_of_col.items():
+            vec[c] = (-m[r][f]) % p if p else -m[r][f]
+        basis.append(vec)
+    return basis
+
+
+def dense_rows(cols, nrows):
+    """The rows of the matrix with these sparse (row, value) columns."""
+    rows = [[0] * len(cols) for _ in range(nrows)]
+    for c, col in enumerate(cols):
+        for r, v in col:
+            rows[r][c] = v
+    return rows
+
+
+def dense_slice(engine: _SliceEngine, pat):
+    """(bases, positions, dims, dense differentials) of a slice, built degree
+    piece by degree piece with dims[i+1] x dims[i] matrices."""
+    neg, pos = pat
+    bases = [
+        [m for m in masks
+         if not neg & ~engine.W[m] and _is_face(pos | engine.W[m], engine.j_masks)]
+        for masks in engine.sigma_by_card
+    ]
+    positions = [{m: k for k, m in enumerate(b)} for b in bases]
+    dims = tuple(len(b) for b in bases)
+    mats = []
+    for i in range(engine.t):
+        mat = [[0] * dims[i] for _ in range(dims[i + 1])]
+        for col, sm in enumerate(bases[i]):
+            for j in range(engine.t):
+                bit = 1 << j
+                row = positions[i + 1].get(sm | bit)
+                if not sm & bit and row is not None:
+                    mat[row][col] = -1 if bin(sm & (bit - 1)).count("1") % 2 else 1
+        mats.append(mat)
+    return bases, positions, dims, mats
+
+
+def dense_cohomology_ranks(dims, mats, field: FieldSpec):
+    diff_ranks = [dense_rank(mat, field) for mat in mats]
+    return tuple(
+        dim - (diff_ranks[i] if i < len(mats) else 0) - (diff_ranks[i - 1] if i else 0)
+        for i, dim in enumerate(dims)
+    )
+
+
+def dense_induced_map_is_zero(engine: _SliceEngine, pat1, pat2, i: int) -> bool:
+    """Is H^i(slice 1) -> H^i(slice 2) zero?  Cycles from the dense kernel,
+    moved to slice 2 basis element by basis element, against the boundaries."""
+    if i < 0 or i > engine.t:
+        return True
+    field = engine.field
+    bases1, _, dims1, mats1 = dense_slice(engine, pat1)
+    _, positions2, dims2, mats2 = dense_slice(engine, pat2)
+    if (dense_cohomology_ranks(dims1, mats1, field)[i] == 0
+            or dense_cohomology_ranks(dims2, mats2, field)[i] == 0):
+        return True
+    cycles = dense_kernel_basis(mats1[i] if i < engine.t else [], field, dims1[i])
+    mapped = []
+    for vec in cycles:
+        out = [0] * dims2[i]
+        for c1, sm in enumerate(bases1[i]):
+            r2 = positions2[i].get(sm)
+            if r2 is not None:
+                out[r2] = vec[c1]
+        mapped.append(out)
+    boundary = mats2[i - 1] if i > 0 else [[] for _ in range(dims2[i])]
+    stacked = [list(boundary[r]) + [vec[r] for vec in mapped] for r in range(dims2[i])]
+    return dense_rank(stacked, field) == dense_rank(boundary, field)
+
+
+def dense_homology_ranks_of_faces(faces, field: FieldSpec) -> dict[int, int]:
+    """Reduced homology ranks of a closed list of sorted vertex tuples."""
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    top = max(by_dim)
+    index = {f: k for fs in by_dim.values() for k, f in enumerate(fs)}
+    boundary_rank = {}
+    for j in range(0, top + 1):
+        cols, rows = by_dim.get(j, []), by_dim.get(j - 1, [])
+        mat = [[0] * len(cols) for _ in rows]
+        for cidx, f in enumerate(cols):
+            for k in range(len(f)):
+                mat[index[f[:k] + f[k + 1:]]][cidx] = -1 if k % 2 else 1
+        boundary_rank[j] = dense_rank(mat, field)
+    return {
+        j: len(by_dim.get(j, [])) - boundary_rank.get(j, 0) - boundary_rank.get(j + 1, 0)
+        for j in range(-1, top + 1)
+    }
+
+
+def dense_betti_table(ideal: MonomialIdeal, field: FieldSpec):
+    """Hochster's formula on every subset sigma of the variables, with tuple
+    faces and dense boundary matrices: {(i, sigma): beta} for nonzero beta."""
+    d = ideal.ambient
+    supports = [g.support() for g in ideal.gens]
+    table = {}
+    for smask in range(1 << d):
+        sigma = frozenset(i + 1 for i in range(d) if smask >> i & 1)
+        verts = sorted(sigma)
+        faces = [
+            face
+            for k in range(len(verts) + 1)
+            for face in combinations(verts, k)
+            if not any(s <= set(face) for s in supports)
+        ]
+        for dim, h in dense_homology_ranks_of_faces(faces, field).items():
+            if h:
+                table[(len(sigma) - dim - 1, sigma)] = h
+    return table

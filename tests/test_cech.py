@@ -5,8 +5,17 @@ import random
 
 import pytest
 
-from topann.cech import DegreeBox, annihilation_check, cech_ranks, localization_piece
-from topann.cohomdim import cohomological_dimension
+from topann.cech import (
+    CECH_GUARD_DEFAULT,
+    DegreeBox,
+    _induced_map_is_zero,
+    _sign_pattern,
+    _SliceEngine,
+    annihilation_check,
+    cech_ranks,
+    localization_piece,
+)
+from topann.cohomdim import betti_numbers, cohomological_dimension
 from topann.errors import GuardExceededError, InvalidInputError
 from topann.linalg import FieldSpec
 from topann.lynch import fixture
@@ -277,6 +286,44 @@ def test_pattern_sweep_matches_the_degree_sweep():
                 seen["gaps-before-witness"] += bool(v.witness_degree and v.coverage_gaps)
     assert seen["acts-nonzero"] >= 200 and seen["annihilates-in-box"] >= 200
     assert seen["gaps-before-witness"] >= 50
+
+
+def test_sparse_slices_match_the_dense_reference():
+    # the sparse kernel against the dense matrices it replaces: every slice's
+    # bases and signed entries, its cohomology ranks, the verdict on the map
+    # induced by a monomial shift, and Hochster's Betti tables
+    rng = random.Random(139)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        d = rng.randint(1, 5)
+        ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+        a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d, max_gens=6))
+        for field in (Q, F2):
+            engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+            for _ in range(6):
+                b = tuple(rng.randint(-2, 1) for _ in range(d))
+                target = tuple(x + rng.randint(0, 2) for x in b)
+                pat1, pat2 = _sign_pattern(b), _sign_pattern(target)
+                bases, positions, complex_ = engine.slice_complex(pat1)
+                dense_bases, dense_positions, dims, mats = orc.dense_slice(engine, pat1)
+                assert (bases, positions, complex_.dims) == (dense_bases, dense_positions, dims)
+                assert [
+                    orc.dense_rows(cols, dims[i + 1])
+                    for i, cols in enumerate(complex_.differentials)
+                ] == mats
+                assert engine.ranks(pat1) == orc.dense_cohomology_ranks(dims, mats, field)
+                for i in range(-1, engine.t + 2):
+                    zero = _induced_map_is_zero(engine, pat1, pat2, i)
+                    assert zero == orc.dense_induced_map_is_zero(engine, pat1, pat2, i)
+                    if 0 <= i <= engine.t and engine.ranks(pat1)[i] and engine.ranks(pat2)[i]:
+                        verdicts[zero] += 1
+        betti_ideal = orc.random_squarefree_ideal(rng, d, allow_zero=False)
+        if not betti_ideal.is_zero():
+            for field in (Q, F2):
+                assert betti_numbers(betti_ideal, field).as_dict() == orc.dense_betti_table(
+                    betti_ideal, field)
+    # maps between nonzero spaces: a zero one is rare, a nonzero one is not
+    assert verdicts[True] >= 1 and verdicts[False] >= 100
 
 
 def test_degree_ranks_is_a_read_only_mapping():

@@ -203,6 +203,11 @@ def test_non_squarefree_relations_rejected(tmp_path, capsys):
         {"--monomial": "x^\u0662"},           # Arabic-Indic digit two
         {"--monomial": "x^ 2"},               # space after the caret
         {"--monomial": "x^1_0"},              # digit group separator
+        # a name the --monomial syntax splits could never be named alone
+        {"vars": ["x*y", "x", "y", "z1", "z2"], "--monomial": "x*y"},
+        {"vars": ["x", "y", "z1", "z2", "w^2"]},
+        {"vars": ["x", "y", "z1", "z2", "w 2"]},
+        {"vars": ["x", "y", "z1", "z2", "w\t2"]},
     ],
 )
 def test_malformed_instances_exit_2(tmp_path, capsys, patch):
@@ -366,6 +371,43 @@ def test_oracle_ranks_on_a_huge_box_exits_3(tmp_path, capsys):
     )
     assert code == 3 and out == ""
     assert "Cech sweep: 10000000000 nonzero degrees exceed the guard 200000" in err
+
+
+@pytest.mark.parametrize(
+    "instance, box_flag, code",
+    [
+        ("d6", ["--box=-100000000000000000000:1"], 3),
+        ("d6", [], 3),                    # the file's own box, -10^30 .. 10^30
+        ("point", ["--box=-100000000000000000000:1"], 0),   # the summary counts the box
+    ],
+)
+def test_oracle_ranks_on_a_box_wider_than_an_index_never_raises(tmp_path, capsys,
+                                                                 instance, box_flag, code):
+    if instance == "d6":
+        path = _write_d6(tmp_path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["box"] = {"lower": [-10 ** 30] * 6, "upper": [10 ** 30] * 6}
+    else:  # R = k[x]/(x) = k, whose only cohomology sits at degree 0
+        path = str(tmp_path / "point.json")
+        doc = {"vars": ["x"], "J": [{"x": 1}], "a": [{"x": 1}]}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    got, out, err = run_cli(capsys, "oracle", "ranks", path, *box_flag)
+    assert got == code
+    if code == 3:
+        assert "nonzero degrees exceed the guard" in err
+    else:
+        assert "nonzero slices: 1 of 100000000000000000002 degrees" in out
+
+
+@pytest.mark.parametrize("prefix", ["", '{"vars": ["x"], "J": '])
+def test_deeply_nested_instance_exits_2(tmp_path, capsys, prefix):
+    path = tmp_path / "deep.json"
+    path.write_text(prefix + "[" * 200_000)
+    code, out, err = run_cli(capsys, "--quiet", "cd", str(path))
+    assert code == 2 and out == ""
+    assert "nested too deeply" in err
 
 
 def test_profile_cmd_passes_output_and_exit_code_through(sw_file, capsys):

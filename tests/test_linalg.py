@@ -21,6 +21,8 @@ from topann.linalg import (
 )
 from topann.stanley_reisner import SimplicialComplex
 
+import _oracles as orc
+
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
 
@@ -78,6 +80,29 @@ def test_rank_agrees_with_random_integer_matrices():
         assert rank(rows, Q) == rank_fraction(rows)
 
 
+def test_dense_adapters_match_the_dense_reference():
+    # rank and kernel_basis run the sparse kernel; Bareiss and the reduced row
+    # echelon form of tests/_oracles.py are the reference, on entries beyond
+    # +-1 so that the fraction-free steps and content division are exercised
+    rng = random.Random(19)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        span = rng.choice((1, 3, 20))
+        rows = [[rng.randint(-span, span) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        for field in (Q, F2, FieldSpec.prime_field(3)):
+            p = field.characteristic
+            r = rank(rows, field)
+            assert r == orc.dense_rank(rows, field)
+            basis = kernel_basis(rows, field, ncols)
+            assert len(basis) == ncols - r
+            assert rank([list(v) for v in basis], field) == len(basis)
+            for vec in basis:
+                for row in rows:
+                    dot = sum(a * b for a, b in zip(row, vec))
+                    assert (dot % p if p else dot) == 0
+
+
 def test_kernel_basis_spans_the_kernel():
     rows = [[1, 1, 0], [0, 0, 0]]
     basis = kernel_basis(rows, Q, 3)
@@ -87,13 +112,27 @@ def test_kernel_basis_spans_the_kernel():
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
+def columns(rows, ncols):
+    """The sparse (row, value) columns of a dense matrix given by its rows."""
+    return tuple(
+        tuple((r, row[c]) for r, row in enumerate(rows) if row[c]) for c in range(ncols)
+    )
+
+
+def complex_of(field, dims, diffs):
+    """VectorSpaceComplex from dense differentials (dims[i+1] x dims[i] row lists)."""
+    return VectorSpaceComplex(
+        field, dims, tuple(columns(mat, dims[i]) for i, mat in enumerate(diffs))
+    )
+
+
 def test_complex_zero_map():
-    c = VectorSpaceComplex(Q, (1, 1), (((0,),),))
+    c = complex_of(Q, (1, 1), (((0,),),))
     assert cohomology_ranks(c) == (1, 1)
 
 
 def test_complex_isomorphism():
-    c = VectorSpaceComplex(Q, (1, 1), (((1,),),))
+    c = complex_of(Q, (1, 1), (((1,),),))
     assert cohomology_ranks(c) == (0, 0)
 
 
@@ -101,20 +140,36 @@ def test_complex_concentrated_at_top():
     # a Koszul degree slice where only the top spot survives
     zero_10 = ()
     zero_01 = ((),)
-    c = VectorSpaceComplex(Q, (0, 0, 1), (zero_10, zero_01))
+    c = complex_of(Q, (0, 0, 1), (zero_10, zero_01))
     assert cohomology_ranks(c) == (0, 0, 1)
 
 
 def test_complex_rejects_non_composable():
     with pytest.raises(InvalidInputError):
-        VectorSpaceComplex(Q, (1, 1, 1), (((1,),), ((1,),)))
+        complex_of(Q, (1, 1, 1), (((1,),), ((1,),)))
+
+
+@pytest.mark.parametrize(
+    "dims, diffs",
+    [
+        ((), ()),                                   # no component
+        ((1, 1), ()),                               # a differential missing
+        ((2, 1), (((0, 1),),)),                     # one column for two
+        ((1, 1), ((((1, 1),),),)),                  # row past the target
+        ((1, 1), ((((-1, 1),),),)),                 # negative row
+        ((1, 2), ((((0, 1), (0, 1)),),)),           # a row listed twice
+    ],
+)
+def test_complex_rejects_malformed_columns(dims, diffs):
+    with pytest.raises(InvalidInputError):
+        VectorSpaceComplex(Q, dims, diffs)
 
 
 def test_complex_composable_mod_p_only():
     # maps composing to 2 are a complex over F_2 but not over Q
-    VectorSpaceComplex(F2, (1, 1, 1), (((1,),), ((2,),)))
+    complex_of(F2, (1, 1, 1), (((1,),), ((2,),)))
     with pytest.raises(InvalidInputError):
-        VectorSpaceComplex(Q, (1, 1, 1), (((1,),), ((2,),)))
+        complex_of(Q, (1, 1, 1), (((1,),), ((2,),)))
 
 
 def _random_complex(rng, field):
@@ -146,7 +201,7 @@ def _random_complex(rng, field):
             for k in range(len(f)):
                 mat[pos[f[:k] + f[k + 1:]]][cidx] = -1 if k % 2 else 1
         diffs.append(tuple(tuple(r) for r in mat))
-    return VectorSpaceComplex(field, dims, tuple(diffs))
+    return complex_of(field, dims, tuple(diffs))
 
 
 def test_euler_characteristic_invariant():
@@ -166,8 +221,9 @@ def test_rank_decomposition_is_exact():
         c = _random_complex(rng, Q)
         ranks = cohomology_ranks(c)
         for i, dim in enumerate(c.dims):
-            r_out = rank(c.differentials[i], Q) if i < len(c.differentials) else 0
-            r_in = rank(c.differentials[i - 1], Q) if i > 0 else 0
+            n = len(c.differentials)
+            r_out = rank(orc.dense_rows(c.differentials[i], c.dims[i + 1]), Q) if i < n else 0
+            r_in = rank(orc.dense_rows(c.differentials[i - 1], dim), Q) if i > 0 else 0
             assert r_in + ranks[i] + r_out == dim
 
 
