@@ -1,0 +1,24 @@
+"""Every golden report is reproduced byte for byte.
+
+The corpus under `tests/golden/` holds the README examples, both Lynch
+fixtures, `lynch search --max-d 6`, and `cd`, `ann-bounds` and `gamma` over Q
+and F_2 on instances whose Betti degrees are ranked on either complex.
+"""
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from golden.record import HERE, manifest, run_case
+
+CASES = manifest()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_report_matches_golden_bytes(case):
+    code, text = run_case(case["argv"])
+    assert code == 0
+    with open(os.path.join(HERE, "out", case["name"] + ".txt"), encoding="utf-8",
+              newline="") as fh:
+        assert text == fh.read()
