@@ -29,7 +29,6 @@ from .monomial import (
     ideal_sum,
     intersect,
     power,
-    radical,
     variable_ideal,
 )
 from .stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient, krull_dim
@@ -122,7 +121,7 @@ def _witness_for(a: QuotientIdeal, p: VarSet, c: int) -> VarSet | None:
     "certified unequal".
     """
     d = a.ring.ambient
-    linear = {min(g.support()) for g in radical(a.lift).gens if g.degree == 1}
+    linear = {min(g.support()) for g in a.radical_lift.gens if g.degree == 1}
     q = p | (frozenset(range(1, d + 1)) - linear)
     return q if len(q) == d - c else None
 
@@ -151,7 +150,7 @@ def annihilator_bounds(a: QuotientIdeal, field: FieldSpec) -> AnnBoundsReport:
     # whole situation is extended flatly from the subring they are absent from,
     # so the small-dimension certificates apply with those directions discounted
     touched: set[int] = set()
-    for g in (*radical(a.lift).gens, *ring.relations.gens):
+    for g in (*a.radical_lift.gens, *ring.relations.gens):
         touched |= g.support()
     free = ring.ambient - len(touched)
     if all(q is not None for _, q in witnesses):

@@ -33,7 +33,7 @@ from math import prod
 
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks, eliminate
-from .monomial import Monomial, MonomialIdeal, VarSet, radical
+from .monomial import Monomial, MonomialIdeal, VarSet
 from .stanley_reisner import QuotientIdeal
 
 CECH_GUARD_DEFAULT = 10
@@ -124,7 +124,7 @@ class _SliceEngine:
         ring = a.ring
         self.d = ring.ambient
         self.field = field
-        gens = radical(a.lift).gens
+        gens = a.radical_lift.gens
         if len(gens) > guard:
             raise GuardExceededError(
                 f"Cech complex on {len(gens)} generators exceeds guard {guard}"

@@ -60,17 +60,17 @@ class Monomial:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def __mul__(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return _trusted(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def lcm(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
+        return _trusted(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def gcd(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
+        return _trusted(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def quotient_clipped(self, other: Monomial) -> Monomial:
         """self / gcd(self, other): exponentwise subtraction clipped at 0."""
-        return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exponents, other.exponents)))
+        return _trusted(tuple(max(a - b, 0) for a, b in zip(self.exponents, other.exponents)))
 
     def power(self, n: int) -> Monomial:
         if n < 0:
@@ -78,7 +78,7 @@ class Monomial:
         return Monomial(tuple(n * e for e in self.exponents))
 
     def squarefree_part(self) -> Monomial:
-        return Monomial(tuple(min(e, 1) for e in self.exponents))
+        return _trusted(tuple(min(e, 1) for e in self.exponents))
 
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)
@@ -93,6 +93,14 @@ class Monomial:
             elif e > 1:
                 parts.append(f"{names[i]}^{e}")
         return "·".join(parts) if parts else "1"
+
+
+def _trusted(exponents: tuple[int, ...]) -> Monomial:
+    """A Monomial from a tuple of nonnegative ints, skipping the checks of
+    `__post_init__`: for results of monomial operations on valid monomials."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "exponents", exponents)
+    return m
 
 
 def default_names(ambient: int) -> list[str]:

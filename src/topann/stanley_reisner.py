@@ -7,6 +7,7 @@ supports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GuardExceededError, InvalidInputError
 from .monomial import (
@@ -180,6 +181,11 @@ class QuotientIdeal:
             raise InvalidInputError("lift has the wrong ambient dimension")
         if self.lift.is_unit():
             raise InvalidInputError("lift + relations must be a proper ideal")
+
+    @cached_property
+    def radical_lift(self) -> MonomialIdeal:
+        """radical(lift), computed once per ideal."""
+        return radical(self.lift)
 
     def full_lift(self) -> MonomialIdeal:
         """lift + J, the preimage of the ideal in S."""

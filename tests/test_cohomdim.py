@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+
+from topann import cohomdim
 
 from topann.cohomdim import (
     betti_numbers,
@@ -28,6 +31,22 @@ def ideal(d, *gens):
 
 
 J_SW = ideal(4, (1, 1, 1, 0), (1, 1, 0, 1))
+F3 = FieldSpec.prime_field(3)
+
+
+def rp2_ideal():
+    """Stanley-Reisner ideal of the 6-vertex projective plane: the ten
+    triangles missing from the triangulation."""
+    facets = [
+        {1, 2, 3}, {1, 2, 4}, {1, 3, 5}, {1, 4, 6}, {1, 5, 6},
+        {2, 3, 6}, {2, 4, 5}, {2, 5, 6}, {3, 4, 5}, {3, 4, 6},
+    ]
+    nonfaces = [set(t) for t in combinations(range(1, 7), 3) if set(t) not in facets]
+    return minimalize([Monomial.from_support(t, 6) for t in nonfaces], 6)
+
+
+def edge_ideal_of_complete_graph(n):
+    return minimalize([Monomial.from_support(e, n) for e in combinations(range(1, n + 1), 2)], n)
 
 
 def sw_ideal():
@@ -107,6 +126,64 @@ def test_betti_koszul_exhaustive_small():
             continue
         for field in (Q, F2):
             assert betti_numbers(I, field).as_dict() == orc.koszul_tor_table(I, field)
+
+
+def _supports(I):
+    return [sum(1 << (v - 1) for v in g.support()) for g in I.gens]
+
+
+def _forced_table(I, field, crosscut):
+    """The Betti table with every degree but 0 ranked on the chosen complex."""
+    supports = _supports(I)
+    table = {}
+    for sigma in cohomdim._lcm_support_closure(supports):
+        below = [s for s in supports if not s & ~sigma]
+        verts = frozenset(v + 1 for v in range(I.ambient) if sigma >> v & 1)
+        for i, h in cohomdim._degree_betti(sigma, below, field, crosscut and sigma != 0).items():
+            table[(i, verts)] = h
+    return table
+
+
+def test_both_betti_complexes_match_the_dense_reference():
+    rng = random.Random(71)
+    ideals = [rp2_ideal(), edge_ideal_of_complete_graph(5)]
+    while len(ideals) < 40:
+        I = orc.random_squarefree_ideal(rng, rng.randint(2, 7), allow_zero=False)
+        if not I.is_zero():
+            ideals.append(I)
+    for I in ideals:
+        for field in (Q, F2, F3):
+            reference = orc.dense_betti_table(I, field)
+            assert _forced_table(I, field, crosscut=False) == reference
+            assert _forced_table(I, field, crosscut=True) == reference
+            assert betti_numbers(I, field).as_dict() == reference
+    # more generators than variables: 21 edges on 7 vertices
+    K7 = edge_ideal_of_complete_graph(7)
+    for field in (Q, F2):
+        assert betti_numbers(K7, field).as_dict() == orc.koszul_tor_table(K7, field)
+
+
+def test_each_degree_is_ranked_on_the_smaller_complex(monkeypatch):
+    calls = []
+    for side in ("_crosscut_faces", "_restricted_faces"):
+        original = getattr(cohomdim, side)
+
+        def spy(sigma, below, _side=side, _original=original):
+            calls.append((_side, sigma, len(below)))
+            return _original(sigma, below)
+
+        monkeypatch.setattr(cohomdim, side, spy)
+    path = ideal(6, (1, 1, 1, 0, 0, 0), (0, 0, 1, 1, 1, 1))
+    for I in (rp2_ideal(), edge_ideal_of_complete_graph(7), J_SW, path):
+        calls.clear()
+        betti_numbers(I, Q)
+        supports = _supports(I)
+        visited = sorted(sigma for _, sigma, _ in calls)
+        assert visited == sorted(cohomdim._lcm_support_closure(supports))
+        for side, sigma, m in calls:
+            smaller = "_crosscut_faces" if m < sigma.bit_count() else "_restricted_faces"
+            assert side == smaller
+        assert {side for side, _, _ in calls} == {"_crosscut_faces", "_restricted_faces"}
 
 
 # ------------------------------------------------------------------ cd
@@ -219,14 +296,7 @@ def test_projective_plane_ideal_feels_the_characteristic():
     # Stanley-Reisner ideal of the 6-vertex projective plane: the ten triangles
     # missing from the triangulation.  Its resolution is one step longer in
     # characteristic 2, and both Betti routes must see that.
-    from itertools import combinations
-
-    facets = [
-        {1, 2, 3}, {1, 2, 4}, {1, 3, 5}, {1, 4, 6}, {1, 5, 6},
-        {2, 3, 6}, {2, 4, 5}, {2, 5, 6}, {3, 4, 5}, {3, 4, 6},
-    ]
-    nonfaces = [set(t) for t in combinations(range(1, 7), 3) if set(t) not in facets]
-    I = minimalize([Monomial.from_support(t, 6) for t in nonfaces], 6)
+    I = rp2_ideal()
     for field, expected_pd in ((Q, 3), (F2, 4), (FieldSpec.prime_field(3), 3)):
         assert projective_dimension(I, field) == expected_pd
         assert betti_numbers(I, field).as_dict() == orc.koszul_tor_table(I, field)

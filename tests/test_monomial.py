@@ -232,6 +232,37 @@ def test_power_requires_positive_exponent():
         power(ideal(1, (1,)), 0)
 
 
+# ---------------------------------------------------------- the constructor
+
+def test_public_constructor_refuses_negative_exponents():
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        Monomial((1, -1))
+    with pytest.raises(InvalidInputError, match="n >= 0"):
+        mono(2, 0).power(-1)
+    assert Monomial([1, 2]).exponents == (1, 2)
+
+
+def test_operations_build_the_same_monomials_as_the_constructor():
+    # the operations skip the constructor's checks; their results must still
+    # be equal, hash alike and order alike with checked monomials
+    rng = random.Random(61)
+    for _ in range(200):
+        a = mono(*(rng.randint(0, 3) for _ in range(4)))
+        b = mono(*(rng.randint(0, 3) for _ in range(4)))
+        pairs = [
+            (a * b, [x + y for x, y in zip(a.exponents, b.exponents)]),
+            (a.lcm(b), [max(x, y) for x, y in zip(a.exponents, b.exponents)]),
+            (a.gcd(b), [min(x, y) for x, y in zip(a.exponents, b.exponents)]),
+            (a.quotient_clipped(b), [max(x - y, 0) for x, y in zip(a.exponents, b.exponents)]),
+            (a.squarefree_part(), [min(x, 1) for x in a.exponents]),
+        ]
+        for got, exps in pairs:
+            checked = Monomial(tuple(exps))
+            assert type(got) is Monomial and type(got.exponents) is tuple
+            assert got == checked and hash(got) == hash(checked)
+            assert (got < a) == (checked < a)
+
+
 # ------------------------------------------------------------------ membership
 
 def test_membership_examples():
