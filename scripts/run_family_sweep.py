@@ -11,14 +11,14 @@ import json
 
 from topann.cli import lynch_report_dict
 from topann.linalg import FieldSpec
-from topann.lynch import search_family
+from topann.lynch import SEARCH_GUARD_DEFAULT, search_family
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-d", type=int, default=6)
     parser.add_argument("--field", default="Q")
-    parser.add_argument("--guard", type=int, default=8)
+    parser.add_argument("--guard", type=int, default=SEARCH_GUARD_DEFAULT)
     parser.add_argument("--json", default=None, help="also dump all reports to this file")
     args = parser.parse_args()
 

@@ -39,7 +39,6 @@ from .linalg import (
     FieldSpec,
     VectorSpaceComplex,
     cohomology_ranks,
-    reduced_homology_ranks,
 )
 from .lynch import (
     LynchInstance,
@@ -62,11 +61,9 @@ from .monomial import (
 from .stanley_reisner import (
     QuotientIdeal,
     QuotientRing,
-    SimplicialComplex,
     height_in_quotient,
     krull_dim,
     minimal_primes,
-    sr_complex_of,
 )
 
 __all__ = [
@@ -87,7 +84,6 @@ __all__ = [
     "MonomialIdeal",
     "QuotientIdeal",
     "QuotientRing",
-    "SimplicialComplex",
     "VectorSpaceComplex",
     "annihilation_check",
     "annihilator_bounds",
@@ -111,9 +107,7 @@ __all__ = [
     "power",
     "projective_dimension",
     "radical",
-    "reduced_homology_ranks",
     "search_family",
-    "sr_complex_of",
     "symbolic_power",
     "top_vanishing_ideal",
     "torsion_ideal",

@@ -81,10 +81,10 @@ def top_vanishing_ideal(
 
     The critical primes are the associated primes p with cd(a, R/p) = c; the
     ideal is their intersection, and it equals the annihilator of R modulo it.
+    Both are the lower bound of `annihilator_bounds`.
     """
-    report = cohomological_dimension(a, field)
-    delta = tuple(p for p, v in report.per_prime if v == report.c)
-    return intersect(*(variable_ideal(p, a.ring.ambient) for p in delta)), delta
+    report = annihilator_bounds(a, field)
+    return report.lower, report.delta
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,10 @@ def annihilator_bounds(a: QuotientIdeal, field: FieldSpec) -> AnnBoundsReport:
     # variables appearing in neither ideal are free polynomial directions: the
     # whole situation is extended flatly from the subring they are absent from,
     # so the small-dimension certificates apply with those directions discounted
-    touched: set[int] = set()
+    touched = 0
     for g in (*a.radical_lift.gens, *ring.relations.gens):
-        touched |= g.support()
-    free = ring.ambient - len(touched)
+        touched |= g.mask
+    free = ring.ambient - touched.bit_count()
     if all(q is not None for _, q in witnesses):
         exact, reason = True, "all-witnesses-found"
     elif c <= 1:

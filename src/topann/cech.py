@@ -33,7 +33,7 @@ from math import prod
 
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks, eliminate
-from .monomial import Monomial, MonomialIdeal, VarSet
+from .monomial import Monomial, MonomialIdeal, VarSet, varset_mask
 from .stanley_reisner import QuotientIdeal
 
 CECH_GUARD_DEFAULT = 10
@@ -77,13 +77,6 @@ def _check_sweep(count: int, what: str) -> None:
         )
 
 
-def _mask(varset: VarSet) -> int:
-    m = 0
-    for v in varset:
-        m |= 1 << (v - 1)
-    return m
-
-
 def _sign_pattern(deg: tuple[int, ...]) -> tuple[int, int]:
     """Bitmasks of the negative and the positive coordinates of a degree."""
     neg = 0
@@ -113,8 +106,8 @@ def localization_piece(J: MonomialIdeal, W: VarSet, deg: tuple[int, ...]) -> int
     if len(deg) != J.ambient:
         raise InvalidInputError("degree vector has the wrong length")
     neg, pos = _sign_pattern(deg)
-    w = _mask(W)
-    return int(not neg & ~w and _is_face(pos | w, [_mask(g.support()) for g in J.gens]))
+    w = varset_mask(W)
+    return int(not neg & ~w and _is_face(pos | w, [g.mask for g in J.gens]))
 
 
 class _SliceEngine:
@@ -131,8 +124,8 @@ class _SliceEngine:
             )
         self.gens = gens
         self.t = len(gens)
-        gen_masks = [_mask(g.support()) for g in gens]
-        self.j_masks = [_mask(g.support()) for g in ring.relations.gens]
+        gen_masks = [g.mask for g in gens]
+        self.j_masks = [g.mask for g in ring.relations.gens]
         # union of generator supports for every subset of generator indices
         self.W = [0] * (1 << self.t)
         for s in range(1, 1 << self.t):

@@ -288,7 +288,7 @@ def annihilation_dict(v: AnnihilationVerdict, m: Monomial, i: int, names, field)
 
 def _emit(doc: dict, summary_lines: list[str], args) -> None:
     chunks = []
-    if not getattr(args, "pretty", False):
+    if not args.pretty:
         chunks.append(json.dumps(doc, sort_keys=True, indent=2))
     if not args.quiet and summary_lines:
         chunks.append("\n".join(summary_lines))
@@ -370,22 +370,15 @@ def _lynch_summary(rep: LynchReport, names) -> list[str]:
 
 def _cmd_lynch(args) -> int:
     field = FieldSpec.parse(args.field or "Q")
-    if args.lynch_cmd == "verify":
-        d = args.d
-        inst = build_instance(
-            d,
-            _parse_indexset(args.X, d, "X"),
-            _parse_indexset(args.Y, d, "Y"),
-            _parse_indexset(args.Z, d, "Z"),
-            _parse_indexset(args.Xp, d, "Xp"),
-            _parse_indexset(args.Yp, d, "Yp"),
-        )
-        names = [f"u{i}" for i in range(1, d + 1)]
-        rep = verify_instance(inst, field)
-        _emit(lynch_report_dict(rep, names), _lynch_summary(rep, names), args)
-        return EXIT_OK if rep.all_claims_pass() else EXIT_VERIFICATION_FAILED
-    if args.lynch_cmd == "fixture":
-        inst, names = fixture(args.name, d=args.d, l=args.l)
+    if args.lynch_cmd in ("verify", "fixture"):
+        if args.lynch_cmd == "verify":
+            d = args.d
+            inst = build_instance(
+                d, *(_parse_indexset(getattr(args, k), d, k) for k in ("X", "Y", "Z", "Xp", "Yp"))
+            )
+            names = [f"u{i}" for i in range(1, d + 1)]
+        else:
+            inst, names = fixture(args.name, d=args.d, l=args.l)
         rep = verify_instance(inst, field)
         _emit(lynch_report_dict(rep, names), _lynch_summary(rep, names), args)
         return EXIT_OK if rep.all_claims_pass() else EXIT_VERIFICATION_FAILED

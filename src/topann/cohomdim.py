@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec, homology_ranks_of_faces
-from .monomial import Monomial, MonomialIdeal, VarSet, minimalize
+from .monomial import Monomial, MonomialIdeal, VarSet, mask_varset, minimalize, varset_mask
 from .stanley_reisner import QuotientIdeal, krull_dim
 
 HOCHSTER_GUARD = 14
@@ -93,7 +93,7 @@ def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
     complexes (see `_degree_betti`): the crosscut complex on the m generators
     below sigma when m < |sigma|, else Hochster's restriction to the |sigma|
     vertices.  A degree costs 2^min(m, |sigma|) face tests.  Supports are
-    variable bitmasks (bit v - 1 for variable v).
+    variable bitmasks (`Monomial.mask`).
     """
     if not ideal.is_squarefree():
         raise InvalidInputError("Betti numbers here need a squarefree ideal")
@@ -103,12 +103,12 @@ def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
         raise GuardExceededError(
             f"Betti enumeration: ambient {ideal.ambient} exceeds the guard {HOCHSTER_GUARD}"
         )
-    supports = [sum(1 << i for i, e in enumerate(g.exponents) if e) for g in ideal.gens]
+    supports = [g.mask for g in ideal.gens]
     entries = []
     for sigma in _lcm_support_closure(supports):
         below = [s for s in supports if not s & ~sigma]
         crosscut = len(below) < sigma.bit_count()
-        verts = frozenset(i + 1 for i in range(ideal.ambient) if sigma >> i & 1)
+        verts = mask_varset(sigma)
         for i, h in _degree_betti(sigma, below, field, crosscut).items():
             entries.append((i, verts, h))
     entries.sort(key=lambda e: (e[0], len(e[1]), sorted(e[1])))
@@ -121,19 +121,14 @@ def projective_dimension(ideal: MonomialIdeal, field: FieldSpec) -> int:
 
 def _image_in_prime_quotient(a: QuotientIdeal, prime: VarSet) -> MonomialIdeal:
     """Image of radical(lift) in S/prime, reindexed onto the surviving variables."""
-    d = a.ring.ambient
     a.ring.require_support(prime)
-    survivors = sorted(set(range(1, d + 1)) - prime)
-    position = {v: k for k, v in enumerate(survivors)}
-    gens = []
-    for g in a.radical_lift.gens:
-        sup = g.support()
-        if sup & prime:
-            continue  # generator is killed in S/prime
-        exps = [0] * len(survivors)
-        for v in sup:
-            exps[position[v]] = 1
-        gens.append(Monomial(tuple(exps)))
+    survivors = [i for i in range(a.ring.ambient) if i + 1 not in prime]
+    killed = varset_mask(prime)  # a generator meeting the prime is zero in S/prime
+    gens = [
+        Monomial(tuple(g.exponents[i] for i in survivors))
+        for g in a.radical_lift.gens
+        if not g.mask & killed
+    ]
     return minimalize(gens, len(survivors))
 
 

@@ -1,22 +1,18 @@
-"""Exact linear algebra over Q or F_p, plus reduced simplicial homology ranks.
+"""Exact linear algebra over Q or F_p: ranks, kernels and cohomology ranks.
 
 One sparse elimination routine, `eliminate`, ranks every matrix and finds
 kernel bases.  Matrices are lists of sparse columns of (row, value) pairs, as
 the Cech slices and simplicial boundaries have at most a handful of +-1
 entries per column.  It reduces mod p over F_p and is fraction-free over Q;
-everything is integer arithmetic, never floating point.  `rank` and
-`kernel_basis` are adapters for dense matrices given by rows.
+everything is integer arithmetic, never floating point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .stanley_reisner import SimplicialComplex
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
 # (Sorenson and Webster, 2015); larger characteristics are refused.
@@ -157,22 +153,6 @@ def eliminate(columns: Sequence[Column], field: FieldSpec, kernel: bool = False)
     return pivots.keys(), basis
 
 
-def _columns(rows: Sequence[Sequence[int]]) -> list[Column]:
-    ncols = len(rows[0]) if rows else 0
-    return [tuple((r, row[c]) for r, row in enumerate(rows) if row[c]) for c in range(ncols)]
-
-
-def rank(rows: Sequence[Sequence[int]], field: FieldSpec) -> int:
-    """Exact rank of an integer matrix given by its rows."""
-    return len(eliminate(_columns(rows), field)[0])
-
-
-def kernel_basis(rows: Sequence[Sequence[int]], field: FieldSpec, ncols: int):
-    """Basis of the right kernel of an integer matrix, as column vectors of length ncols."""
-    columns = _columns(rows) if rows else [()] * ncols
-    return [[vec.get(c, 0) for c in range(ncols)] for vec in eliminate(columns, field, True)[1]]
-
-
 @dataclass(frozen=True)
 class VectorSpaceComplex:
     """A bounded cochain complex of finite dimensional vector spaces.
@@ -274,15 +254,3 @@ def homology_ranks_of_faces(faces: Iterable[int], field: FieldSpec) -> dict[int,
         j: len(by_dim.get(j, ())) - boundary_rank.get(j, 0) - boundary_rank.get(j + 1, 0)
         for j in range(-1, top + 1)
     }
-
-
-def reduced_homology_ranks(complex_: "SimplicialComplex", field: FieldSpec) -> dict[int, int]:
-    """Reduced homology of a simplicial complex over the given field.
-
-    Over a field these coincide with the reduced cohomology ranks.
-    """
-    if complex_.is_void():
-        raise InvalidInputError("the void complex has no homology")
-    return homology_ranks_of_faces(
-        (sum(1 << (v - 1) for v in f) for f in complex_.faces()), field
-    )

@@ -3,10 +3,15 @@
 Variables are indexed 1..d; a monomial is its exponent vector.  Ideals are
 kept in canonical form: the unique minimal generating set, sorted, so that
 structural equality is ideal equality.
+
+A squarefree support (a set of variables) is also an int bitmask, with bit
+v - 1 set for variable v.  The layout is defined here once: `Monomial.mask`,
+`varset_mask` and `mask_varset`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterable
 
@@ -53,8 +58,17 @@ class Monomial:
     def is_identity(self) -> bool:
         return self.degree == 0
 
+    @cached_property
+    def mask(self) -> int:
+        """The support as a variable bitmask: bit v - 1 set when exponent v is nonzero."""
+        m = 0
+        for i, e in enumerate(self.exponents):
+            if e:
+                m |= 1 << i
+        return m
+
     def support(self) -> VarSet:
-        return frozenset(i + 1 for i, e in enumerate(self.exponents) if e)
+        return mask_varset(self.mask)
 
     def divides(self, other: Monomial) -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
@@ -101,6 +115,19 @@ def _trusted(exponents: tuple[int, ...]) -> Monomial:
     m = object.__new__(Monomial)
     object.__setattr__(m, "exponents", exponents)
     return m
+
+
+def varset_mask(varset: Iterable[int]) -> int:
+    """The variable bitmask of a set of variables (bit v - 1 for variable v)."""
+    m = 0
+    for v in varset:
+        m |= 1 << (v - 1)
+    return m
+
+
+def mask_varset(mask: int) -> VarSet:
+    """The set of variables of a variable bitmask; inverse of `varset_mask`."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def default_names(ambient: int) -> list[str]:
@@ -172,10 +199,7 @@ def _antichain(gens: Iterable[Monomial]) -> list[Monomial]:
     out = []
     for g in sorted(gens, key=lambda m: sum(m.exponents)):
         exps = g.exponents
-        mask = 0
-        for i, e in enumerate(exps):
-            if e:
-                mask |= 1 << i
+        mask = g.mask
         for hm, hexps in kept:
             if hm & ~mask == 0 and (
                 hexps is None or all(a <= b for a, b in zip(hexps, exps))
@@ -249,7 +273,11 @@ def radical(ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def variable_ideal(varset: Iterable[int], ambient: int) -> MonomialIdeal:
-    """The monomial prime generated by the given variables; empty set gives (0)."""
-    return minimalize(
-        (Monomial.variable(i, ambient) for i in varset), ambient
+    """The monomial prime generated by the given variables; empty set gives (0).
+
+    Distinct variables in ascending index order are already a canonical
+    antichain, so no minimalization is needed.
+    """
+    return MonomialIdeal(
+        ambient, tuple(Monomial.variable(i, ambient) for i in sorted(set(varset)))
     )

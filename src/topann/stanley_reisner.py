@@ -2,7 +2,9 @@
 
 Monomial primes are represented by their variable sets; the minimal primes of a
 monomial ideal are the minimal vertex covers of the hypergraph of generator
-supports.
+supports, found on variable bitmasks.  The faces of the Stanley-Reisner
+complex of J are the supports of squarefree monomials outside J; they are
+never listed here, only tested on bitmasks where a complex is ranked.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from .monomial import (
     VarSet,
     ideal_sum,
     intersect,
+    mask_varset,
     radical,
     variable_ideal,
 )
@@ -26,16 +29,16 @@ def _sorted_varsets(sets) -> tuple[VarSet, ...]:
     return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
 
 
-def _minimal_covers(edges: list[VarSet]) -> list[VarSet]:
+def _minimal_covers(edges: list[int]) -> list[int]:
     """All inclusion-minimal transversals, by branching on the smallest open edge.
 
-    Edges are int bitmasks (bit v - 1 for variable v), sorted once by
-    (size, members), so the first open edge is the smallest one.  The branch
+    Edges and transversals are variable bitmasks.  Edges are sorted once by
+    (size, mask), so the first open edge is the smallest one.  The branch
     on a pivot vertex forbids the pivot vertices branched on before it: a
     minimal transversal is reached through the first pivot vertex it holds,
     so a branch in which some open edge has only forbidden vertices is dead.
     """
-    masks = [sum(1 << (v - 1) for v in e) for e in _sorted_varsets(edges)]
+    masks = sorted(edges, key=lambda e: (e.bit_count(), e))
     found: set[int] = set()
 
     def descend(chosen: int, open_edges: list[int], forbidden: int) -> None:
@@ -52,8 +55,7 @@ def _minimal_covers(edges: list[VarSet]) -> list[VarSet]:
             forbidden |= low
 
     descend(0, masks, 0)
-    minimal = [c for c in found if not any(o & c == o and o != c for o in found)]
-    return [frozenset(i + 1 for i in range(c.bit_length()) if c >> i & 1) for c in minimal]
+    return [c for c in found if not any(o & c == o and o != c for o in found)]
 
 
 def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
@@ -68,8 +70,8 @@ def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
             f"minimal prime enumeration: ambient {ideal.ambient} exceeds the guard "
             f"{MINIMAL_PRIMES_GUARD}"
         )
-    edges = [g.support() for g in radical(ideal).gens]
-    return _sorted_varsets(_minimal_covers(edges))
+    edges = [g.mask for g in radical(ideal).gens]
+    return _sorted_varsets(map(mask_varset, _minimal_covers(edges)))
 
 
 def krull_dim(ideal: MonomialIdeal) -> int:
@@ -77,56 +79,6 @@ def krull_dim(ideal: MonomialIdeal) -> int:
     if ideal.is_unit():
         raise InvalidInputError("the zero ring has no Krull dimension")
     return ideal.ambient - min(len(p) for p in minimal_primes(ideal))
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    vertices: int
-    facets: tuple[VarSet, ...]
-
-    def __post_init__(self) -> None:
-        for f in self.facets:
-            if f and not f <= frozenset(range(1, self.vertices + 1)):
-                raise InvalidInputError("facet vertex out of range")
-        for f in self.facets:
-            for g in self.facets:
-                if f is not g and f <= g:
-                    raise InvalidInputError("facets must be an antichain")
-        if self.facets != _sorted_varsets(self.facets):
-            raise InvalidInputError("facets not in canonical order")
-
-    def is_void(self) -> bool:
-        return not self.facets
-
-    @property
-    def dim(self) -> int:
-        if self.is_void():
-            raise InvalidInputError("the void complex has no dimension")
-        return max(len(f) for f in self.facets) - 1
-
-    def faces(self) -> list[tuple[int, ...]]:
-        """Downward closure of the facets, as sorted vertex tuples (with ())."""
-        seen: set[tuple[int, ...]] = set()
-        for f in self.facets:
-            verts = sorted(f)
-            for mask in range(1 << len(verts)):
-                seen.add(tuple(v for i, v in enumerate(verts) if mask >> i & 1))
-        return sorted(seen, key=lambda t: (len(t), t))
-
-
-def sr_complex_of(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Stanley-Reisner complex of a squarefree proper ideal.
-
-    Facets are the complements of the minimal primes; the faces are exactly the
-    supports of squarefree monomials outside the ideal.
-    """
-    if not ideal.is_squarefree():
-        raise InvalidInputError("Stanley-Reisner complex needs a squarefree ideal")
-    if ideal.is_unit():
-        raise InvalidInputError("the unit ideal corresponds to the void complex")
-    everything = frozenset(range(1, ideal.ambient + 1))
-    facets = [everything - p for p in minimal_primes(ideal)]
-    return SimplicialComplex(ideal.ambient, _sorted_varsets(facets))
 
 
 @dataclass(frozen=True)

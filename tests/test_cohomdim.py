@@ -129,7 +129,7 @@ def test_betti_koszul_exhaustive_small():
 
 
 def _supports(I):
-    return [sum(1 << (v - 1) for v in g.support()) for g in I.gens]
+    return [g.mask for g in I.gens]
 
 
 def _forced_table(I, field, crosscut):

@@ -1,4 +1,4 @@
-"""Exact rank computations and reduced simplicial homology."""
+"""Exact rank computations and reduced simplicial homology on face bitmasks."""
 from __future__ import annotations
 
 import logging
@@ -15,11 +15,10 @@ from topann.linalg import (
     VectorSpaceComplex,
     _is_prime,
     cohomology_ranks,
-    kernel_basis,
-    rank,
-    reduced_homology_ranks,
+    eliminate,
+    homology_ranks_of_faces,
 )
-from topann.stanley_reisner import SimplicialComplex
+from topann.monomial import varset_mask
 
 import _oracles as orc
 
@@ -44,6 +43,24 @@ def test_miller_rabin_matches_trial_division():
         return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
     assert all(_is_prime(n) == by_trial_division(n) for n in range(-2, 30000))
+
+
+def columns(rows, ncols):
+    """The sparse (row, value) columns of a dense matrix given by its rows."""
+    return tuple(
+        tuple((r, row[c]) for r, row in enumerate(rows) if row[c]) for c in range(ncols)
+    )
+
+
+def rank(rows, field):
+    """Rank of a dense matrix given by its rows, through `eliminate`."""
+    return len(eliminate(columns(rows, len(rows[0]) if rows else 0), field)[0])
+
+
+def kernel_basis(rows, field, ncols):
+    """Right kernel basis of a dense matrix, as column vectors, through `eliminate`."""
+    basis = eliminate(columns(rows, ncols) if rows else [()] * ncols, field, kernel=True)[1]
+    return [[vec.get(c, 0) for c in range(ncols)] for vec in basis]
 
 
 def test_rank_small_cases():
@@ -81,9 +98,9 @@ def test_rank_agrees_with_random_integer_matrices():
 
 
 def test_dense_adapters_match_the_dense_reference():
-    # rank and kernel_basis run the sparse kernel; Bareiss and the reduced row
-    # echelon form of tests/_oracles.py are the reference, on entries beyond
-    # +-1 so that the fraction-free steps and content division are exercised
+    # the sparse kernel on dense matrices; Bareiss and the reduced row echelon
+    # form of tests/_oracles.py are the reference, on entries beyond +-1 so
+    # that the fraction-free steps and content division are exercised
     rng = random.Random(19)
     for _ in range(300):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
@@ -110,13 +127,6 @@ def test_kernel_basis_spans_the_kernel():
     for vec in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
-
-
-def columns(rows, ncols):
-    """The sparse (row, value) columns of a dense matrix given by its rows."""
-    return tuple(
-        tuple((r, row[c]) for r, row in enumerate(rows) if row[c]) for c in range(ncols)
-    )
 
 
 def complex_of(field, dims, diffs):
@@ -172,6 +182,20 @@ def test_complex_composable_mod_p_only():
         complex_of(Q, (1, 1, 1), (((1,),), ((2,),)))
 
 
+def faces_of(*facets):
+    """The downward closure of these vertex sets, as sorted face bitmasks (with 0)."""
+    faces = set()
+    for facet in facets:
+        top = varset_mask(facet)
+        sub = top
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & top
+    return sorted(faces)
+
+
 def _random_complex(rng, field):
     """A genuine complex, built as the simplicial chain complex of a random
     face set, reversed into cochain indexing."""
@@ -180,14 +204,9 @@ def _random_complex(rng, field):
     for _ in range(rng.randint(1, 3)):
         k = rng.randint(1, len(verts))
         facets.add(frozenset(rng.sample(verts, k)))
-    keep = [f for f in facets if not any(f < g for g in facets)]
-    complex_ = SimplicialComplex(
-        max(verts), tuple(sorted(keep, key=lambda s: (len(s), sorted(s))))
-    )
-    faces = complex_.faces()
     by_dim = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
+    for f in faces_of(*facets):
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
     top = max(by_dim)
     dims = tuple(len(by_dim.get(top - i, [])) for i in range(top + 2))
     diffs = []
@@ -198,8 +217,9 @@ def _random_complex(rng, field):
         pos = {f: k for k, f in enumerate(rows)}
         mat = [[0] * len(cols) for _ in rows]
         for cidx, f in enumerate(cols):
-            for k in range(len(f)):
-                mat[pos[f[:k] + f[k + 1:]]][cidx] = -1 if k % 2 else 1
+            bits = [b for b in range(f.bit_length()) if f >> b & 1]
+            for k, b in enumerate(bits):
+                mat[pos[f ^ 1 << b]][cidx] = -1 if k % 2 else 1
         diffs.append(tuple(tuple(r) for r in mat))
     return complex_of(field, dims, tuple(diffs))
 
@@ -229,38 +249,36 @@ def test_rank_decomposition_is_exact():
 
 # --------------------------------------------------------------- homology
 
-def sc(vertices, *facets):
-    return SimplicialComplex(
-        vertices, tuple(sorted((frozenset(f) for f in facets), key=lambda s: (len(s), sorted(s))))
-    )
-
-
 def test_hollow_triangle_is_a_circle():
-    hollow = sc(3, {1, 2}, {2, 3}, {1, 3})
-    ranks = reduced_homology_ranks(hollow, Q)
+    hollow = faces_of({1, 2}, {2, 3}, {1, 3})
+    ranks = homology_ranks_of_faces(hollow, Q)
     assert ranks == {-1: 0, 0: 0, 1: 1}
 
 
 def test_full_simplex_is_contractible():
-    assert reduced_homology_ranks(sc(3, {1, 2, 3}), Q) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert homology_ranks_of_faces(faces_of({1, 2, 3}), Q) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
 def test_irrelevant_complex_has_empty_face_class():
-    assert reduced_homology_ranks(sc(2, frozenset()), Q) == {-1: 1}
+    assert homology_ranks_of_faces(faces_of(frozenset()), Q) == {-1: 1}
 
 
 def test_void_complex_rejected():
-    with pytest.raises(InvalidInputError):
-        reduced_homology_ranks(SimplicialComplex(2, ()), Q)
+    # the void complex has no face at all, not even the empty one
+    with pytest.raises(InvalidInputError, match="empty face"):
+        homology_ranks_of_faces(faces_of(), Q)
+    with pytest.raises(InvalidInputError, match="empty face"):
+        homology_ranks_of_faces([0b1, 0b10, 0b11], Q)
 
 
 def test_projective_plane_detects_characteristic():
     # minimal 6-vertex triangulation; H_1 has 2-torsion so F_2 and Q disagree
-    rp2 = sc(6,
-             {1, 2, 3}, {1, 2, 4}, {1, 3, 5}, {1, 4, 6}, {1, 5, 6},
-             {2, 3, 6}, {2, 4, 5}, {2, 5, 6}, {3, 4, 5}, {3, 4, 6})
-    over_q = reduced_homology_ranks(rp2, Q)
-    over_f2 = reduced_homology_ranks(rp2, F2)
+    rp2 = faces_of(
+        {1, 2, 3}, {1, 2, 4}, {1, 3, 5}, {1, 4, 6}, {1, 5, 6},
+        {2, 3, 6}, {2, 4, 5}, {2, 5, 6}, {3, 4, 5}, {3, 4, 6},
+    )
+    over_q = homology_ranks_of_faces(rp2, Q)
+    over_f2 = homology_ranks_of_faces(rp2, F2)
     assert over_q == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert over_f2 == {-1: 0, 0: 0, 1: 1, 2: 1}
 

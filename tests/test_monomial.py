@@ -13,10 +13,12 @@ from topann.monomial import (
     MonomialIdeal,
     ideal_sum,
     intersect,
+    mask_varset,
     minimalize,
     power,
     radical,
     variable_ideal,
+    varset_mask,
 )
 
 import _oracles as orc
@@ -171,6 +173,22 @@ def test_intersection_idempotent():
     assert intersect(x, x) == x
 
 
+def test_variable_ideal_is_the_minimalized_variables():
+    rng = random.Random(71)
+    cases = [(3, [])] + [
+        (d, [rng.randint(1, d) for _ in range(rng.randint(0, 2 * d))])
+        for d in (rng.randint(1, 12) for _ in range(300))
+    ]
+    for d, indices in cases:
+        expected = minimalize([Monomial.variable(i, d) for i in indices], d)
+        assert variable_ideal(indices, d) == expected
+        assert variable_ideal(frozenset(indices), d) == expected
+    assert variable_ideal([2, 2, 1], 3).gens == (mono(1, 0, 0), mono(0, 1, 0))
+    for bad in ([0], [4], [1, 5], [-1]):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            variable_ideal(bad, 3)
+
+
 def test_intersection_two_primes():
     got = intersect(variable_ideal({1, 2}, 3), variable_ideal({2, 3}, 3))
     assert got == ideal(3, (0, 1, 0), (1, 0, 1))
@@ -261,6 +279,27 @@ def test_operations_build_the_same_monomials_as_the_constructor():
             assert type(got) is Monomial and type(got.exponents) is tuple
             assert got == checked and hash(got) == hash(checked)
             assert (got < a) == (checked < a)
+
+
+# ----------------------------------------------------------- support bitmask
+
+def test_mask_layout_is_one_bit_per_variable():
+    # bit v - 1 for variable v, on checked monomials, the identity and the
+    # results of operations built without the constructor's checks
+    rng = random.Random(67)
+    for _ in range(300):
+        d = rng.randint(1, 20)
+        a = Monomial(tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(d)))
+        b = Monomial(tuple(rng.choice((0, 0, 1, 3)) for _ in range(d)))
+        for m in (a, b, Monomial.identity(d), a.lcm(b), a.squarefree_part(), b * a):
+            assert mask_varset(m.mask) == m.support()
+            assert varset_mask(m.support()) == m.mask
+            assert varset_mask(mask_varset(m.mask)) == m.mask
+            for v in range(1, d + 1):
+                assert bool(m.mask >> (v - 1) & 1) == (m.exponents[v - 1] != 0)
+            assert m.mask < 1 << d
+    assert Monomial.identity(4).mask == 0 and mask_varset(0) == frozenset()
+    assert Monomial((0, 2, 0, 1)).mask == 0b1010
 
 
 # ------------------------------------------------------------------ membership

@@ -5,16 +5,15 @@ import random
 
 import pytest
 
+from topann.cech import _is_face
 from topann.errors import InvalidInputError
-from topann.monomial import Monomial, intersect, minimalize, radical, variable_ideal
+from topann.monomial import Monomial, intersect, mask_varset, minimalize, radical, variable_ideal
 from topann.stanley_reisner import (
     QuotientIdeal,
     QuotientRing,
-    SimplicialComplex,
     height_in_quotient,
     krull_dim,
     minimal_primes,
-    sr_complex_of,
 )
 
 import _oracles as orc
@@ -114,32 +113,15 @@ def test_krull_dim_examples():
         krull_dim(ideal(2, (0, 0)))
 
 
-def test_sr_complex_of_examples():
-    got = sr_complex_of(J_SW)
-    assert got.facets == (
-        frozenset({1, 2}),
-        frozenset({1, 3, 4}),
-        frozenset({2, 3, 4}),
-    )
-    full = sr_complex_of(ideal(3))
-    assert full.facets == (frozenset({1, 2, 3}),)
-    irrelevant = sr_complex_of(ideal(2, (1, 0), (0, 1)))
-    assert irrelevant.facets == (frozenset(),)
-    with pytest.raises(InvalidInputError):
-        sr_complex_of(ideal(2, (2, 0)))
-
-
 def test_sr_faces_are_supports_outside_the_ideal():
     rng = random.Random(31)
     for _ in range(40):
         d = rng.randint(1, 5)
         J = orc.random_squarefree_ideal(rng, d)
-        complex_ = sr_complex_of(J)
-        faces = {frozenset(f) for f in complex_.faces()}
+        j_masks = [g.mask for g in J.gens]
         for mask in range(1 << d):
-            s = frozenset(i + 1 for i in range(d) if mask >> i & 1)
-            outside = Monomial.from_support(s, d) not in J
-            assert (s in faces) == outside
+            outside = Monomial.from_support(mask_varset(mask), d) not in J
+            assert _is_face(mask, j_masks) == outside
 
 
 def test_krull_dim_is_max_facet_size():
@@ -149,8 +131,10 @@ def test_krull_dim_is_max_facet_size():
         J = orc.random_squarefree_ideal(rng, d)
         if J.is_unit():
             continue
-        complex_ = sr_complex_of(J)
-        assert krull_dim(J) == max(len(f) for f in complex_.facets)
+        # the largest face: the largest support of a squarefree monomial outside J
+        supports = [mask_varset(mask) for mask in range(1 << d)]
+        largest = max(len(s) for s in supports if Monomial.from_support(s, d) not in J)
+        assert krull_dim(J) == largest
 
 
 def test_quotient_ring_caches_and_checks_primes():
@@ -192,9 +176,3 @@ def test_height_plus_dim_in_polynomial_ring():
         q = QuotientIdeal(ring, a)
         assert height_in_quotient(q) + krull_dim(a) == d
 
-
-def test_simplicial_complex_validation():
-    with pytest.raises(InvalidInputError):
-        SimplicialComplex(3, (frozenset({1}), frozenset({1, 2})))
-    with pytest.raises(InvalidInputError):
-        SimplicialComplex(2, (frozenset({5}),))
