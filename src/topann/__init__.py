@@ -55,6 +55,7 @@ from .monomial import (
     intersect,
     minimalize,
     power,
+    prime_intersection,
     radical,
     variable_ideal,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "minimal_primes",
     "minimalize",
     "power",
+    "prime_intersection",
     "projective_dimension",
     "radical",
     "search_family",

@@ -27,8 +27,8 @@ from .monomial import (
     MonomialIdeal,
     VarSet,
     ideal_sum,
-    intersect,
     power,
+    prime_intersection,
     variable_ideal,
 )
 from .stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient, krull_dim
@@ -53,13 +53,13 @@ def torsion_ideal(a: QuotientIdeal) -> MonomialIdeal:
     kept = [p for p in ring.minimal_primes if any(not g.support() & p for g in a.lift.gens)]
     if not kept:
         raise InvalidInputError("ideal is zero in the quotient; torsion is everything")
-    return intersect(*(variable_ideal(p, ring.ambient) for p in kept))
+    return prime_intersection(kept, ring.ambient)
 
 
 def localization_kernel(q: VarSet, ring: QuotientRing) -> MonomialIdeal:
     """Lift of ker(R -> R_q): the intersection of the minimal primes of J inside q."""
     ring.require_support(q)
-    return intersect(*(variable_ideal(p, ring.ambient) for p in ring.minimal_primes if p <= q))
+    return prime_intersection((p for p in ring.minimal_primes if p <= q), ring.ambient)
 
 
 def symbolic_power(q: VarSet, n: int, ring: QuotientRing) -> MonomialIdeal:
@@ -139,13 +139,13 @@ def annihilator_bounds(a: QuotientIdeal, field: FieldSpec) -> AnnBoundsReport:
     report = cohomological_dimension(a, field)
     c = report.c
     delta = tuple(p for p, v in report.per_prime if v == c)
-    lower = intersect(*(variable_ideal(p, ring.ambient) for p in delta))
+    lower = prime_intersection(delta, ring.ambient)
     witnesses = tuple((p, _witness_for(a, p, c)) for p in delta)
     # the kernels at the witnesses meet in the minimal primes under some witness
     # (a witness lies over its critical prime, so none found means none under)
     found = {q for _, q in witnesses if q is not None}
     under = [p for p in ring.minimal_primes if any(p <= q for q in found)]
-    upper = intersect(*(variable_ideal(p, ring.ambient) for p in under)) if under else None
+    upper = prime_intersection(under, ring.ambient) if under else None
     # variables appearing in neither ideal are free polynomial directions: the
     # whole situation is extended flatly from the subring they are absent from,
     # so the small-dimension certificates apply with those directions discounted

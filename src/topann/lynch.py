@@ -16,7 +16,7 @@ from .annihilator import annihilator_bounds, torsion_ideal
 from .cohomdim import cd_on_prime, grade_on_prime
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec
-from .monomial import MonomialIdeal, VarSet, ideal_sum, intersect, variable_ideal
+from .monomial import MonomialIdeal, VarSet, ideal_sum, prime_intersection, variable_ideal
 from .stanley_reisner import QuotientIdeal, QuotientRing, krull_dim, minimal_primes
 
 SEARCH_GUARD_DEFAULT = 8
@@ -55,7 +55,7 @@ def build_instance(d, X, Y, Z, Xp, Yp) -> LynchInstance:
         raise InvalidInputError("Xp must be a nonempty subset of X")
     if not Yp or not Yp <= Y:
         raise InvalidInputError("Yp must be a nonempty subset of Y")
-    ring = QuotientRing(d, intersect(*(variable_ideal(p, d) for p in (X, Y, Z))))
+    ring = QuotientRing(d, prime_intersection((X, Y, Z), d))
     acting = QuotientIdeal(ring, ideal_sum(variable_ideal(Xp, d), variable_ideal(Yp, d)))
     return LynchInstance(d=d, X=X, Y=Y, Z=Z, Xp=Xp, Yp=Yp, ring=ring, ideal=acting)
 

@@ -6,7 +6,9 @@ structural equality is ideal equality.
 
 A squarefree support (a set of variables) is also an int bitmask, with bit
 v - 1 set for variable v.  The layout is defined here once: `Monomial.mask`,
-`varset_mask` and `mask_varset`.
+`varset_mask` and `mask_varset`.  Here `_antichain` tests divisibility on
+masks first, and `prime_intersection` meets monomial primes on masks alone,
+building `Monomial`s only for the final generators.
 """
 from __future__ import annotations
 
@@ -241,12 +243,50 @@ def ideal_sum(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialIdeal:
 
 
 def intersect(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialIdeal:
-    """Intersection via pairwise lcms of generators."""
+    """Intersection via pairwise lcms of generators; for monomial primes,
+    `prime_intersection` gives the same ideal and is what the package uses."""
     d = _check_same_ambient(first, *rest)
     acc = first
     for ideal in rest:
         acc = minimalize((g.lcm(h) for g in acc.gens for h in ideal.gens), d)
     return acc
+
+
+def prime_intersection(primes: Iterable[Iterable[int]], ambient: int) -> MonomialIdeal:
+    """The intersection of the monomial primes (x_v : v in p) over `primes`.
+
+    Equal to `intersect` of their `variable_ideal`s, computed on variable
+    bitmasks: the generators of an intersection of primes are squarefree.
+    Meeting the antichain with p keeps each support that meets p and grows
+    every other support s by each variable v of p.  The grown s | v are an
+    antichain and never lie under a kept support (s misses p), so the only
+    redundant ones are those over a kept support, which must hold v.  An
+    empty list gives the unit ideal; the zero prime gives the zero ideal.
+    """
+    supports = [0]
+    for p in primes:
+        pmask = 0
+        for v in p:
+            if not 1 <= v <= ambient:
+                raise InvalidInputError(f"variable index {v} out of range 1..{ambient}")
+            pmask |= 1 << (v - 1)
+        kept = [s for s in supports if s & pmask]
+        grown = []
+        for s in supports:
+            if s & pmask:
+                continue
+            rest = pmask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                g = s | low
+                if not any(t & ~g == 0 for t in kept if t & low):
+                    grown.append(g)
+        supports = kept + grown
+    exponents = sorted(
+        (tuple(s >> i & 1 for i in range(ambient)) for s in supports), reverse=True
+    )
+    return MonomialIdeal(ambient, tuple(map(_trusted, exponents)))
 
 
 def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:

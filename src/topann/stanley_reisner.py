@@ -16,10 +16,9 @@ from .monomial import (
     MonomialIdeal,
     VarSet,
     ideal_sum,
-    intersect,
     mask_varset,
+    prime_intersection,
     radical,
-    variable_ideal,
 )
 
 MINIMAL_PRIMES_GUARD = 20
@@ -101,7 +100,7 @@ class QuotientRing:
         if self.relations.is_unit():
             raise InvalidInputError("quotient by the unit ideal is the zero ring")
         primes = minimal_primes(self.relations)
-        if intersect(*(variable_ideal(p, self.ambient) for p in primes)) != self.relations:
+        if prime_intersection(primes, self.ambient) != self.relations:
             raise InvalidInputError("minimal primes do not intersect to the ideal")
         object.__setattr__(self, "minimal_primes", primes)
 

@@ -16,6 +16,7 @@ from topann.monomial import (
     mask_varset,
     minimalize,
     power,
+    prime_intersection,
     radical,
     variable_ideal,
     varset_mask,
@@ -192,6 +193,40 @@ def test_variable_ideal_is_the_minimalized_variables():
 def test_intersection_two_primes():
     got = intersect(variable_ideal({1, 2}, 3), variable_ideal({2, 3}, 3))
     assert got == ideal(3, (0, 1, 0), (1, 0, 1))
+
+
+def test_prime_intersection_matches_intersect():
+    # seeded prime lists, with the zero prime and repeated or nested primes
+    rng = random.Random(83)
+    for _ in range(3000):
+        d = rng.randint(1, 12)
+        primes = []
+        for _ in range(rng.randint(1, 6)):
+            roll = rng.random()
+            if primes and roll < 0.15:
+                primes.append(rng.choice(primes))
+            elif primes and roll < 0.3:
+                base = rng.choice(primes)
+                primes.append(base | {v for v in range(1, d + 1) if rng.random() < 0.3})
+            elif roll < 0.35:
+                primes.append(frozenset())
+            else:
+                density = rng.random()
+                primes.append(frozenset(v for v in range(1, d + 1) if rng.random() < density))
+        expected = intersect(*(variable_ideal(p, d) for p in primes))
+        assert prime_intersection(primes, d) == expected, (d, primes)
+
+
+def test_prime_intersection_edges():
+    assert prime_intersection([], 3) == ideal(3, (0, 0, 0))
+    assert prime_intersection([frozenset()], 3).is_zero()
+    assert prime_intersection([{1, 2}, set(), {3}], 3).is_zero()
+    assert prime_intersection(iter([{1}, {2}, {3, 4}]), 4) == ideal(
+        4, (1, 1, 1, 0), (1, 1, 0, 1)
+    )
+    for bad in ([{0}], [{4}], [{1}, {2, 5}], [{-1}]):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            prime_intersection(bad, 3)
 
 
 # ------------------------------------------------------------------- colon

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import topann.stanley_reisner as sr
 from topann.cech import _is_face
 from topann.errors import InvalidInputError
 from topann.monomial import Monomial, intersect, mask_varset, minimalize, radical, variable_ideal
@@ -145,6 +146,15 @@ def test_quotient_ring_caches_and_checks_primes():
         QuotientRing(4, ideal(4, (2, 0, 0, 0)))
     with pytest.raises(InvalidInputError):
         QuotientRing(4, ideal(4, (0, 0, 0, 0)))
+
+
+def test_quotient_ring_rejects_primes_that_miss_the_ideal(monkeypatch):
+    # the check intersects the primes it is given, not the covers behind them
+    J = ideal(3, (1, 0, 1), (0, 1, 1))  # (x3) cap (x1, x2)
+    assert QuotientRing(3, J).minimal_primes == (frozenset({3}), frozenset({1, 2}))
+    monkeypatch.setattr(sr, "minimal_primes", lambda ideal: (frozenset({3}),))
+    with pytest.raises(InvalidInputError, match="do not intersect"):
+        QuotientRing(3, J)
 
 
 def test_quotient_ideal_requires_proper_sum():
