@@ -89,9 +89,12 @@ def top_vanishing_ideal(
 
 @dataclass(frozen=True)
 class AnnBoundsReport:
+    """`per_prime` is the (minimal prime, cd) table of `cohomological_dimension`;
+    `delta`, the critical primes, reads from it the primes whose cd is c."""
+
     field: FieldSpec
     c: int
-    delta: tuple[VarSet, ...]
+    per_prime: tuple[tuple[VarSet, int], ...]
     sigma_witnesses: tuple[tuple[VarSet, VarSet | None], ...]
     lower: MonomialIdeal
     upper: MonomialIdeal | None
@@ -101,6 +104,10 @@ class AnnBoundsReport:
     def __post_init__(self) -> None:
         if self.exactness_reason not in EXACTNESS_REASONS:
             raise InvalidInputError(f"unknown exactness reason {self.exactness_reason!r}")
+
+    @property
+    def delta(self) -> tuple[VarSet, ...]:
+        return tuple(p for p, v in self.per_prime if v == self.c)
 
     def witnesses_found(self) -> tuple[VarSet, ...]:
         found = {q for _, q in self.sigma_witnesses if q is not None}
@@ -166,7 +173,7 @@ def annihilator_bounds(a: QuotientIdeal, field: FieldSpec) -> AnnBoundsReport:
     return AnnBoundsReport(
         field=field,
         c=c,
-        delta=delta,
+        per_prime=report.per_prime,
         sigma_witnesses=witnesses,
         lower=lower,
         upper=upper,

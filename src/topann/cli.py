@@ -44,7 +44,7 @@ from .lynch import (
     verify_instance,
 )
 from .monomial import Monomial, MonomialIdeal, VarSet, minimalize
-from .stanley_reisner import QuotientIdeal, QuotientRing, krull_dim
+from .stanley_reisner import QuotientIdeal, QuotientRing, guard_ambient, krull_dim
 
 FORMAT_VERSION = 1
 
@@ -136,6 +136,7 @@ def load_instance(path: str, field_override: str | None, box_override: str | Non
         if any(c in "*^·" or c.isspace() for c in name):
             raise InvalidInputError(f"variable name {name!r} holds '*', '^', '·' or whitespace")
     d = len(names)
+    guard_ambient(d)
     for key in ("J", "a"):
         if key in data and not isinstance(data[key], list):
             raise InvalidInputError(f"\"{key}\" must be an array of monomial objects")
@@ -229,8 +230,8 @@ def lynch_report_dict(rep: LynchReport, names) -> dict:
         "claims": [
             {
                 "claim": c.claim,
-                "expected": _jsonable(c.expected),
-                "computed": _jsonable(c.computed),
+                "expected": c.expected,
+                "computed": c.computed,
                 "pass": c.passed,
             }
             for c in rep.checklist
@@ -243,14 +244,6 @@ def lynch_report_dict(rep: LynchReport, names) -> dict:
         "violated": rep.conjecture_violated,
         "all_claims_pass": rep.all_claims_pass(),
     }
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def cech_report_dict(rep: CechReport, names) -> dict:
@@ -350,7 +343,7 @@ def _parse_indexset(text: str, d: int, what: str) -> frozenset[int]:
         out = frozenset(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise InvalidInputError(f"{what} must be comma separated indices") from exc
-    if not out <= frozenset(range(1, d + 1)):
+    if not all(1 <= i <= d for i in out):
         raise InvalidInputError(f"{what} has indices outside 1..{d}")
     return out
 

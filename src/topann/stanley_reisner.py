@@ -57,6 +57,19 @@ def _minimal_covers(edges: list[int]) -> list[int]:
     return [c for c in found if not any(o & c == o and o != c for o in found)]
 
 
+def guard_ambient(ambient: int) -> None:
+    """Refuse an ambient dimension past `MINIMAL_PRIMES_GUARD`.
+
+    Every ring needs its minimal primes, so a caller that learns the ambient
+    dimension calls this before it builds anything of that length.
+    """
+    if ambient > MINIMAL_PRIMES_GUARD:
+        raise GuardExceededError(
+            f"minimal prime enumeration: ambient {ambient} exceeds the guard "
+            f"{MINIMAL_PRIMES_GUARD}"
+        )
+
+
 def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
     """Minimal monomial primes over a proper ideal, sorted by (size, members).
 
@@ -64,11 +77,7 @@ def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
     """
     if ideal.is_unit():
         raise InvalidInputError("the unit ideal has no minimal primes")
-    if ideal.ambient > MINIMAL_PRIMES_GUARD:
-        raise GuardExceededError(
-            f"minimal prime enumeration: ambient {ideal.ambient} exceeds the guard "
-            f"{MINIMAL_PRIMES_GUARD}"
-        )
+    guard_ambient(ideal.ambient)
     edges = [g.mask for g in radical(ideal).gens]
     return _sorted_varsets(map(mask_varset, _minimal_covers(edges)))
 

@@ -311,6 +311,9 @@ def test_sandwich_and_top_self_witnessing_on_random_instances():
         ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
         a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d))
         rep = annihilator_bounds(a, Q)
+        per_prime = cohomological_dimension(a, Q).per_prime
+        assert rep.per_prime == per_prime
+        assert set(rep.delta) == {p for p, v in per_prime if v == rep.c}
         assert rep.lower.contains_ideal(ring.relations)
         if rep.upper is not None:
             assert rep.upper.contains_ideal(rep.lower)

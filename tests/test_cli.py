@@ -304,8 +304,11 @@ def test_parse_monomial_text():
         parse_monomial_text("w", names)
 
 
-def _fresh_process(*argv, script=None):
-    """Run topann (or a script) in a new interpreter; (exit code, stdout, stderr)."""
+def _fresh_process(*argv, script=None, **run_options):
+    """Run topann (or a script) in a new interpreter; (exit code, stdout, stderr).
+
+    `run_options` go to `subprocess.run`.
+    """
     import os
     import subprocess
     import sys
@@ -315,8 +318,57 @@ def _fresh_process(*argv, script=None):
 
     env = dict(os.environ, PYTHONPATH=str(Path(topann.__file__).resolve().parents[1]))
     cmd = [sys.executable, script] if script else [sys.executable, "-m", "topann"]
-    done = subprocess.run(cmd + list(argv), capture_output=True, text=True, env=env)
+    done = subprocess.run(cmd + list(argv), capture_output=True, text=True, env=env,
+                          **run_options)
     return done.returncode, done.stdout, done.stderr
+
+
+_TIMED_MAIN = """
+import sys, time
+from topann.cli import main
+t0 = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - t0)
+sys.exit(code)
+"""
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def _write_wide(tmp_path):
+    # 200,000 variables and 1,000 sparse relations
+    names = [f"v{k}" for k in range(200_000)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "vars": names,
+        "J": [{names[k]: 1, names[k + 1]: 1} for k in range(0, 2_000, 2)],
+        "a": [{names[0]: 1}],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lynch", "fixture", "bahmanpour", "--d", str(10 ** 12), "--l", str(10 ** 12)],
+    ["lynch", "verify", "--d", str(10 ** 12), "--X", "1", "--Y", "2", "--Z", "3,4",
+     "--Xp", "1", "--Yp", "2"],
+    ["cd", "WIDE"],
+])
+def test_a_huge_ambient_exits_3_before_building_anything(tmp_path, argv):
+    # a fresh interpreter held to 1 GiB and 60 s, so that a regression fails
+    # instead of exhausting the machine; it prints the time `main` took
+    argv = [_write_wide(tmp_path) if a == "WIDE" else a for a in argv]
+    script = tmp_path / "timed_main.py"
+    script.write_text(_TIMED_MAIN)
+    code, out, err = _fresh_process(
+        "--quiet", *argv, script=str(script), timeout=60, preexec_fn=_limit_memory
+    )
+    assert code == 3, err
+    assert "exceeds the guard 20" in err
+    assert float(out) < 1.0
 
 
 def test_main_reuses_its_parser_across_calls(sw_file, capsys):

@@ -68,6 +68,46 @@ def test_bahmanpour_dimensions():
     assert rep.conjecture_violated
 
 
+@pytest.mark.parametrize("name, d, l", [("singh-walther", None, None), ("bahmanpour", 8, 8)])
+def test_verify_computes_cd_once_per_prime(monkeypatch, name, d, l):
+    # X, Y and Z for the bounds' per-prime table, and q for claim v, which
+    # checks cd on its own prime even where q is Z (singh-walther)
+    import topann.cohomdim as cohomdim
+    import topann.lynch as lynch
+
+    real = cohomdim.cd_on_prime
+    primes = []
+
+    def counted(a, prime, field):
+        primes.append(prime)
+        return real(a, prime, field)
+
+    monkeypatch.setattr(cohomdim, "cd_on_prime", counted)
+    monkeypatch.setattr(lynch, "cd_on_prime", counted)
+    inst, _ = fixture(name, d=d, l=l)
+    assert verify_instance(inst, Q).all_claims_pass()
+    assert len(primes) == 4
+    assert len(set(primes[:3])) == 3
+
+
+def test_prime_missing_from_the_cd_table_fails_claim_ii(monkeypatch):
+    import dataclasses
+
+    import topann.lynch as lynch
+
+    real = lynch.annihilator_bounds
+
+    def short_table(a, field):
+        rep = real(a, field)
+        return dataclasses.replace(rep, per_prime=rep.per_prime[:-1])
+
+    monkeypatch.setattr(lynch, "annihilator_bounds", short_table)
+    inst, _ = fixture("singh-walther")
+    checks = {c.claim: c for c in verify_instance(inst, Q).checklist}
+    assert not checks["ii"].passed
+    assert [cd for _, _, cd in checks["ii"].computed].count(None) == 1
+
+
 def test_bahmanpour_parameter_validation():
     with pytest.raises(InvalidInputError):
         fixture("bahmanpour", d=6, l=6)
