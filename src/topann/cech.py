@@ -18,23 +18,23 @@ degree (Takayama's degree-wise formula).  So no box is walked degree by degree:
 `CECH_SWEEP_GUARD` bounds the patterns ranked, the interval tuples walked and
 the degrees listed, so cost follows those counts and never the box volume.
 
-A slice is a complex on subsets sigma of the generators.  The subsets whose
-pieces can survive are filtered once per positive support, with their signed
-cofaces; a pattern keeps those whose union of supports holds its negative
-support.  Differentials are sparse +-1 columns, ranked and reduced to kernels
-by `linalg.eliminate`.
+A slice is a complex on subsets sigma of the generators: the face family of
+its positive support (pos | W[sigma] a face, listed once per positive support)
+cut to the sigma whose union of supports W[sigma] holds its negative support.
+Its differentials are the signed columns of `linalg.family_columns`, ranked
+and reduced to kernels by `linalg.eliminate`.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import prod
 
 from .errors import GuardExceededError, InvalidInputError
-from .linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks, eliminate
-from .monomial import Monomial, MonomialIdeal, VarSet, varset_mask
-from .stanley_reisner import QuotientIdeal
+from .linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks, eliminate, family_columns
+from .monomial import Monomial, MonomialIdeal, VarSet, subset_unions, varset_mask
+from .stanley_reisner import QuotientIdeal, is_face
 
 CECH_GUARD_DEFAULT = 10
 # bounds the sign patterns ranked, the interval tuples walked and the degrees listed
@@ -89,11 +89,6 @@ def _sign_pattern(deg: tuple[int, ...]) -> tuple[int, int]:
     return neg, pos
 
 
-def _is_face(vmask: int, j_masks) -> bool:
-    """Does the variable set vmask span a face of the Stanley-Reisner complex?"""
-    return all(jm & ~vmask for jm in j_masks)
-
-
 def localization_piece(J: MonomialIdeal, W: VarSet, deg: tuple[int, ...]) -> int:
     """Dimension (0 or 1) of the degree-deg piece of (S/J) localized at prod(W).
 
@@ -107,7 +102,7 @@ def localization_piece(J: MonomialIdeal, W: VarSet, deg: tuple[int, ...]) -> int
         raise InvalidInputError("degree vector has the wrong length")
     neg, pos = _sign_pattern(deg)
     w = varset_mask(W)
-    return int(not neg & ~w and _is_face(pos | w, [g.mask for g in J.gens]))
+    return int(not neg & ~w and is_face(pos | w, [g.mask for g in J.gens]))
 
 
 class _SliceEngine:
@@ -115,7 +110,6 @@ class _SliceEngine:
 
     def __init__(self, a: QuotientIdeal, field: FieldSpec, guard: int):
         ring = a.ring
-        self.d = ring.ambient
         self.field = field
         gens = a.radical_lift.gens
         if len(gens) > guard:
@@ -124,73 +118,41 @@ class _SliceEngine:
             )
         self.gens = gens
         self.t = len(gens)
-        gen_masks = [g.mask for g in gens]
         self.j_masks = [g.mask for g in ring.relations.gens]
-        # union of generator supports for every subset of generator indices
-        self.W = [0] * (1 << self.t)
-        for s in range(1, 1 << self.t):
-            low = (s & -s).bit_length() - 1
-            self.W[s] = self.W[s & (s - 1)] | gen_masks[low]
-        # subsets listed per cardinality, in lexicographic order of index tuples
-        self.sigma_by_card = []
-        for i in range(self.t + 1):
-            masks = []
-            for combo in combinations(range(self.t), i):
-                m = 0
-                for j in combo:
-                    m |= 1 << j
-                masks.append(m)
-            self.sigma_by_card.append(masks)
-        # parity[s] is the parity of the number of elements of the subset s
-        self.parity = [0] * (1 << self.t)
-        for s in range(1, 1 << self.t):
-            self.parity[s] = self.parity[s >> 1] ^ (s & 1)
-        self._by_pos: dict[int, tuple] = {}
+        # W[sigma]: the union of the supports of the generators in sigma
+        self.W = subset_unions([g.mask for g in gens])
+        self._by_pos: dict[int, list[int]] = {}
         self._complex_cache: dict[tuple[int, int], tuple] = {}
         self._rank_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def _face_family(self, pos: int):
-        """Per cardinality, the subsets sigma with pos | W[sigma] a face; and
-        for each such sigma, the members sigma + j of the family one size up
-        with the coboundary signs (-1)^#{k in sigma: k < j}."""
+    def _face_family(self, pos: int) -> list[int]:
+        """The subsets sigma with pos | W[sigma] a face, in increasing order."""
         hit = self._by_pos.get(pos)
         if hit is None:
-            W, j_masks, parity = self.W, self.j_masks, self.parity
-            family = [
-                [m for m in masks if _is_face(pos | W[m], j_masks)]
-                for masks in self.sigma_by_card
-            ]
-            members = set().union(*family)
-            cofaces = {}
-            for sm in members:
-                up = [j for j in range(self.t) if not sm >> j & 1 and sm | 1 << j in members]
-                cofaces[sm] = (
-                    [sm | 1 << j for j in up],
-                    [-1 if parity[sm & ((1 << j) - 1)] else 1 for j in up],
-                )
-            hit = self._by_pos[pos] = (family, cofaces)
+            W, j_masks = self.W, self.j_masks
+            hit = [m for m in range(1 << self.t) if is_face(pos | W[m], j_masks)]
+            self._by_pos[pos] = hit
         return hit
 
     def slice_complex(self, pat: tuple[int, int]):
         """Bases (lists of subset masks per cohomological index), their
-        positions and the complex, with sparse columns."""
+        positions and the complex, with the sparse columns of `family_columns`."""
         hit = self._complex_cache.get(pat)
         if hit is not None:
             return hit
         neg, pos = pat
         W = self.W
-        family, cofaces = self._face_family(pos)
-        # the rule of `localization_piece`: neg inside W[sigma], pos | W[sigma] a
-        # face; a coface of a basis element satisfies the first part as well
-        bases = [[m for m in masks if not neg & ~W[m]] for masks in family]
+        # the rule of `localization_piece`: neg inside W[sigma], pos | W[sigma] a face
+        bases: list[list[int]] = [[] for _ in range(self.t + 1)]
+        for m in self._face_family(pos):
+            if not neg & ~W[m]:
+                bases[m.bit_count()].append(m)
         positions = [{m: k for k, m in enumerate(b)} for b in bases]
-        diffs = []
-        for i in range(self.t):
-            row = positions[i + 1].__getitem__
-            diffs.append(tuple(
-                tuple(zip(map(row, cofaces[sm][0]), cofaces[sm][1])) for sm in bases[i]
-            ))
-        complex_ = VectorSpaceComplex(self.field, tuple(map(len, bases)), tuple(diffs))
+        diffs = tuple(
+            tuple(map(tuple, family_columns(positions[i], bases[i + 1])))
+            for i in range(self.t)
+        )
+        complex_ = VectorSpaceComplex(self.field, tuple(map(len, bases)), diffs)
         result = (bases, positions, complex_)
         self._complex_cache[pat] = result
         return result

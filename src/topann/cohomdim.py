@@ -5,9 +5,10 @@ cd(I, S) = pd(S/I) (Lyubeznik).  The graded Betti numbers of S/I sit at the
 degrees sigma of the lcm lattice, and each is a reduced homology rank of a
 small simplicial complex: the restriction of the Stanley-Reisner complex to
 sigma (Hochster), or the crosscut complex of the generators below sigma
-(Gasharov-Peeva-Welker), whichever has fewer vertices.  Over a quotient
-R = S/J, cd is the maximum of cd on the associated prime quotients, each of
-which is again a polynomial ring.
+(Gasharov-Peeva-Welker), whichever has fewer vertices.  Both are face
+families of bitmasks, ranked by `linalg.homology_ranks_of_faces`.  Over a
+quotient R = S/J, cd is the maximum of cd on the associated prime quotients,
+each of which is again a polynomial ring.
 """
 from __future__ import annotations
 
@@ -15,8 +16,16 @@ from dataclasses import dataclass
 
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec, homology_ranks_of_faces
-from .monomial import Monomial, MonomialIdeal, VarSet, mask_varset, minimalize, varset_mask
-from .stanley_reisner import QuotientIdeal, krull_dim
+from .monomial import (
+    Monomial,
+    MonomialIdeal,
+    VarSet,
+    mask_varset,
+    minimalize,
+    subset_unions,
+    varset_mask,
+)
+from .stanley_reisner import QuotientIdeal, is_face, krull_dim
 
 HOCHSTER_GUARD = 14
 
@@ -52,7 +61,7 @@ def _restricted_faces(sigma: int, below: list[int]) -> list[int]:
     faces = []
     sub = sigma
     while True:
-        if all(s & ~sub for s in below):
+        if is_face(sub, below):
             faces.append(sub)
         if not sub:
             return faces
@@ -60,14 +69,9 @@ def _restricted_faces(sigma: int, below: list[int]) -> list[int]:
 
 
 def _crosscut_faces(sigma: int, below: list[int]) -> list[int]:
-    """Sets of generators whose join is not sigma, as generator-index bitmasks.
-
-    The join of the set with bitmask G is joins[G]; the empty set joins to 0.
-    """
-    joins = [0]
-    for s in below:
-        joins += [j | s for j in joins]
-    return [g for g, j in enumerate(joins) if j != sigma]
+    """Sets of generators whose join is not sigma, as generator-index bitmasks;
+    the empty set joins to 0."""
+    return [g for g, j in enumerate(subset_unions(below)) if j != sigma]
 
 
 def _degree_betti(sigma: int, below: list[int], field: FieldSpec, crosscut: bool):

@@ -1,16 +1,17 @@
 """Exact linear algebra over Q or F_p: ranks, kernels and cohomology ranks.
 
 One sparse elimination routine, `eliminate`, ranks every matrix and finds
-kernel bases.  Matrices are lists of sparse columns of (row, value) pairs, as
-the Cech slices and simplicial boundaries have at most a handful of +-1
-entries per column.  It reduces mod p over F_p and is fraction-free over Q;
-everything is integer arithmetic, never floating point.
+kernel bases.  Matrices are lists of sparse columns of (row, value) pairs.
+It reduces mod p over F_p and is fraction-free over Q; everything is integer
+arithmetic, never floating point.  One builder, `family_columns`, writes the
+signed +-1 columns of the cochain complex on a convex family of bitmasks:
+every Cech slice, and every face family of `homology_ranks_of_faces`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
 
@@ -218,39 +219,59 @@ def cohomology_ranks(complex_: VectorSpaceComplex) -> tuple[int, ...]:
     return tuple(dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(complex_.dims))
 
 
+def family_columns(cols: Mapping[int, int], rows: Iterable[int]) -> list[list[tuple[int, int]]]:
+    """Sparse columns of the coboundary d_i on a convex family of bitmasks.
+
+    Component i of the family holds its members with i bits.  `cols` numbers
+    the members of component i whose columns are built, and `rows` lists
+    component i+1.  Member s maps to the sum of (-1)^{#bits of s below j}
+    (s + {j}) over the members s + {j} of component i+1.  d∘d = 0 when the
+    family is convex, i.e. holds every b with a ⊆ b ⊆ c for members a and c:
+    the paths from s to s + {j, k} (j < k) through s + {j} and s + {k} carry
+    opposite signs, and by convexity both are there if s and s + {j, k} are.
+    A face family is a down-set, so convex; a Cech slice is an up-set
+    (neg inside W[sigma]) meeting a down-set (pos | W[sigma] a face).
+    """
+    columns: list[list[tuple[int, int]]] = [[] for _ in cols]
+    for r, f in enumerate(rows):
+        rest, sign = f, 1
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            c = cols.get(f ^ bit)
+            if c is not None:
+                columns[c].append((r, sign))
+            sign = -sign
+    return columns
+
+
 def homology_ranks_of_faces(faces: Iterable[int], field: FieldSpec) -> dict[int, int]:
     """Reduced homology ranks of a closed face family (must include the empty face).
 
     Faces are vertex bitmasks; the empty face 0 sits in dimension -1, so the
-    family [0] has a single rank in dimension -1.  Deleting the k-th smallest
-    vertex of a face carries the sign (-1)^k in the boundary.  Boundaries are
-    ranked from the top dimension down, with the clearing of `cohomology_ranks`.
+    family [0] has a single rank in dimension -1.  Over a field reduced
+    homology and cohomology have the same ranks, and the coboundary of
+    `family_columns` is the transpose of the simplicial boundary, so the
+    family is ranked as a cochain complex from the empty face up.  Each d_i
+    is built without the columns that the clearing of `cohomology_ranks`
+    drops, the pivot rows of d_{i-1}.
     """
-    by_dim: dict[int, list[int]] = {}
+    components: list[list[int]] = [[]]
     for f in faces:
-        by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    if -1 not in by_dim:
+        n = f.bit_count()
+        while len(components) <= n:
+            components.append([])
+        components[n].append(f)
+    if not components[0]:
         raise InvalidInputError("face list must contain the empty face")
-    top = max(by_dim)
-    index = {f: k for fs in by_dim.values() for k, f in enumerate(fs)}
-    boundary_rank: dict[int, int] = {}
+    ranks = [0]  # ranks[i] is the rank of d_{i-1}
     cleared: Iterable[int] = ()
-    for j in range(top, -1, -1):
-        columns = []
-        for f in by_dim.get(j, ()):
-            if index[f] in cleared:
-                continue
-            col = []
-            rest, k = f, 0
-            while rest:
-                low = rest & -rest
-                col.append((index[f ^ low], -1 if k & 1 else 1))
-                rest ^= low
-                k += 1
-            columns.append(col)
-        cleared = eliminate(columns, field)[0]
-        boundary_rank[j] = len(cleared)
-    return {
-        j: len(by_dim.get(j, ())) - boundary_rank.get(j, 0) - boundary_rank.get(j + 1, 0)
-        for j in range(-1, top + 1)
-    }
+    for i in range(len(components) - 1):
+        kept = components[i]
+        if cleared:
+            kept = [m for k, m in enumerate(kept) if k not in cleared]
+        cols = {m: c for c, m in enumerate(kept)}
+        cleared = eliminate(family_columns(cols, components[i + 1]), field)[0]
+        ranks.append(len(cleared))
+    ranks.append(0)
+    return {i - 1: len(c) - ranks[i] - ranks[i + 1] for i, c in enumerate(components)}

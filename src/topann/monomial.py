@@ -132,6 +132,14 @@ def mask_varset(mask: int) -> VarSet:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def subset_unions(masks: list[int]) -> list[int]:
+    """The union of masks[k] over the bits k of G, at index G, for every G."""
+    unions = [0]
+    for m in masks:
+        unions += [u | m for u in unions]
+    return unions
+
+
 def default_names(ambient: int) -> list[str]:
     return [f"u{i}" for i in range(1, ambient + 1)]
 

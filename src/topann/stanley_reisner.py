@@ -3,8 +3,8 @@
 Monomial primes are represented by their variable sets; the minimal primes of a
 monomial ideal are the minimal vertex covers of the hypergraph of generator
 supports, found on variable bitmasks.  The faces of the Stanley-Reisner
-complex of J are the supports of squarefree monomials outside J; they are
-never listed here, only tested on bitmasks where a complex is ranked.
+complex of J are the supports of squarefree monomials outside J; `is_face`
+is the one test of a bitmask, made wherever a complex is ranked.
 """
 from __future__ import annotations
 
@@ -55,6 +55,11 @@ def _minimal_covers(edges: list[int]) -> list[int]:
 
     descend(0, masks, 0)
     return [c for c in found if not any(o & c == o and o != c for o in found)]
+
+
+def is_face(vmask: int, j_masks: list[int]) -> bool:
+    """Is vmask a Stanley-Reisner face: does it hold none of the supports j_masks?"""
+    return all(jm & ~vmask for jm in j_masks)
 
 
 def guard_ambient(ambient: int) -> None:

@@ -19,13 +19,13 @@ from itertools import combinations, product
 from topann.cech import (
     CECH_GUARD_DEFAULT,
     _induced_map_is_zero,
-    _is_face,
     _sign_pattern,
     _SliceEngine,
 )
 from topann.cohomdim import cd_on_prime
 from topann.linalg import FieldSpec
 from topann.monomial import Monomial, MonomialIdeal, intersect, minimalize
+from topann.stanley_reisner import is_face
 
 
 def box_monomials(d: int, max_exp: int):
@@ -361,10 +361,12 @@ def dense_slice(engine: _SliceEngine, pat):
     """(bases, positions, dims, dense differentials) of a slice, built degree
     piece by degree piece with dims[i+1] x dims[i] matrices."""
     neg, pos = pat
+    # every subset of the generators, by number of elements, then by integer value
     bases = [
-        [m for m in masks
-         if not neg & ~engine.W[m] and _is_face(pos | engine.W[m], engine.j_masks)]
-        for masks in engine.sigma_by_card
+        [m for m in range(1 << engine.t)
+         if bin(m).count("1") == i and not neg & ~engine.W[m]
+         and is_face(pos | engine.W[m], engine.j_masks)]
+        for i in range(engine.t + 1)
     ]
     positions = [{m: k for k, m in enumerate(b)} for b in bases]
     dims = tuple(len(b) for b in bases)

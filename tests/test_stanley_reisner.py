@@ -6,13 +6,13 @@ import random
 import pytest
 
 import topann.stanley_reisner as sr
-from topann.cech import _is_face
 from topann.errors import InvalidInputError
 from topann.monomial import Monomial, intersect, mask_varset, minimalize, radical, variable_ideal
 from topann.stanley_reisner import (
     QuotientIdeal,
     QuotientRing,
     height_in_quotient,
+    is_face,
     krull_dim,
     minimal_primes,
 )
@@ -122,7 +122,7 @@ def test_sr_faces_are_supports_outside_the_ideal():
         j_masks = [g.mask for g in J.gens]
         for mask in range(1 << d):
             outside = Monomial.from_support(mask_varset(mask), d) not in J
-            assert _is_face(mask, j_masks) == outside
+            assert is_face(mask, j_masks) == outside
 
 
 def test_krull_dim_is_max_facet_size():
