@@ -33,7 +33,7 @@ from .cech import (
     cech_ranks,
 )
 from .cohomdim import CdReport, cohomological_dimension
-from .errors import GuardExceededError, InvalidInputError
+from .errors import GuardExceededError, InvalidInputError, parse_int
 from .linalg import FieldSpec
 from .lynch import (
     SEARCH_GUARD_DEFAULT,
@@ -91,13 +91,7 @@ def parse_monomial_text(text: str, names: list[str]) -> Monomial:
     for token in text.replace("·", "*").split("*"):
         token = token.strip()
         name, caret, exp = token.partition("^")
-        # int() would also take signs, spaces, underscores and non-ASCII digits
-        if caret and not (exp.isascii() and exp.isdigit()):
-            raise InvalidInputError(f"exponent in {token!r} must be ASCII decimal digits")
-        try:
-            e = int(exp) if caret else 1
-        except ValueError as exc:  # more digits than int() converts
-            raise InvalidInputError(f"cannot parse exponent in {token!r}") from exc
+        e = parse_int(exp, f"the exponent in {token!r}") if caret else 1
         obj[name] = obj.get(name, 0) + e
     return monomial_from_obj(obj, names)
 
@@ -166,11 +160,11 @@ def load_instance(path: str, field_override: str | None, box_override: str | Non
 
 
 def parse_box_text(text: str, d: int) -> DegreeBox:
-    try:
-        lo, hi = text.split(":")
-        return DegreeBox((int(lo),) * d, (int(hi),) * d)
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse box {text!r}; use lo:hi") from exc
+    bounds = text.split(":")
+    if len(bounds) != 2:
+        raise InvalidInputError(f"cannot parse box {text!r}; use lo:hi")
+    lo, hi = (parse_int(b, "a box bound", signed=True) for b in bounds)
+    return DegreeBox((lo,) * d, (hi,) * d)
 
 
 def cd_report_dict(rep: CdReport, names) -> dict:
@@ -339,10 +333,9 @@ def _cmd_gamma(args) -> int:
 
 
 def _parse_indexset(text: str, d: int, what: str) -> frozenset[int]:
-    try:
-        out = frozenset(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise InvalidInputError(f"{what} must be comma separated indices") from exc
+    out = frozenset(
+        parse_int(tok.strip(), f"an index of {what}") for tok in text.split(",") if tok.strip()
+    )
     if not all(1 <= i <= d for i in out):
         raise InvalidInputError(f"{what} has indices outside 1..{d}")
     return out
@@ -436,6 +429,16 @@ def _cmd_oracle(args) -> int:
     raise InvalidInputError("unknown oracle subcommand")
 
 
+def natural(text: str) -> int:
+    """argparse type of the count and guard flags: ASCII digits only."""
+    return parse_int(text)
+
+
+def integer(text: str) -> int:
+    """argparse type of --i: ASCII digits, after an optional '-'."""
+    return parse_int(text, signed=True)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -464,18 +467,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_lynch = sub.add_parser("lynch", help="counterexample family commands")
     lynch_sub = p_lynch.add_subparsers(dest="lynch_cmd", required=True)
     p_verify = lynch_sub.add_parser("verify", help="verify one parameter tuple")
-    p_verify.add_argument("--d", type=int, required=True)
+    p_verify.add_argument("--d", type=natural, required=True)
     for flag in ("--X", "--Y", "--Z", "--Xp", "--Yp"):
         p_verify.add_argument(flag, dest=flag.lstrip("-"), required=True)
     p_verify.set_defaults(func=_cmd_lynch)
     p_fixture = lynch_sub.add_parser("fixture", help="verify a named fixture")
     p_fixture.add_argument("name")
-    p_fixture.add_argument("--d", type=int, default=None)
-    p_fixture.add_argument("--l", type=int, default=None)
+    p_fixture.add_argument("--d", type=natural, default=None)
+    p_fixture.add_argument("--l", type=natural, default=None)
     p_fixture.set_defaults(func=_cmd_lynch)
     p_search = lynch_sub.add_parser("search", help="sweep the canonical family")
-    p_search.add_argument("--max-d", dest="max_d", type=int, required=True)
-    p_search.add_argument("--guard", type=int, default=SEARCH_GUARD_DEFAULT)
+    p_search.add_argument("--max-d", dest="max_d", type=natural, required=True)
+    p_search.add_argument("--guard", type=natural, default=SEARCH_GUARD_DEFAULT)
     p_search.set_defaults(func=_cmd_lynch)
 
     p_oracle = sub.add_parser("oracle", help="multigraded Cech verification")
@@ -483,14 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ranks = oracle_sub.add_parser("ranks", help="cohomology ranks per degree in a box")
     p_ranks.add_argument("instance")
     p_ranks.add_argument("--box", default=None, help="uniform box lo:hi")
-    p_ranks.add_argument("--guard", type=int, default=CECH_GUARD_DEFAULT)
+    p_ranks.add_argument("--guard", type=natural, default=CECH_GUARD_DEFAULT)
     p_ranks.set_defaults(func=_cmd_oracle)
     p_oann = oracle_sub.add_parser("ann", help="does a monomial annihilate H^i in the box?")
     p_oann.add_argument("instance")
     p_oann.add_argument("--monomial", required=True)
-    p_oann.add_argument("--i", type=int, required=True)
+    p_oann.add_argument("--i", type=integer, required=True)
     p_oann.add_argument("--box", default=None, help="uniform box lo:hi")
-    p_oann.add_argument("--guard", type=int, default=CECH_GUARD_DEFAULT)
+    p_oann.add_argument("--guard", type=natural, default=CECH_GUARD_DEFAULT)
     p_oann.set_defaults(func=_cmd_oracle)
 
     return parser

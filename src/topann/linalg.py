@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, parse_int
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
 # (Sorenson and Webster, 2015); larger characteristics are refused.
@@ -82,10 +82,7 @@ class FieldSpec:
             return cls.rationals()
         low = norm.lower()
         if low.startswith("fp:"):
-            try:
-                return cls.prime_field(int(low[3:]))
-            except ValueError as exc:
-                raise InvalidInputError(f"cannot parse field spec {text!r}") from exc
+            return cls.prime_field(parse_int(low[3:], "a field characteristic"))
         raise InvalidInputError(f"cannot parse field spec {text!r} (use Q or Fp:<prime>)")
 
 

@@ -228,6 +228,43 @@ def test_malformed_instances_exit_2(tmp_path, capsys, patch):
     assert "invalid input" in err
 
 
+LYNCH_VERIFY = ["lynch", "verify", "--X", "1", "--Y", "2", "--Z", "3,4", "--Xp", "1", "--Yp", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # int() takes '_' separators, a '+' and non-ASCII digits; none is an integer here
+        ["--field", "Fp:1_009", "cd", None],
+        ["--field", "Fp:+7", "cd", None],
+        ["--field", "Fp:\u0663", "cd", None],                 # Arabic-Indic three
+        [*LYNCH_VERIFY, "--d", "\u0664"],                      # Arabic-Indic four
+        [*LYNCH_VERIFY[:3], "\u0661", *LYNCH_VERIFY[4:], "--d", "4"],   # --X one
+        ["lynch", "fixture", "bahmanpour", "--d", "7", "--l", "\uff17"],  # fullwidth seven
+        ["oracle", "ranks", None, "--box=-\u0661:1"],
+        ["lynch", "search", "--max-d", "1_0"],
+    ],
+)
+def test_malformed_integers_exit_2(sw_file, capsys, argv):
+    argv = [sw_file if a is None else a for a in argv]
+    try:
+        code = main(["--quiet", *argv])
+    except SystemExit as exc:  # argparse refuses a flag's value
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_integers_may_still_be_signed_or_spaced_where_legal(sw_file, capsys):
+    code, out, _ = run_cli(capsys, "--quiet", "oracle", "ann", sw_file, "--monomial", "z1",
+                           "--i", "-1", "--box=-1:0")
+    assert code == 0 and json.loads(out)["index"] == -1
+    argv = [*LYNCH_VERIFY, "--d", "4"]
+    argv[argv.index("3,4")] = " 3 , 4 "
+    code, out, _ = run_cli(capsys, "--quiet", *argv)
+    assert code == 0 and json.loads(out)["params"]["Z"] == ["u3", "u4"]
+
+
 @pytest.mark.parametrize(
     "spec, code",
     [
