@@ -52,7 +52,6 @@ from .monomial import (
     Monomial,
     MonomialIdeal,
     ideal_sum,
-    intersect,
     minimalize,
     power,
     prime_intersection,
@@ -99,7 +98,6 @@ __all__ = [
     "height_in_quotient",
     "height_report",
     "ideal_sum",
-    "intersect",
     "krull_dim",
     "localization_kernel",
     "localization_piece",

@@ -174,9 +174,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].is_identity()
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree() for g in self.gens)
 
@@ -250,20 +247,10 @@ def ideal_sum(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialIdeal:
     return minimalize(gens, d)
 
 
-def intersect(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialIdeal:
-    """Intersection via pairwise lcms of generators; for monomial primes,
-    `prime_intersection` gives the same ideal and is what the package uses."""
-    d = _check_same_ambient(first, *rest)
-    acc = first
-    for ideal in rest:
-        acc = minimalize((g.lcm(h) for g in acc.gens for h in ideal.gens), d)
-    return acc
-
-
 def prime_intersection(primes: Iterable[Iterable[int]], ambient: int) -> MonomialIdeal:
     """The intersection of the monomial primes (x_v : v in p) over `primes`.
 
-    Equal to `intersect` of their `variable_ideal`s, computed on variable
+    Equal to the intersection of their `variable_ideal`s, computed on variable
     bitmasks: the generators of an intersection of primes are squarefree.
     Meeting the antichain with p keeps each support that meets p and grows
     every other support s by each variable v of p.  The grown s | v are an

@@ -5,7 +5,8 @@ degree boxes, full subset enumeration, Koszul homology) and never calls the
 code paths it is checking.  The Cech sweeps reuse the slice engine and visit
 every degree of a box: they are the reference for the pattern sweep of
 `topann.cech`, which they check.  The iterated colon and saturation loops are
-the reference for the prime-intersection closed forms of `topann.annihilator`.
+the reference for the prime-intersection closed forms of `topann.annihilator`,
+and `intersect`, by pairwise lcms, is the reference for `prime_intersection`.
 The dense matrices (Bareiss and reduced row echelon form, dense slices, tuple
 faces) are the reference for the sparse elimination kernel of
 `topann.linalg`, and Koszul homology is ranked with them.
@@ -23,8 +24,9 @@ from topann.cech import (
     _SliceEngine,
 )
 from topann.cohomdim import cd_on_prime
+from topann.errors import InvalidInputError
 from topann.linalg import FieldSpec
-from topann.monomial import Monomial, MonomialIdeal, intersect, minimalize
+from topann.monomial import Monomial, MonomialIdeal, minimalize
 from topann.stanley_reisner import is_face
 
 
@@ -51,6 +53,17 @@ def brute_colon_member(f, I, m) -> bool:
 
 def brute_saturation_member(f, I, m, kmax=12) -> bool:
     return any(member(f * m.power(k), I.gens) for k in range(kmax + 1))
+
+
+def intersect(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialIdeal:
+    """Intersection by pairwise lcms of generators, the reference for
+    `topann.monomial.prime_intersection`."""
+    acc = first
+    for ideal in rest:
+        if ideal.ambient != first.ambient:
+            raise InvalidInputError("ideals live in different ambient rings")
+        acc = minimalize((g.lcm(h) for g in acc.gens for h in ideal.gens), first.ambient)
+    return acc
 
 
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:

@@ -23,13 +23,13 @@ from topann.lynch import search_family
 from topann.monomial import (
     Monomial,
     ideal_sum,
-    intersect,
     minimalize,
     variable_ideal,
 )
 from topann.stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient
 
 import _oracles as orc
+from _oracles import intersect
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)

@@ -23,7 +23,6 @@ from topann.lynch import build_instance, fixture
 from topann.monomial import (
     Monomial,
     ideal_sum,
-    intersect,
     minimalize,
     power,
     variable_ideal,
@@ -31,6 +30,7 @@ from topann.monomial import (
 from topann.stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient
 
 import _oracles as orc
+from _oracles import intersect
 
 Q = FieldSpec.rationals()
 

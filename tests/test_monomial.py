@@ -12,7 +12,6 @@ from topann.monomial import (
     Monomial,
     MonomialIdeal,
     ideal_sum,
-    intersect,
     mask_varset,
     minimalize,
     power,
@@ -23,6 +22,7 @@ from topann.monomial import (
 )
 
 import _oracles as orc
+from _oracles import intersect
 
 
 def mono(*exps):

@@ -7,7 +7,7 @@ import pytest
 
 import topann.stanley_reisner as sr
 from topann.errors import InvalidInputError
-from topann.monomial import Monomial, intersect, mask_varset, minimalize, radical, variable_ideal
+from topann.monomial import Monomial, mask_varset, minimalize, radical, variable_ideal
 from topann.stanley_reisner import (
     QuotientIdeal,
     QuotientRing,
@@ -18,6 +18,7 @@ from topann.stanley_reisner import (
 )
 
 import _oracles as orc
+from _oracles import intersect
 
 
 def ideal(d, *gens):
