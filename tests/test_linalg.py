@@ -16,6 +16,7 @@ from topann.linalg import (
     _is_prime,
     cohomology_ranks,
     eliminate,
+    family_columns,
     homology_ranks_of_faces,
 )
 from topann.monomial import varset_mask
@@ -24,6 +25,7 @@ import _oracles as orc
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
+F3 = FieldSpec.prime_field(3)
 
 log = logging.getLogger(__name__)
 
@@ -298,3 +300,72 @@ def test_field_agreement_with_torsion_logging():
                 log.info("torsion detected at p=%d: %s vs %s", p, ranks_q, ranks_p)
     # random small complexes rarely have torsion; mismatches are logged, not failed
     assert disagreements <= 4
+
+
+# ------------------------------------------------------------ family complex
+
+def _family_complex(field, family, n):
+    """Components of the family by bit count 0..n, and the checked complex of
+    `family_columns` on them."""
+    comps = [sorted(m for m in family if bin(m).count("1") == i) for i in range(n + 1)]
+    positions = [{m: k for k, m in enumerate(c)} for c in comps]
+    diffs = tuple(
+        tuple(map(tuple, family_columns(positions[i], comps[i + 1]))) for i in range(n)
+    )
+    return comps, VectorSpaceComplex(field, tuple(map(len, comps)), diffs)
+
+
+def _incidence(lower, upper):
+    """The signed incidence matrix, entry (-1)^{#bits of s below j} from s to s + {j}."""
+    mat = [[0] * len(lower) for _ in upper]
+    for r, u in enumerate(upper):
+        for c, s in enumerate(lower):
+            j = u ^ s
+            if u & s == s and bin(j).count("1") == 1:
+                mat[r][c] = -1 if bin(s & (j - 1)).count("1") % 2 else 1
+    return mat
+
+
+def _random_convex_family(rng, n):
+    """A random down-set (below a few random masks) met with a random up-set
+    (above a few random masks), as a set of masks on n bits."""
+    tops = [rng.randrange(1 << n) for _ in range(rng.randint(0, 3))]
+    bottoms = [rng.randrange(1 << n) for _ in range(rng.randint(1, 3))]
+    return {
+        m for m in range(1 << n)
+        if any(m & ~t == 0 for t in tops) and any(b & ~m == 0 for b in bottoms)
+    }
+
+
+def test_family_columns_are_the_signed_incidence_of_convex_families():
+    rng = random.Random(151)
+    sizes = set()
+    for trial in range(200):
+        n = rng.randint(0, 8)
+        family = _random_convex_family(rng, n)
+        if trial < 2 ** n and trial < 8:  # every one-member family on few bits
+            family = {trial}
+        sizes.add(min(len(family), 2))
+        for field in (Q, F2, F3):
+            comps, complex_ = _family_complex(field, family, n)
+            mats = [_incidence(comps[i], comps[i + 1]) for i in range(n)]
+            assert [
+                orc.dense_rows(cols, complex_.dims[i + 1])
+                for i, cols in enumerate(complex_.differentials)
+            ] == mats
+            assert cohomology_ranks(complex_) == orc.dense_cohomology_ranks(
+                complex_.dims, mats, field)
+    assert sizes == {0, 1, 2}  # empty, one-member and larger families all occur
+
+
+def test_a_family_that_is_not_convex_is_refused():
+    rng = random.Random(157)
+    for _ in range(30):
+        n = rng.randint(2, 8)
+        j, k = rng.sample(range(n), 2)
+        s = rng.randrange(1 << n) & ~(1 << j | 1 << k)
+        family = {s, s | 1 << k, s | 1 << j | 1 << k}  # s + {j} is missing
+        _family_complex(Q, family | {s | 1 << j}, n)  # convex again once it is back
+        for field in (Q, F2, F3):
+            with pytest.raises(InvalidInputError, match="do not compose to zero"):
+                _family_complex(field, family, n)
