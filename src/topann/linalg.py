@@ -220,8 +220,8 @@ def family_columns(cols: Mapping[int, int], rows: Iterable[int]) -> list[list[tu
     """Sparse columns of the coboundary d_i on a convex family of bitmasks.
 
     Component i of the family holds its members with i bits.  `cols` numbers
-    the members of component i whose columns are built, and `rows` lists
-    component i+1.  Member s maps to the sum of (-1)^{#bits of s below j}
+    from 0 the members of component i whose columns are built, and `rows`
+    lists component i+1.  Member s maps to the sum of (-1)^{#bits of s below j}
     (s + {j}) over the members s + {j} of component i+1.  d∘d = 0 when the
     family is convex, i.e. holds every b with a ⊆ b ⊆ c for members a and c:
     the paths from s to s + {j, k} (j < k) through s + {j} and s + {k} carry
