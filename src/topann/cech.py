@@ -22,7 +22,7 @@ A slice is a complex on subsets sigma of the generators: the face family of
 its positive support (pos | W[sigma] a face, listed once per positive support)
 cut to the sigma whose union of supports W[sigma] holds its negative support.
 Its differentials are the signed columns of `linalg.family_columns`, ranked
-and reduced to kernels by `linalg.eliminate`.
+by `linalg.eliminate`.
 """
 from __future__ import annotations
 
@@ -321,6 +321,18 @@ def annihilation_check(
 
 
 def _induced_map_is_zero(engine: _SliceEngine, pat1, pat2, i: int) -> bool:
+    """Is H^i(slice 1) -> H^i(slice 2) zero?  Decided from two ranks.
+
+    Multiplication f sends the basis element sigma of slice 1 to the same
+    sigma of slice 2 when slice 2 holds it, and to zero otherwise.  The cone
+    matrix (z, w) -> (d_i z, f z + d' w), with d' = d'_{i-1} of slice 2, has
+    a kernel that projects onto {z a cycle : f z a boundary}, with fibre
+    ker d'.  That space has dimension dim ker d_i - rank H^i(f), so the cone's
+    rank is rank d_i + rank d' + rank H^i(f).  Its rows of d_i come after the
+    shift = dims2[i] rows of slice 2, and `eliminate` pivots on the largest
+    row, so the pivots at or past the shift number the rank of those rows,
+    rank d_i: the map is zero iff the pivots below the shift number rank d'.
+    """
     if i < 0 or i > engine.t:
         return True
     ranks1 = engine.ranks(pat1)
@@ -329,17 +341,12 @@ def _induced_map_is_zero(engine: _SliceEngine, pat1, pat2, i: int) -> bool:
         return True
     bases1, _, complex1 = engine.slice_complex(pat1)
     _, positions2, complex2 = engine.slice_complex(pat2)
-    field = engine.field
-    if i < engine.t:
-        cycles = eliminate(complex1.differentials[i], field, kernel=True)[1]
-    else:
-        cycles = [{c: 1} for c in range(complex1.dims[i])]
-    # multiplication sends the basis slice at sigma to the same sigma when the
-    # target piece survives, and to zero otherwise
-    basis1, to2 = bases1[i], positions2[i]
-    image = [
-        tuple((to2[basis1[c]], v) for c, v in vec.items() if basis1[c] in to2)
-        for vec in cycles
-    ]
+    to2, shift = positions2[i], complex2.dims[i]
+    d_i = complex1.differentials[i] if i < engine.t else [()] * complex1.dims[i]
     boundary = list(complex2.differentials[i - 1]) if i > 0 else []
-    return len(eliminate(boundary + image, field)[0]) == len(eliminate(boundary, field)[0])
+    cone = boundary + [
+        (((to2[s], 1),) if s in to2 else ()) + tuple((r + shift, v) for r, v in col)
+        for s, col in zip(bases1[i], d_i)
+    ]
+    below = sum(1 for r in eliminate(cone, engine.field) if r < shift)
+    return below == len(eliminate(boundary, engine.field))

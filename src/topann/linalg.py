@@ -1,17 +1,17 @@
-"""Exact linear algebra over Q or F_p: ranks, kernels and cohomology ranks.
+"""Exact linear algebra over Q or F_p: ranks and cohomology ranks.
 
-One sparse elimination routine, `eliminate`, ranks every matrix and finds
-kernel bases.  Matrices are lists of sparse columns of (row, value) pairs.
-It reduces mod p over F_p and is fraction-free over Q; everything is integer
-arithmetic, never floating point.  One builder, `family_columns`, writes the
-signed +-1 columns of the cochain complex on a convex family of bitmasks:
-every Cech slice, and every face family of `homology_ranks_of_faces`.
+One sparse elimination routine, `eliminate`, ranks every matrix.  Matrices
+are lists of sparse columns of (row, value) pairs.  It reduces mod p over F_p
+and is fraction-free over Q; everything is integer arithmetic, never floating
+point.  One builder, `family_columns`, writes the signed +-1 columns of the
+cochain complex on a convex family of bitmasks: every Cech slice, and every
+face family of `homology_ranks_of_faces`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, Sequence
 
 from .errors import InvalidInputError, parse_int
 
@@ -104,51 +104,39 @@ def _combine(a: dict[int, int], s: int, b: dict[int, int], t: int, p: int) -> No
             del a[k]
 
 
-def eliminate(columns: Sequence[Column], field: FieldSpec, kernel: bool = False):
-    """Pivot rows of the matrix with these sparse columns (as many as its
-    rank), and on request a kernel basis.
+def eliminate(columns: Sequence[Column], field: FieldSpec) -> KeysView[int]:
+    """Pivot rows of the matrix with these sparse columns, as many as its rank.
 
     Each column is reduced against the pivot columns found so far, pivoting on
     its largest row.  Over F_p entries live mod p and every pivot column is
     scaled to pivot 1.  Over Q a step is the integer combination
     g*col - f*pivot, and each reduced column is divided by its content, so
-    no fraction is ever formed.  With kernel=True a column carries its
-    combination of the input columns; the columns that reduce to zero give a
-    basis of the right kernel, as {column index: coefficient} dicts.
+    no fraction is ever formed.
     """
     p = field.characteristic
-    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    basis = []
-    for j, pairs in enumerate(columns):
+    pivots: dict[int, dict[int, int]] = {}
+    for pairs in columns:
         col = {r: v % p for r, v in pairs if v % p} if p else {r: v for r, v in pairs if v}
-        hist = {j: 1} if kernel else {}
         while col:
             low = max(col)
-            hit = pivots.get(low)
-            if hit is None:
+            pcol = pivots.get(low)
+            if pcol is None:
                 break
-            pcol, phist = hit
-            g, f = pcol[low], col[low]
-            _combine(col, g, pcol, -f, p)
-            if kernel:
-                _combine(hist, g, phist, -f, p)
+            _combine(col, pcol[low], pcol, -col[low], p)
+        if not col:
+            continue
         if p:
-            inv = pow(col[low], -1, p) if col else 1
+            inv = pow(col[low], -1, p)
             if inv != 1:
-                for part in (col, hist):
-                    for k in part:
-                        part[k] = part[k] * inv % p
+                for k in col:
+                    col[k] = col[k] * inv % p
         else:
-            content = math.gcd(*col.values(), *hist.values())
+            content = math.gcd(*col.values())
             if content > 1:
-                for part in (col, hist):
-                    for k in part:
-                        part[k] //= content
-        if col:
-            pivots[low] = (col, hist)
-        elif kernel:
-            basis.append(hist)
-    return pivots.keys(), basis
+                for k in col:
+                    col[k] //= content
+        pivots[low] = col
+    return pivots.keys()
 
 
 @dataclass(frozen=True)
@@ -210,7 +198,7 @@ def cohomology_ranks(complex_: VectorSpaceComplex) -> tuple[int, ...]:
     for cols in complex_.differentials:
         if cleared:
             cols = [c for j, c in enumerate(cols) if j not in cleared]
-        cleared = eliminate(cols, complex_.field)[0] if any(cols) else ()
+        cleared = eliminate(cols, complex_.field) if any(cols) else ()
         diff_ranks.append(len(cleared))
     ranks = [0, *diff_ranks, 0]  # ranks[i] is the rank of d_{i-1}
     return tuple(dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(complex_.dims))
@@ -268,7 +256,7 @@ def homology_ranks_of_faces(faces: Iterable[int], field: FieldSpec) -> dict[int,
         if cleared:
             kept = [m for k, m in enumerate(kept) if k not in cleared]
         cols = {m: c for c, m in enumerate(kept)}
-        cleared = eliminate(family_columns(cols, components[i + 1]), field)[0]
+        cleared = eliminate(family_columns(cols, components[i + 1]), field)
         ranks.append(len(cleared))
     ranks.append(0)
     return {i - 1: len(c) - ranks[i] - ranks[i + 1] for i, c in enumerate(components)}

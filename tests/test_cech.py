@@ -326,6 +326,36 @@ def test_sparse_slices_match_the_dense_reference():
     assert verdicts[True] >= 1 and verdicts[False] >= 100
 
 
+def test_zero_induced_maps_between_nonzero_spaces_match_the_dense_reference():
+    # the cone rank test against cycles from the dense kernel, on every pair of
+    # nonzero sign patterns that a shift joins (neg2 inside neg1, pos1 inside
+    # pos2), at every i where both H^i are nonzero; zero maps are asked for
+    rng = random.Random(53)
+    verdicts = {True: 0, False: 0}
+    for _ in range(30):
+        d = rng.randint(1, 6)
+        ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+        a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d, max_gens=6))
+        for field in (Q, F2):
+            engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+            live = [
+                (neg, pos)
+                for neg in range(1 << d)
+                for pos in range(1 << d)
+                if not neg & pos and any(engine.ranks((neg, pos)))
+            ]
+            for pat1 in live:
+                for pat2 in live:
+                    if pat2[0] & ~pat1[0] or pat1[1] & ~pat2[1]:
+                        continue
+                    for i, (r1, r2) in enumerate(zip(engine.ranks(pat1), engine.ranks(pat2))):
+                        if r1 and r2:
+                            zero = _induced_map_is_zero(engine, pat1, pat2, i)
+                            assert zero == orc.dense_induced_map_is_zero(engine, pat1, pat2, i)
+                            verdicts[zero] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+
 def test_degree_ranks_is_a_read_only_mapping():
     inst, _ = fixture("singh-walther")
     box = DegreeBox((-2, -1, 0, 1), (1, 1, 2, 3))
