@@ -65,6 +65,8 @@ class FieldSpec:
 
     @classmethod
     def prime_field(cls, p: int) -> FieldSpec:
+        if p == 0:  # FieldSpec(0) is Q
+            raise InvalidInputError("a prime field needs a prime characteristic, got 0")
         return cls(p)
 
     def is_rationals(self) -> bool:

@@ -195,6 +195,7 @@ def test_non_squarefree_relations_rejected(tmp_path, capsys):
         {"box": {"lower": [0, 0]}},           # missing upper
         {"box": {"lower": [0] * 4, "upper": ["a"] * 4}},
         {"field": 5},                         # not a string
+        {"field": "Fp:0"},                    # characteristic 0 is not prime
         {"a": [{"x": True}]},                 # bool exponent
         {"box": {"lower": [-1.7] * 4, "upper": [1] * 4}},   # float bound
         {"box": {"lower": ["-1"] * 4, "upper": [1] * 4}},   # numeric string bound
@@ -269,6 +270,8 @@ def test_integers_may_still_be_signed_or_spaced_where_legal(sw_file, capsys):
     "spec, code",
     [
         ("Fp:1000000000000000003", 0),        # a prime near 10^18, found at once
+        ("Fp:0", 2),                          # characteristic 0 is Q, not a prime field
+        ("Fp:00", 2),
         ("Fp:3215031751", 2),                 # strong pseudoprime to bases 2, 3, 5, 7
         ("Fp:318665857834031151167461", 2),   # strong pseudoprime to bases 2 .. 37
         (f"Fp:{2 ** 89 - 1}", 2),             # a prime, but above the certified cap

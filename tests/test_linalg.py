@@ -38,6 +38,8 @@ def test_field_spec_parsing():
         FieldSpec.parse("fp:6")
     with pytest.raises(InvalidInputError):
         FieldSpec.prime_field(1)
+    with pytest.raises(InvalidInputError):
+        FieldSpec.prime_field(0)
 
 
 def test_miller_rabin_matches_trial_division():
