@@ -354,79 +354,91 @@ def _lynch_summary(rep: LynchReport, names) -> list[str]:
     ]
 
 
-def _cmd_lynch(args) -> int:
+def _verify_and_emit(field: FieldSpec, inst, names, args) -> int:
+    rep = verify_instance(inst, field)
+    _emit(lynch_report_dict(rep, names), _lynch_summary(rep, names), args)
+    return EXIT_OK if rep.all_claims_pass() else EXIT_VERIFICATION_FAILED
+
+
+def _cmd_lynch_verify(args) -> int:
     field = FieldSpec.parse(args.field or "Q")
-    if args.lynch_cmd in ("verify", "fixture"):
-        if args.lynch_cmd == "verify":
-            d = args.d
-            inst = build_instance(
-                d, *(_parse_indexset(getattr(args, k), d, k) for k in ("X", "Y", "Z", "Xp", "Yp"))
-            )
-            names = [f"u{i}" for i in range(1, d + 1)]
-        else:
-            inst, names = fixture(args.name, d=args.d, l=args.l)
-        rep = verify_instance(inst, field)
-        _emit(lynch_report_dict(rep, names), _lynch_summary(rep, names), args)
-        return EXIT_OK if rep.all_claims_pass() else EXIT_VERIFICATION_FAILED
-    if args.lynch_cmd == "search":
-        reports = search_family(args.max_d, field, guard=args.guard)
-        docs = []
-        for rep in reports:
-            names = [f"u{i}" for i in range(1, rep.instance.d + 1)]
-            docs.append(lynch_report_dict(rep, names))
-        violated = sum(1 for r in reports if r.conjecture_violated)
-        all_pass = all(r.all_claims_pass() for r in reports)
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "report": "lynch-search",
-            "field": field.label(),
-            "max_d": args.max_d,
-            "instances": len(reports),
-            "violations": violated,
-            "all_claims_pass": all_pass,
-            "reports": docs,
-        }
-        lines = [
-            f"{len(reports)} canonical instances with d <= {args.max_d}",
-            f"claims pass on all instances: {all_pass}",
-            f"conjecture violated on {violated} instances "
-            f"(exactly those with |Z| > |X|: "
-            f"{violated == sum(1 for r in reports if r.instance.gap_formula > 0)})",
-        ]
-        _emit(doc, lines, args)
-        return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
-    raise InvalidInputError("unknown lynch subcommand")
+    d = args.d
+    inst = build_instance(
+        d, *(_parse_indexset(getattr(args, k), d, k) for k in ("X", "Y", "Z", "Xp", "Yp"))
+    )
+    return _verify_and_emit(field, inst, [f"u{i}" for i in range(1, d + 1)], args)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_lynch_fixture(args) -> int:
+    field = FieldSpec.parse(args.field or "Q")
+    inst, names = fixture(args.name, d=args.d, l=args.l)
+    return _verify_and_emit(field, inst, names, args)
+
+
+def _cmd_lynch_search(args) -> int:
+    field = FieldSpec.parse(args.field or "Q")
+    reports = search_family(args.max_d, field, guard=args.guard)
+    docs = []
+    for rep in reports:
+        names = [f"u{i}" for i in range(1, rep.instance.d + 1)]
+        docs.append(lynch_report_dict(rep, names))
+    violated = sum(1 for r in reports if r.conjecture_violated)
+    all_pass = all(r.all_claims_pass() for r in reports)
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "report": "lynch-search",
+        "field": field.label(),
+        "max_d": args.max_d,
+        "instances": len(reports),
+        "violations": violated,
+        "all_claims_pass": all_pass,
+        "reports": docs,
+    }
+    lines = [
+        f"{len(reports)} canonical instances with d <= {args.max_d}",
+        f"claims pass on all instances: {all_pass}",
+        f"conjecture violated on {violated} instances "
+        f"(exactly those with |Z| > |X|: "
+        f"{violated == sum(1 for r in reports if r.instance.gap_formula > 0)})",
+    ]
+    _emit(doc, lines, args)
+    return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
+
+
+def _oracle_instance(args) -> tuple[Instance, DegreeBox]:
     inst = load_instance(args.instance, args.field, args.box)
-    box = inst.box or DegreeBox.uniform(inst.ring.ambient)
-    if args.oracle_cmd == "ranks":
-        rep = cech_ranks(inst.acting, box, inst.field, guard=args.guard)
-        doc = cech_report_dict(rep, inst.names)
-        lines = [
-            f"top nonvanishing index in box: {rep.top_nonvanishing} over {inst.field.label()}",
-            f"nonzero slices: {rep.ranks.nonzero_count()}"
-            f" of {rep.ranks.box.volume()} degrees",
-        ]
-        _emit(doc, lines, args)
-        return EXIT_OK
-    if args.oracle_cmd == "ann":
-        m = parse_monomial_text(args.monomial, inst.names)
-        verdict = annihilation_check(m, inst.acting, args.i, box, inst.field, guard=args.guard)
-        doc = annihilation_dict(verdict, m, args.i, inst.names, inst.field)
-        lines = [
-            f"{m.pretty(inst.names)} on H^{args.i}: {verdict.verdict}"
-            + (
-                f" at degree {list(verdict.witness_degree)}"
-                if verdict.witness_degree
-                else ""
-            ),
-            f"degrees checked: {verdict.degrees_checked}, coverage gaps: {verdict.coverage_gaps}",
-        ]
-        _emit(doc, lines, args)
-        return EXIT_OK
-    raise InvalidInputError("unknown oracle subcommand")
+    return inst, inst.box or DegreeBox.uniform(inst.ring.ambient)
+
+
+def _cmd_oracle_ranks(args) -> int:
+    inst, box = _oracle_instance(args)
+    rep = cech_ranks(inst.acting, box, inst.field, guard=args.guard)
+    doc = cech_report_dict(rep, inst.names)
+    lines = [
+        f"top nonvanishing index in box: {rep.top_nonvanishing} over {inst.field.label()}",
+        f"nonzero slices: {rep.ranks.nonzero_count()}"
+        f" of {rep.ranks.box.volume()} degrees",
+    ]
+    _emit(doc, lines, args)
+    return EXIT_OK
+
+
+def _cmd_oracle_ann(args) -> int:
+    inst, box = _oracle_instance(args)
+    m = parse_monomial_text(args.monomial, inst.names)
+    verdict = annihilation_check(m, inst.acting, args.i, box, inst.field, guard=args.guard)
+    doc = annihilation_dict(verdict, m, args.i, inst.names, inst.field)
+    lines = [
+        f"{m.pretty(inst.names)} on H^{args.i}: {verdict.verdict}"
+        + (
+            f" at degree {list(verdict.witness_degree)}"
+            if verdict.witness_degree
+            else ""
+        ),
+        f"degrees checked: {verdict.degrees_checked}, coverage gaps: {verdict.coverage_gaps}",
+    ]
+    _emit(doc, lines, args)
+    return EXIT_OK
 
 
 def natural(text: str) -> int:
@@ -470,16 +482,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--d", type=natural, required=True)
     for flag in ("--X", "--Y", "--Z", "--Xp", "--Yp"):
         p_verify.add_argument(flag, dest=flag.lstrip("-"), required=True)
-    p_verify.set_defaults(func=_cmd_lynch)
+    p_verify.set_defaults(func=_cmd_lynch_verify)
     p_fixture = lynch_sub.add_parser("fixture", help="verify a named fixture")
     p_fixture.add_argument("name")
     p_fixture.add_argument("--d", type=natural, default=None)
     p_fixture.add_argument("--l", type=natural, default=None)
-    p_fixture.set_defaults(func=_cmd_lynch)
+    p_fixture.set_defaults(func=_cmd_lynch_fixture)
     p_search = lynch_sub.add_parser("search", help="sweep the canonical family")
     p_search.add_argument("--max-d", dest="max_d", type=natural, required=True)
     p_search.add_argument("--guard", type=natural, default=SEARCH_GUARD_DEFAULT)
-    p_search.set_defaults(func=_cmd_lynch)
+    p_search.set_defaults(func=_cmd_lynch_search)
 
     p_oracle = sub.add_parser("oracle", help="multigraded Cech verification")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_cmd", required=True)
@@ -487,14 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ranks.add_argument("instance")
     p_ranks.add_argument("--box", default=None, help="uniform box lo:hi")
     p_ranks.add_argument("--guard", type=natural, default=CECH_GUARD_DEFAULT)
-    p_ranks.set_defaults(func=_cmd_oracle)
+    p_ranks.set_defaults(func=_cmd_oracle_ranks)
     p_oann = oracle_sub.add_parser("ann", help="does a monomial annihilate H^i in the box?")
     p_oann.add_argument("instance")
     p_oann.add_argument("--monomial", required=True)
     p_oann.add_argument("--i", type=integer, required=True)
     p_oann.add_argument("--box", default=None, help="uniform box lo:hi")
     p_oann.add_argument("--guard", type=natural, default=CECH_GUARD_DEFAULT)
-    p_oann.set_defaults(func=_cmd_oracle)
+    p_oann.set_defaults(func=_cmd_oracle_ann)
 
     return parser
 
