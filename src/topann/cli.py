@@ -43,7 +43,7 @@ from .lynch import (
     search_family,
     verify_instance,
 )
-from .monomial import Monomial, MonomialIdeal, VarSet, minimalize
+from .monomial import Monomial, MonomialIdeal, VarSet, default_names, minimalize
 from .stanley_reisner import QuotientIdeal, QuotientRing, guard_ambient, krull_dim
 
 FORMAT_VERSION = 1
@@ -366,7 +366,7 @@ def _cmd_lynch_verify(args) -> int:
     inst = build_instance(
         d, *(_parse_indexset(getattr(args, k), d, k) for k in ("X", "Y", "Z", "Xp", "Yp"))
     )
-    return _verify_and_emit(field, inst, [f"u{i}" for i in range(1, d + 1)], args)
+    return _verify_and_emit(field, inst, default_names(d), args)
 
 
 def _cmd_lynch_fixture(args) -> int:
@@ -378,10 +378,7 @@ def _cmd_lynch_fixture(args) -> int:
 def _cmd_lynch_search(args) -> int:
     field = FieldSpec.parse(args.field or "Q")
     reports = search_family(args.max_d, field, guard=args.guard)
-    docs = []
-    for rep in reports:
-        names = [f"u{i}" for i in range(1, rep.instance.d + 1)]
-        docs.append(lynch_report_dict(rep, names))
+    docs = [lynch_report_dict(rep, default_names(rep.instance.d)) for rep in reports]
     violated = sum(1 for r in reports if r.conjecture_violated)
     all_pass = all(r.all_claims_pass() for r in reports)
     doc = {

@@ -18,7 +18,14 @@ from .annihilator import annihilator_bounds, torsion_ideal
 from .cohomdim import cd_on_prime, grade_on_prime
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec
-from .monomial import MonomialIdeal, VarSet, ideal_sum, prime_intersection, variable_ideal
+from .monomial import (
+    MonomialIdeal,
+    VarSet,
+    default_names,
+    ideal_sum,
+    prime_intersection,
+    variable_ideal,
+)
 from .stanley_reisner import QuotientIdeal, QuotientRing, guard_ambient, krull_dim
 
 SEARCH_GUARD_DEFAULT = 8
@@ -251,5 +258,5 @@ def fixture(name: str, d: int | None = None, l: int | None = None):
         if not (7 <= l <= d):
             raise InvalidInputError("bahmanpour requires 7 <= l <= d")
         inst = build_instance(d, {1, 2}, {3, 4}, range(5, l + 1), {1}, {3})
-        return inst, [f"u{i}" for i in range(1, d + 1)]
+        return inst, default_names(d)
     raise InvalidInputError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
