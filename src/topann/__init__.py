@@ -13,7 +13,6 @@ from .annihilator import (
     height_report,
     localization_kernel,
     symbolic_power,
-    top_vanishing_ideal,
     torsion_ideal,
 )
 from .cech import (
@@ -32,7 +31,6 @@ from .cohomdim import (
     cd_on_prime,
     cohomological_dimension,
     grade_on_prime,
-    projective_dimension,
 )
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import (
@@ -105,11 +103,9 @@ __all__ = [
     "minimalize",
     "power",
     "prime_intersection",
-    "projective_dimension",
     "radical",
     "search_family",
     "symbolic_power",
-    "top_vanishing_ideal",
     "torsion_ideal",
     "variable_ideal",
     "verify_instance",

@@ -74,19 +74,6 @@ def symbolic_power(q: VarSet, n: int, ring: QuotientRing) -> MonomialIdeal:
     return ideal_sum(power(variable_ideal(q, ring.ambient), n), kernel)
 
 
-def top_vanishing_ideal(
-    a: QuotientIdeal, field: FieldSpec
-) -> tuple[MonomialIdeal, tuple[VarSet, ...]]:
-    """Lift of the largest ideal of R killed by H^c_a, with the critical primes.
-
-    The critical primes are the associated primes p with cd(a, R/p) = c; the
-    ideal is their intersection, and it equals the annihilator of R modulo it.
-    Both are the lower bound of `annihilator_bounds`.
-    """
-    report = annihilator_bounds(a, field)
-    return report.lower, report.delta
-
-
 @dataclass(frozen=True)
 class AnnBoundsReport:
     """`per_prime` is the (minimal prime, cd) table of `cohomological_dimension`;
@@ -108,10 +95,6 @@ class AnnBoundsReport:
     @property
     def delta(self) -> tuple[VarSet, ...]:
         return tuple(p for p, v in self.per_prime if v == self.c)
-
-    def witnesses_found(self) -> tuple[VarSet, ...]:
-        found = {q for _, q in self.sigma_witnesses if q is not None}
-        return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
 def _witness_for(a: QuotientIdeal, p: VarSet, c: int) -> VarSet | None:
@@ -206,7 +189,7 @@ def height_report(rep: AnnBoundsReport, ring: QuotientRing) -> HeightReport:
         checks.append(("upper-bound-height-zero", ht_upper == 0))
     if rep.exact and rep.c == ring.dim - 1:
         checks.append(("near-top-annihilator-height-zero", ht_ann == 0))
-    deficient = [p for p in rep.delta if ring.prime_dim(p) > rep.c]
+    deficient = [p for p in rep.delta if ring.ambient - len(p) > rep.c]
     if deficient:
         ok = all(
             height_in_quotient(QuotientIdeal(ring, variable_ideal(p, ring.ambient)))

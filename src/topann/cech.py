@@ -122,8 +122,7 @@ class _SliceEngine:
         # W[sigma]: the union of the supports of the generators in sigma
         self.W = subset_unions([g.mask for g in gens])
         self._by_pos: dict[int, list[int]] = {}
-        self._complex_cache: dict[tuple[int, int], tuple] = {}
-        self._rank_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._slices: dict[tuple[int, int], tuple] = {}
 
     def _face_family(self, pos: int) -> list[int]:
         """The subsets sigma with pos | W[sigma] a face, in increasing order."""
@@ -135,9 +134,9 @@ class _SliceEngine:
         return hit
 
     def slice_complex(self, pat: tuple[int, int]):
-        """Bases (lists of subset masks per cohomological index), their
-        positions and the complex, with the sparse columns of `family_columns`."""
-        hit = self._complex_cache.get(pat)
+        """Bases (lists of subset masks per cohomological index), the complex,
+        with the sparse columns of `family_columns`, and its cohomology ranks."""
+        hit = self._slices.get(pat)
         if hit is not None:
             return hit
         neg, pos = pat
@@ -153,17 +152,11 @@ class _SliceEngine:
             for i in range(self.t)
         )
         complex_ = VectorSpaceComplex(self.field, tuple(map(len, bases)), diffs)
-        result = (bases, positions, complex_)
-        self._complex_cache[pat] = result
-        return result
+        hit = self._slices[pat] = (bases, complex_, cohomology_ranks(complex_))
+        return hit
 
     def ranks(self, pat: tuple[int, int]) -> tuple[int, ...]:
-        hit = self._rank_cache.get(pat)
-        if hit is None:
-            _, _, complex_ = self.slice_complex(pat)
-            hit = cohomology_ranks(complex_)
-            self._rank_cache[pat] = hit
-        return hit
+        return self.slice_complex(pat)[2]
 
 
 def _sign_ranges(lo: int, hi: int) -> list[range]:
@@ -335,13 +328,11 @@ def _induced_map_is_zero(engine: _SliceEngine, pat1, pat2, i: int) -> bool:
     """
     if i < 0 or i > engine.t:
         return True
-    ranks1 = engine.ranks(pat1)
-    ranks2 = engine.ranks(pat2)
+    bases1, complex1, ranks1 = engine.slice_complex(pat1)
+    bases2, complex2, ranks2 = engine.slice_complex(pat2)
     if ranks1[i] == 0 or ranks2[i] == 0:
         return True
-    bases1, _, complex1 = engine.slice_complex(pat1)
-    _, positions2, complex2 = engine.slice_complex(pat2)
-    to2, shift = positions2[i], complex2.dims[i]
+    to2, shift = {m: k for k, m in enumerate(bases2[i])}, complex2.dims[i]
     d_i = complex1.differentials[i] if i < engine.t else [()] * complex1.dims[i]
     boundary = list(complex2.differentials[i - 1]) if i > 0 else []
     cone = boundary + [

@@ -5,7 +5,7 @@ index order), "J" and "a" (arrays of monomials written as {name: exponent}
 objects), an optional "field" ("Q" or "Fp:<prime>") and an optional "box"
 ({"lower": [...], "upper": [...]}).  Reports are emitted as canonical JSON
 followed by a short human summary; --quiet keeps just the JSON and --pretty
-keeps just the summary.
+keeps just the summary (the two exclude each other).
 
 Exit codes: 0 success, 1 a verification/checklist failure, 2 invalid input,
 3 a resource guard exceeded.
@@ -136,10 +136,7 @@ def load_instance(path: str, field_override: str | None, box_override: str | Non
             raise InvalidInputError(f"\"{key}\" must be an array of monomial objects")
     j_gens = [monomial_from_obj(o, names) for o in data.get("J", [])]
     a_gens = [monomial_from_obj(o, names) for o in data.get("a", [])]
-    relations = minimalize(j_gens, d)
-    if not relations.is_squarefree():
-        raise InvalidInputError("J must be squarefree")
-    ring = QuotientRing(d, relations)
+    ring = QuotientRing(d, minimalize(j_gens, d))
     acting = QuotientIdeal(ring, minimalize(a_gens, d))
     field = FieldSpec.parse(field_override or data.get("field", "Q"))
     box = None
@@ -248,9 +245,7 @@ def cech_report_dict(rep: CechReport, names) -> dict:
         "format_version": FORMAT_VERSION,
         "report": "cech-ranks",
         "field": rep.field.label(),
-        "generators": ideal_to_list(
-            MonomialIdeal(len(names), rep.generators), names
-        ),
+        "generators": [monomial_to_obj(g, names) for g in rep.generators],
         "box": {"lower": list(rep.box.lower), "upper": list(rep.box.upper)},
         "top_nonvanishing": rep.top_nonvanishing,
         "nonzero_slices": nonzero,
@@ -455,8 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Annihilators of top local cohomology over Stanley-Reisner rings.",
     )
     parser.add_argument("--field", default=None, help="coefficient field: Q or Fp:<prime>")
-    parser.add_argument("--quiet", action="store_true", help="suppress the human summary")
-    parser.add_argument(
+    output = parser.add_mutually_exclusive_group()
+    output.add_argument("--quiet", action="store_true", help="suppress the human summary")
+    output.add_argument(
         "--pretty", action="store_true", help="human summary only, no JSON block"
     )
     sub = parser.add_subparsers(dest="command", required=True)

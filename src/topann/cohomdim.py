@@ -21,7 +21,6 @@ from .monomial import (
     MonomialIdeal,
     VarSet,
     mask_varset,
-    minimalize,
     subset_unions,
     varset_mask,
 )
@@ -119,12 +118,11 @@ def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
     return BettiTable(field, ideal.ambient, tuple(entries))
 
 
-def projective_dimension(ideal: MonomialIdeal, field: FieldSpec) -> int:
-    return betti_numbers(ideal, field).projective_dimension()
-
-
 def _image_in_prime_quotient(a: QuotientIdeal, prime: VarSet) -> MonomialIdeal:
-    """Image of radical(lift) in S/prime, reindexed onto the surviving variables."""
+    """Image of radical(lift) in S/prime, reindexed onto the surviving variables.
+
+    The generators missing the prime are an antichain in canonical order, and
+    dropping coordinates on which all of them are 0 keeps divisibility and order."""
     a.ring.require_support(prime)
     survivors = [i for i in range(a.ring.ambient) if i + 1 not in prime]
     killed = varset_mask(prime)  # a generator meeting the prime is zero in S/prime
@@ -133,7 +131,7 @@ def _image_in_prime_quotient(a: QuotientIdeal, prime: VarSet) -> MonomialIdeal:
         for g in a.radical_lift.gens
         if not g.mask & killed
     ]
-    return minimalize(gens, len(survivors))
+    return MonomialIdeal(len(survivors), tuple(gens))
 
 
 def cd_on_prime(a: QuotientIdeal, prime: VarSet, field: FieldSpec) -> int:
@@ -146,7 +144,7 @@ def cd_on_prime(a: QuotientIdeal, prime: VarSet, field: FieldSpec) -> int:
     image = _image_in_prime_quotient(a, prime)
     if image.is_zero():
         return 0
-    return projective_dimension(image, field)
+    return betti_numbers(image, field).projective_dimension()
 
 
 def grade_on_prime(a: QuotientIdeal, prime: VarSet) -> int | None:

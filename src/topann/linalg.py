@@ -69,9 +69,6 @@ class FieldSpec:
             raise InvalidInputError("a prime field needs a prime characteristic, got 0")
         return cls(p)
 
-    def is_rationals(self) -> bool:
-        return self.characteristic == 0
-
     def label(self) -> str:
         return "Q" if self.characteristic == 0 else f"Fp:{self.characteristic}"
 

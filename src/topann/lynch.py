@@ -66,7 +66,7 @@ def build_instance(d, X, Y, Z, Xp, Yp) -> LynchInstance:
     if not Yp or not Yp <= Y:
         raise InvalidInputError("Yp must be a nonempty subset of Y")
     ring = QuotientRing(d, prime_intersection((X, Y, Z), d))
-    acting = QuotientIdeal(ring, ideal_sum(variable_ideal(Xp, d), variable_ideal(Yp, d)))
+    acting = QuotientIdeal(ring, variable_ideal(Xp | Yp, d))
     return LynchInstance(d=d, X=X, Y=Y, Z=Z, Xp=Xp, Yp=Yp, ring=ring, ideal=acting)
 
 
@@ -246,10 +246,13 @@ FIXTURE_NAMES = ("singh-walther", "bahmanpour")
 def fixture(name: str, d: int | None = None, l: int | None = None):
     """Named instances: returns (instance, variable names).
 
-    singh-walther is the dimension-4 example on x, y, z1, z2; bahmanpour takes
-    parameters 7 <= l <= d with X = {u1,u2}, Y = {u3,u4}, Z = {u5..ul}.
+    singh-walther is the dimension-4 example on x, y, z1, z2 and takes no
+    parameters; bahmanpour takes 7 <= l <= d with X = {u1,u2}, Y = {u3,u4},
+    Z = {u5..ul}.
     """
     if name == "singh-walther":
+        if d is not None or l is not None:
+            raise InvalidInputError("singh-walther takes no --d or --l")
         inst = build_instance(4, {1}, {2}, {3, 4}, {1}, {2})
         return inst, ["x", "y", "z1", "z2"]
     if name == "bahmanpour":

@@ -177,16 +177,13 @@ class MonomialIdeal:
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree() for g in self.gens)
 
-    def contains_monomial(self, m: Monomial) -> bool:
+    def __contains__(self, m: Monomial) -> bool:
         if m.ambient != self.ambient:
             raise InvalidInputError("ambient dimension mismatch")
         return any(g.divides(m) for g in self.gens)
 
-    def __contains__(self, m: Monomial) -> bool:
-        return self.contains_monomial(m)
-
     def contains_ideal(self, other: MonomialIdeal) -> bool:
-        return all(self.contains_monomial(g) for g in other.gens)
+        return all(g in self for g in other.gens)
 
     def pretty(self, names: list[str] | None = None) -> str:
         if self.is_zero():

@@ -122,10 +122,6 @@ class QuotientRing:
     def dim(self) -> int:
         return self.ambient - min(len(p) for p in self.minimal_primes)
 
-    def prime_dim(self, p: VarSet) -> int:
-        """dim R/(p) = ambient - |p| for a monomial prime p containing a minimal prime."""
-        return self.ambient - len(p)
-
     def require_support(self, q: VarSet) -> None:
         """Reject q unless it is a set of variables of the ring over a minimal prime."""
         if q and not q <= frozenset(range(1, self.ambient + 1)):
@@ -163,14 +159,11 @@ def height_in_quotient(a: QuotientIdeal) -> int:
     dim R_q is the largest |q| - |p| over minimal primes p of J inside q; the
     infimum over the whole support is attained at these monomial primes because
     every chain of monomial primes is realized in some polynomial quotient S/p.
+    Neither lift nor J has the generator 1, so lift + J is proper and has a
+    minimal prime q; q holds J, so it holds a minimal prime of J.
     """
-    total = a.full_lift()
     ring = a.ring
-    best = None
-    for q in minimal_primes(total):
-        local_dim = max(
-            len(q) - len(p) for p in ring.minimal_primes if p <= q
-        )
-        best = local_dim if best is None else min(best, local_dim)
-    assert best is not None
-    return best
+    return min(
+        max(len(q) - len(p) for p in ring.minimal_primes if p <= q)
+        for q in minimal_primes(a.full_lift())
+    )

@@ -338,7 +338,7 @@ def dense_rank(rows, field: FieldSpec) -> int:
     echelon form over F_p."""
     if not rows or not rows[0]:
         return 0
-    if field.is_rationals():
+    if field.characteristic == 0:
         return _rank_bareiss(_integer_rows(rows))
     return len(_rref(rows, field)[1])
 

@@ -13,7 +13,6 @@ from topann.annihilator import (
     height_report,
     localization_kernel,
     symbolic_power,
-    top_vanishing_ideal,
     torsion_ideal,
 )
 from topann.cohomdim import cohomological_dimension
@@ -242,7 +241,7 @@ def test_saturations_are_prime_intersections():
             widened += q not in ring.minimal_primes
 
         rep = annihilator_bounds(a, Q)
-        found = rep.witnesses_found()
+        found = {q for _, q in rep.sigma_witnesses if q is not None}
         if found:
             kernels = [
                 orc.saturate(J, Monomial.from_support(everything - q, d)) for q in found
@@ -256,24 +255,24 @@ def test_saturations_are_prime_intersections():
 
 # ------------------------------------------------------------------ bounds
 
-def test_top_vanishing_ideal_on_fixtures():
+def test_annihilator_bounds_lower_on_fixtures():
     inst = sw()
-    lift, delta = top_vanishing_ideal(inst.ideal, Q)
-    assert delta == (frozenset({3, 4}),)
-    assert lift == ideal(4, (0, 0, 1, 0), (0, 0, 0, 1))
+    rep = annihilator_bounds(inst.ideal, Q)
+    assert rep.delta == (frozenset({3, 4}),)
+    assert rep.lower == ideal(4, (0, 0, 1, 0), (0, 0, 0, 1))
 
     bah, _ = fixture("bahmanpour", d=7, l=7)
-    lift, delta = top_vanishing_ideal(bah.ideal, Q)
-    assert delta == (frozenset({5, 6, 7}),)
-    assert lift == variable_ideal({5, 6, 7}, 7)
+    rep = annihilator_bounds(bah.ideal, Q)
+    assert rep.delta == (frozenset({5, 6, 7}),)
+    assert rep.lower == variable_ideal({5, 6, 7}, 7)
 
 
-def test_top_vanishing_ideal_in_a_domain():
+def test_annihilator_bounds_lower_in_a_domain():
     ring = QuotientRing(2, ideal(2))
     a = QuotientIdeal(ring, ideal(2, (1, 0), (0, 1)))
-    lift, delta = top_vanishing_ideal(a, Q)
-    assert delta == (frozenset(),)
-    assert lift.is_zero()
+    rep = annihilator_bounds(a, Q)
+    assert rep.delta == (frozenset(),)
+    assert rep.lower.is_zero()
 
 
 def test_annihilator_bounds_on_singh_walther():

@@ -75,6 +75,13 @@ def test_lynch_fixture_singh_walther(capsys):
     assert [c["pass"] for c in doc["claims"]] == [True] * 6
 
 
+@pytest.mark.parametrize("flags", [["--d", "9", "--l", "3"], ["--d", "4"], ["--l", "4"]])
+def test_lynch_fixture_singh_walther_refuses_parameters(capsys, flags):
+    code, out, err = run_cli(capsys, "--quiet", "lynch", "fixture", "singh-walther", *flags)
+    assert code == 2 and out == ""
+    assert "singh-walther takes no --d or --l" in err
+
+
 def test_lynch_fixture_bahmanpour(capsys):
     code, out, _ = run_cli(
         capsys, "--quiet", "lynch", "fixture", "bahmanpour", "--d", "7", "--l", "7"
@@ -333,6 +340,15 @@ def test_summary_and_quiet_modes(sw_file, capsys):
     json.loads(out[: out.rindex("}") + 1])
     code, out, _ = run_cli(capsys, "--pretty", "cd", sw_file)
     assert "{" not in out and "cd = 2" in out
+
+
+def test_quiet_and_pretty_exclude_each_other(sw_file, capsys):
+    # together they would leave no report at all, only a newline
+    with pytest.raises(SystemExit) as exc:
+        main(["--quiet", "--pretty", "cd", sw_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with" in captured.err
 
 
 def test_parse_monomial_text():

@@ -158,6 +158,9 @@ def test_sum_absorption():
 def test_sum_ambient_mismatch():
     with pytest.raises(InvalidInputError):
         ideal_sum(ideal(2, (1, 0)), ideal(3, (1, 0, 0)))
+    # the zero ideal has no generator whose ambient `minimalize` could check
+    with pytest.raises(InvalidInputError, match="different ambient rings"):
+        ideal_sum(ideal(2, (1, 0)), ideal(3))
 
 
 # ------------------------------------------------------------------- intersect
