@@ -39,6 +39,10 @@ from .stanley_reisner import QuotientIdeal, is_face
 CECH_GUARD_DEFAULT = 10
 # bounds the sign patterns ranked, the interval tuples walked and the degrees listed
 CECH_SWEEP_GUARD = 200_000
+# CPython's default limit on converting an int to text: a box volume (and so
+# every count a report makes of its degrees) must stay below 10^BOX_VOLUME_DIGITS
+BOX_VOLUME_DIGITS = 4300
+_MAX_VOLUME = 10**BOX_VOLUME_DIGITS
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,10 @@ class DegreeBox:
             raise InvalidInputError("box bounds have different lengths")
         if any(a > b for a, b in zip(self.lower, self.upper)):
             raise InvalidInputError("box lower bound exceeds upper bound")
+        if self.volume() >= _MAX_VOLUME:
+            raise GuardExceededError(
+                f"the box volume has more than {BOX_VOLUME_DIGITS} decimal digits"
+            )
 
     @classmethod
     def uniform(cls, d: int, lo: int = -3, hi: int = 1) -> DegreeBox:

@@ -4,8 +4,9 @@ An instance file is a JSON object with "vars" (variable names, fixing the
 index order), "J" and "a" (arrays of monomials written as {name: exponent}
 objects), an optional "field" ("Q" or "Fp:<prime>") and an optional "box"
 ({"lower": [...], "upper": [...]}).  Reports are emitted as canonical JSON
-followed by a short human summary; --quiet keeps just the JSON and --pretty
-keeps just the summary (the two exclude each other).
+(sorted keys, 2-space indent, ASCII escapes) followed by a short human
+summary; --quiet keeps just the JSON and --pretty keeps just the summary (the
+two exclude each other), and builds no JSON document.
 
 Exit codes: 0 success, 1 a verification/checklist failure, 2 invalid input,
 3 a resource guard exceeded.
@@ -107,12 +108,12 @@ class Instance:
 
 def load_instance(path: str, field_override: str | None, box_override: str | None) -> Instance:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read instance file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"instance file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
+        raise InvalidInputError(f"instance file is not valid UTF-8 JSON: {exc}") from exc
     except RecursionError as exc:
         raise InvalidInputError("instance file is nested too deeply") from exc
     if not isinstance(data, dict):
@@ -266,12 +267,53 @@ def annihilation_dict(v: AnnihilationVerdict, m: Monomial, i: int, names, field)
     }
 
 
+_escape = json.encoder.encode_basestring_ascii  # the json module's own C escaper
+
+
+def _dump(x, nl: str) -> str:
+    """x in the bytes of the json module's dumps(x, sort_keys=True, indent=2).
+
+    nl is the newline and indent of the line x starts on.  Reports hold only
+    dicts with str keys, lists, str, int, bool and None; any other type, as a
+    value or a key, raises TypeError.  A list of plain ints, which is most of
+    an oracle report, is joined in one call.
+    """
+    t = type(x)
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        items = [_escape(k) + ": " + _dump(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is list:
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        if all(type(v) is int for v in x):
+            items = map(int.__repr__, x)
+        else:
+            items = [_dump(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is str:
+        return _escape(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    raise TypeError(f"a report cannot hold {t.__name__} {x!r}")
+
+
 # ------------------------------------------------------------------- commands
 
-def _emit(doc: dict, summary_lines: list[str], args) -> None:
+def _emit(build, summary_lines: list[str], args) -> None:
+    """Write the report that build() returns, unless --pretty, then the summary."""
     chunks = []
     if not args.pretty:
-        chunks.append(json.dumps(doc, sort_keys=True, indent=2))
+        chunks.append(_dump(build(), "\n"))
     if not args.quiet and summary_lines:
         chunks.append("\n".join(summary_lines))
     sys.stdout.write("\n".join(chunks) + "\n")
@@ -280,12 +322,11 @@ def _emit(doc: dict, summary_lines: list[str], args) -> None:
 def _cmd_cd(args) -> int:
     inst = load_instance(args.instance, args.field, None)
     rep = cohomological_dimension(inst.acting, inst.field)
-    doc = cd_report_dict(rep, inst.names)
     lines = [f"cd = {rep.c} over {rep.field.label()}"] + [
         f"  cd on R/({', '.join(varset_to_list(p, inst.names))}) = {v}"
         for p, v in rep.per_prime
     ]
-    _emit(doc, lines, args)
+    _emit(lambda: cd_report_dict(rep, inst.names), lines, args)
     return EXIT_OK
 
 
@@ -293,7 +334,6 @@ def _cmd_ann_bounds(args) -> int:
     inst = load_instance(args.instance, args.field, None)
     rep = annihilator_bounds(inst.acting, inst.field)
     heights = height_report(rep, inst.ring)
-    doc = ann_report_dict(rep, heights, inst.names)
     lines = [
         f"c = {rep.c} over {rep.field.label()}",
         f"lower bound (lift): {rep.lower.pretty(inst.names)} + J",
@@ -301,7 +341,7 @@ def _cmd_ann_bounds(args) -> int:
         + (f"{rep.upper.pretty(inst.names)} + J" if rep.upper is not None else "none found"),
         f"exact: {rep.exact} ({rep.exactness_reason})",
     ]
-    _emit(doc, lines, args)
+    _emit(lambda: ann_report_dict(rep, heights, inst.names), lines, args)
     return EXIT_OK
 
 
@@ -323,7 +363,7 @@ def _cmd_gamma(args) -> int:
         + (" (torsion is zero)" if is_zero else ""),
         f"dim R/torsion = {dim}",
     ]
-    _emit(doc, lines, args)
+    _emit(lambda: doc, lines, args)
     return EXIT_OK
 
 
@@ -351,7 +391,7 @@ def _lynch_summary(rep: LynchReport, names) -> list[str]:
 
 def _verify_and_emit(field: FieldSpec, inst, names, args) -> int:
     rep = verify_instance(inst, field)
-    _emit(lynch_report_dict(rep, names), _lynch_summary(rep, names), args)
+    _emit(lambda: lynch_report_dict(rep, names), _lynch_summary(rep, names), args)
     return EXIT_OK if rep.all_claims_pass() else EXIT_VERIFICATION_FAILED
 
 
@@ -373,19 +413,21 @@ def _cmd_lynch_fixture(args) -> int:
 def _cmd_lynch_search(args) -> int:
     field = FieldSpec.parse(args.field or "Q")
     reports = search_family(args.max_d, field, guard=args.guard)
-    docs = [lynch_report_dict(rep, default_names(rep.instance.d)) for rep in reports]
     violated = sum(1 for r in reports if r.conjecture_violated)
     all_pass = all(r.all_claims_pass() for r in reports)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "report": "lynch-search",
-        "field": field.label(),
-        "max_d": args.max_d,
-        "instances": len(reports),
-        "violations": violated,
-        "all_claims_pass": all_pass,
-        "reports": docs,
-    }
+
+    def build() -> dict:
+        return {
+            "format_version": FORMAT_VERSION,
+            "report": "lynch-search",
+            "field": field.label(),
+            "max_d": args.max_d,
+            "instances": len(reports),
+            "violations": violated,
+            "all_claims_pass": all_pass,
+            "reports": [lynch_report_dict(r, default_names(r.instance.d)) for r in reports],
+        }
+
     lines = [
         f"{len(reports)} canonical instances with d <= {args.max_d}",
         f"claims pass on all instances: {all_pass}",
@@ -393,7 +435,7 @@ def _cmd_lynch_search(args) -> int:
         f"(exactly those with |Z| > |X|: "
         f"{violated == sum(1 for r in reports if r.instance.gap_formula > 0)})",
     ]
-    _emit(doc, lines, args)
+    _emit(build, lines, args)
     return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
 
 
@@ -405,13 +447,12 @@ def _oracle_instance(args) -> tuple[Instance, DegreeBox]:
 def _cmd_oracle_ranks(args) -> int:
     inst, box = _oracle_instance(args)
     rep = cech_ranks(inst.acting, box, inst.field, guard=args.guard)
-    doc = cech_report_dict(rep, inst.names)
     lines = [
         f"top nonvanishing index in box: {rep.top_nonvanishing} over {inst.field.label()}",
         f"nonzero slices: {rep.ranks.nonzero_count()}"
         f" of {rep.ranks.box.volume()} degrees",
     ]
-    _emit(doc, lines, args)
+    _emit(lambda: cech_report_dict(rep, inst.names), lines, args)
     return EXIT_OK
 
 
@@ -419,7 +460,6 @@ def _cmd_oracle_ann(args) -> int:
     inst, box = _oracle_instance(args)
     m = parse_monomial_text(args.monomial, inst.names)
     verdict = annihilation_check(m, inst.acting, args.i, box, inst.field, guard=args.guard)
-    doc = annihilation_dict(verdict, m, args.i, inst.names, inst.field)
     lines = [
         f"{m.pretty(inst.names)} on H^{args.i}: {verdict.verdict}"
         + (
@@ -429,7 +469,7 @@ def _cmd_oracle_ann(args) -> int:
         ),
         f"degrees checked: {verdict.degrees_checked}, coverage gaps: {verdict.coverage_gaps}",
     ]
-    _emit(doc, lines, args)
+    _emit(lambda: annihilation_dict(verdict, m, args.i, inst.names, inst.field), lines, args)
     return EXIT_OK
 
 

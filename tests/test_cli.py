@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -527,3 +528,71 @@ def test_profile_cmd_passes_output_and_exit_code_through(sw_file, capsys):
         code, out, err = _fresh_process("--top", "5", "--", *argv, script=script)
         assert (code, out) == run_cli(capsys, *argv)[:2]
         assert "tottime" in err
+
+
+_README = os.path.join(os.path.dirname(__file__), "golden", "instances", "readme.json")
+_LONG = "1" * 4301  # one digit past CPython's default int-string limit
+
+
+@pytest.mark.parametrize("content", [
+    b'{"vars": ["\xff"], "J": [], "a": []}',                      # not UTF-8
+    ('{"vars": ["x"], "J": [], "a": [{"x": %s}]}' % _LONG).encode(),       # exponent
+    ('{"vars": ["x"], "J": [], "a": [{"x": 1}], "box": {"lower": [-%s], "upper": [1]}}'
+     % _LONG).encode(),                                              # box bound
+], ids=["non-utf8", "long-exponent", "long-box-bound"])
+@pytest.mark.parametrize("command", [["cd"], ["gamma"], ["oracle", "ranks"]],
+                         ids=["cd", "gamma", "oracle-ranks"])
+def test_unreadable_instance_files_exit_2(tmp_path, capsys, content, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "--quiet", *command, str(path))
+    assert code == 2 and out == ""
+    assert "not valid UTF-8 JSON" in err
+
+
+def _write_readme_box(tmp_path, lo, hi):
+    with open(_README, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["box"] = {"lower": [lo] * 4, "upper": [hi] * 4}
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("form", ["file", "flag"])
+@pytest.mark.parametrize("mode", ["--quiet", "--pretty"])
+def test_a_box_volume_past_the_printable_limit_exits_3(tmp_path, capsys, form, mode):
+    # four widths of about 2 * 10^4000 make a volume of about 10^16000
+    bound = 10 ** 4000 - 1
+    if form == "file":
+        argv = [_write_readme_box(tmp_path, -bound, bound)]
+    else:
+        argv = [_README, f"--box=-{bound}:{bound}"]
+    code, out, err = run_cli(capsys, mode, "oracle", "ann", *argv, "--monomial", "z1",
+                             "--i", "2")
+    assert code == 3 and out == ""
+    assert "box volume has more than 4300 decimal digits" in err
+
+
+def test_a_box_volume_just_under_the_limit_writes_counts_that_read_back(tmp_path, capsys):
+    # widths of 10^1074 + 1 make a volume of 4297 digits
+    path = _write_readme_box(tmp_path, -(10 ** 1074), 0)
+    code, out, _ = run_cli(capsys, "--quiet", "oracle", "ann", path, "--monomial", "z1",
+                           "--i", "2")
+    assert code == 0
+    doc = json.loads(out)
+    width = 10 ** 1074 + 1
+    assert doc["degrees_checked"] + doc["coverage_gaps"] == width ** 4
+
+
+@pytest.mark.parametrize("mode, code", [("--pretty", 0), ("--quiet", 3), (None, 3)])
+def test_pretty_lists_no_degrees_so_skips_their_guard(capsys, mode, code):
+    argv = [mode] if mode else []
+    got, out, err = run_cli(capsys, *argv, "oracle", "ranks", _README, "--box=-60:60")
+    assert got == code
+    if code == 0:
+        assert out == ("top nonvanishing index in box: 2 over Q\n"
+                       "nonzero slices: 453720 of 214358881 degrees\n")
+    else:
+        assert out == ""
+        assert "453720 nonzero degrees exceed the guard" in err
