@@ -19,7 +19,9 @@ import time
 sys.path.insert(0, "tests")
 
 from topann.cech import DegreeBox, cech_ranks
+from topann.cli import natural, parse_box_text
 from topann.cohomdim import cohomological_dimension
+from topann.errors import GuardExceededError, InvalidInputError
 from topann.linalg import FieldSpec
 from topann.stanley_reisner import QuotientIdeal, QuotientRing
 
@@ -29,15 +31,26 @@ from test_acceptance import canonical_pairs, ideal_from_key
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-d", type=int, default=4)
-    parser.add_argument("--random", type=int, default=200)
-    parser.add_argument("--random-d", type=int, default=5)
+    parser.add_argument("--max-d", type=natural, default=4)
+    parser.add_argument("--random", type=natural, default=200)
+    parser.add_argument("--random-d", type=natural, default=5)
     parser.add_argument("--box", default="-3:1")
     parser.add_argument("--fields", default="Q,Fp:2")
-    parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--seed", type=natural, default=101)
     args = parser.parse_args()
+    try:
+        return check(args)
+    except InvalidInputError as exc:
+        print(f"error (invalid input): {exc}", file=sys.stderr)
+        return 2
+    except GuardExceededError as exc:
+        print(f"error (guard): {exc}", file=sys.stderr)
+        return 3
 
-    lo, hi = (int(t) for t in args.box.split(":"))
+
+def check(args) -> int:
+    bounds = parse_box_text(args.box, 1)
+    lo, hi = bounds.lower[0], bounds.upper[0]
     fields = [FieldSpec.parse(tok) for tok in args.fields.split(",")]
     mismatches = 0
     total = 0

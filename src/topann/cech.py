@@ -15,8 +15,9 @@ degree (Takayama's degree-wise formula).  So no box is walked degree by degree:
   b of each interval tuple, walking the tuples in lexicographic order.
   Checked degrees and coverage gaps are counted in closed form.
 
-`CECH_SWEEP_GUARD` bounds the patterns ranked, the interval tuples walked and
-the degrees listed, so cost follows those counts and never the box volume.
+`CECH_SWEEP_GUARD` bounds the generator subsets tabulated (2^t for t
+generators), the patterns ranked, the interval tuples walked and the degrees
+listed, so cost follows those counts and never the box volume.
 
 A slice is a complex on subsets sigma of the generators: the face family of
 its positive support (pos | W[sigma] a face, listed once per positive support)
@@ -37,7 +38,8 @@ from .monomial import Monomial, MonomialIdeal, VarSet, subset_unions, varset_mas
 from .stanley_reisner import QuotientIdeal, is_face
 
 CECH_GUARD_DEFAULT = 10
-# bounds the sign patterns ranked, the interval tuples walked and the degrees listed
+# bounds the generator subsets, the sign patterns ranked, the interval tuples
+# walked and the degrees listed
 CECH_SWEEP_GUARD = 200_000
 # CPython's default limit on converting an int to text: a box volume (and so
 # every count a report makes of its degrees) must stay below 10^BOX_VOLUME_DIGITS
@@ -127,6 +129,7 @@ class _SliceEngine:
         self.gens = gens
         self.t = len(gens)
         self.j_masks = [g.mask for g in ring.relations.gens]
+        _check_sweep(1 << self.t, "generator subsets")
         # W[sigma]: the union of the supports of the generators in sigma
         self.W = subset_unions([g.mask for g in gens])
         self._by_pos: dict[int, list[int]] = {}

@@ -130,6 +130,10 @@ def load_instance(path: str, field_override: str | None, box_override: str | Non
         # `parse_monomial_text` splits on these, so such a name could not be named
         if any(c in "*^·" or c.isspace() for c in name):
             raise InvalidInputError(f"variable name {name!r} holds '*', '^', '·' or whitespace")
+        try:
+            name.encode("utf-8")  # a lone surrogate could not be written in a summary
+        except UnicodeEncodeError as exc:
+            raise InvalidInputError(f"variable name {name!r} is not UTF-8 text") from exc
     d = len(names)
     guard_ambient(d)
     for key in ("J", "a"):
@@ -309,24 +313,25 @@ def _dump(x, nl: str) -> str:
 
 # ------------------------------------------------------------------- commands
 
-def _emit(build, summary_lines: list[str], args) -> None:
-    """Write the report that build() returns, unless --pretty, then the summary."""
+def _emit(build, summary, args) -> None:
+    """Write the report that build() returns, unless --pretty, then the summary
+    lines that summary() returns, unless --quiet."""
     chunks = []
     if not args.pretty:
         chunks.append(_dump(build(), "\n"))
-    if not args.quiet and summary_lines:
-        chunks.append("\n".join(summary_lines))
+    if not args.quiet:
+        chunks += summary()
     sys.stdout.write("\n".join(chunks) + "\n")
 
 
 def _cmd_cd(args) -> int:
     inst = load_instance(args.instance, args.field, None)
     rep = cohomological_dimension(inst.acting, inst.field)
-    lines = [f"cd = {rep.c} over {rep.field.label()}"] + [
-        f"  cd on R/({', '.join(varset_to_list(p, inst.names))}) = {v}"
-        for p, v in rep.per_prime
-    ]
-    _emit(lambda: cd_report_dict(rep, inst.names), lines, args)
+    _emit(lambda: cd_report_dict(rep, inst.names), lambda: [
+        f"cd = {rep.c} over {rep.field.label()}",
+        *(f"  cd on R/({', '.join(varset_to_list(p, inst.names))}) = {v}"
+          for p, v in rep.per_prime),
+    ], args)
     return EXIT_OK
 
 
@@ -334,14 +339,13 @@ def _cmd_ann_bounds(args) -> int:
     inst = load_instance(args.instance, args.field, None)
     rep = annihilator_bounds(inst.acting, inst.field)
     heights = height_report(rep, inst.ring)
-    lines = [
+    _emit(lambda: ann_report_dict(rep, heights, inst.names), lambda: [
         f"c = {rep.c} over {rep.field.label()}",
         f"lower bound (lift): {rep.lower.pretty(inst.names)} + J",
         "upper bound (lift): "
         + (f"{rep.upper.pretty(inst.names)} + J" if rep.upper is not None else "none found"),
         f"exact: {rep.exact} ({rep.exactness_reason})",
-    ]
-    _emit(lambda: ann_report_dict(rep, heights, inst.names), lines, args)
+    ], args)
     return EXIT_OK
 
 
@@ -350,20 +354,18 @@ def _cmd_gamma(args) -> int:
     lift = torsion_ideal(inst.acting)
     is_zero = lift == inst.ring.relations
     dim = krull_dim(lift)
-    doc = {
+    _emit(lambda: {
         "format_version": FORMAT_VERSION,
         "report": "torsion",
         "field": inst.field.label(),
         "torsion_lift": ideal_to_list(lift, inst.names),
         "torsion_is_zero": is_zero,
         "dim_modulo_torsion": dim,
-    }
-    lines = [
+    }, lambda: [
         f"torsion submodule lift: {lift.pretty(inst.names)}"
         + (" (torsion is zero)" if is_zero else ""),
         f"dim R/torsion = {dim}",
-    ]
-    _emit(lambda: doc, lines, args)
+    ], args)
     return EXIT_OK
 
 
@@ -391,7 +393,7 @@ def _lynch_summary(rep: LynchReport, names) -> list[str]:
 
 def _verify_and_emit(field: FieldSpec, inst, names, args) -> int:
     rep = verify_instance(inst, field)
-    _emit(lambda: lynch_report_dict(rep, names), _lynch_summary(rep, names), args)
+    _emit(lambda: lynch_report_dict(rep, names), lambda: _lynch_summary(rep, names), args)
     return EXIT_OK if rep.all_claims_pass() else EXIT_VERIFICATION_FAILED
 
 
@@ -428,14 +430,31 @@ def _cmd_lynch_search(args) -> int:
             "reports": [lynch_report_dict(r, default_names(r.instance.d)) for r in reports],
         }
 
-    lines = [
-        f"{len(reports)} canonical instances with d <= {args.max_d}",
-        f"claims pass on all instances: {all_pass}",
-        f"conjecture violated on {violated} instances "
-        f"(exactly those with |Z| > |X|: "
-        f"{violated == sum(1 for r in reports if r.instance.gap_formula > 0)})",
-    ]
-    _emit(build, lines, args)
+    def summary() -> list[str]:
+        """The gap table, one row per instance, above three totals."""
+        header = (
+            f"{'d':>2} {'|X|':>3} {'|Y|':>3} {'|Z|':>3} {'|Xp|':>4} {'|Yp|':>4} {'c':>2} "
+            f"{'dim R/G':>7} {'dim R/ann':>9} {'gap':>3} {'violated':>8} {'claims':>6}"
+        )
+        rows = [header, "-" * len(header)]
+        for r in reports:
+            inst = r.instance
+            rows.append(
+                f"{inst.d:>2} {len(inst.X):>3} {len(inst.Y):>3} {len(inst.Z):>3} "
+                f"{len(inst.Xp):>4} {len(inst.Yp):>4} {r.c:>2} "
+                f"{r.dim_modulo_torsion:>7} {r.dim_modulo_annihilator:>9} {r.gap:>3} "
+                f"{str(r.conjecture_violated):>8} "
+                f"{'all ok' if r.all_claims_pass() else 'FAIL':>6}"
+            )
+        return rows + [
+            f"{len(reports)} canonical instances with d <= {args.max_d}",
+            f"claims pass on all instances: {all_pass}",
+            f"conjecture violated on {violated} instances "
+            f"(exactly those with |Z| > |X|: "
+            f"{violated == sum(1 for r in reports if r.instance.gap_formula > 0)})",
+        ]
+
+    _emit(build, summary, args)
     return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
 
 
@@ -447,12 +466,10 @@ def _oracle_instance(args) -> tuple[Instance, DegreeBox]:
 def _cmd_oracle_ranks(args) -> int:
     inst, box = _oracle_instance(args)
     rep = cech_ranks(inst.acting, box, inst.field, guard=args.guard)
-    lines = [
+    _emit(lambda: cech_report_dict(rep, inst.names), lambda: [
         f"top nonvanishing index in box: {rep.top_nonvanishing} over {inst.field.label()}",
-        f"nonzero slices: {rep.ranks.nonzero_count()}"
-        f" of {rep.ranks.box.volume()} degrees",
-    ]
-    _emit(lambda: cech_report_dict(rep, inst.names), lines, args)
+        f"nonzero slices: {rep.ranks.nonzero_count()} of {rep.ranks.box.volume()} degrees",
+    ], args)
     return EXIT_OK
 
 
@@ -460,16 +477,11 @@ def _cmd_oracle_ann(args) -> int:
     inst, box = _oracle_instance(args)
     m = parse_monomial_text(args.monomial, inst.names)
     verdict = annihilation_check(m, inst.acting, args.i, box, inst.field, guard=args.guard)
-    lines = [
+    _emit(lambda: annihilation_dict(verdict, m, args.i, inst.names, inst.field), lambda: [
         f"{m.pretty(inst.names)} on H^{args.i}: {verdict.verdict}"
-        + (
-            f" at degree {list(verdict.witness_degree)}"
-            if verdict.witness_degree
-            else ""
-        ),
+        + (f" at degree {list(verdict.witness_degree)}" if verdict.witness_degree else ""),
         f"degrees checked: {verdict.degrees_checked}, coverage gaps: {verdict.coverage_gaps}",
-    ]
-    _emit(lambda: annihilation_dict(verdict, m, args.i, inst.names, inst.field), lines, args)
+    ], args)
     return EXIT_OK
 
 

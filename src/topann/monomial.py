@@ -29,8 +29,8 @@ class Monomial:
     def __post_init__(self) -> None:
         if not isinstance(self.exponents, tuple):
             object.__setattr__(self, "exponents", tuple(self.exponents))
-        if any(e < 0 for e in self.exponents):
-            raise InvalidInputError("monomial exponents must be nonnegative")
+        if not all(type(e) is int and e >= 0 for e in self.exponents):  # no bool or float
+            raise InvalidInputError("monomial exponents must be nonnegative ints")
 
     @classmethod
     def identity(cls, ambient: int) -> Monomial:

@@ -596,3 +596,83 @@ def test_pretty_lists_no_degrees_so_skips_their_guard(capsys, mode, code):
     else:
         assert out == ""
         assert "453720 nonzero degrees exceed the guard" in err
+
+
+def test_search_table_rows_are_read_from_the_json_reports(capsys):
+    code, table, _ = run_cli(capsys, "--pretty", "lynch", "search", "--max-d", "6")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "--quiet", "lynch", "search", "--max-d", "6")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    lines = table.splitlines()
+    assert lines[0].split() == ["d", "|X|", "|Y|", "|Z|", "|Xp|", "|Yp|", "c", "dim", "R/G",
+                                "dim", "R/ann", "gap", "violated", "claims"]
+    assert lines[1] == "-" * len(lines[0])
+    rows = lines[2:-3]
+    assert len(rows) == len(reports) == 20
+    for row, rep in zip(rows, reports):
+        params = rep["params"]
+        assert row.split() == [
+            str(params["d"]), *(str(len(params[k])) for k in ("X", "Y", "Z", "Xp", "Yp")),
+            str(rep["c"]), str(rep["dim_modulo_torsion"]), str(rep["dim_modulo_annihilator"]),
+            str(rep["gap"]), str(rep["violated"]), "all", "ok",
+        ]
+    assert sum(row.split()[10] == "True" for row in rows) == 12
+    assert lines[-1].startswith("conjecture violated on 12 instances")
+
+
+def test_quiet_builds_no_summary(sw_file, capsys, monkeypatch):
+    from topann.monomial import Monomial, MonomialIdeal
+
+    def refuse(*args):
+        raise AssertionError("a summary was built")
+
+    monkeypatch.setattr(Monomial, "pretty", refuse)
+    monkeypatch.setattr(MonomialIdeal, "pretty", refuse)
+    for argv in (["ann-bounds", sw_file], ["gamma", sw_file],
+                 ["lynch", "fixture", "singh-walther"]):
+        code, out, _ = run_cli(capsys, "--quiet", *argv)
+        assert code == 0
+        json.loads(out)
+        with pytest.raises(AssertionError, match="a summary was built"):
+            main(argv)
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", [None, "--pretty", "--quiet"])
+def test_variable_names_that_are_not_utf8_text_exit_2(tmp_path, capsys, mode):
+    path = tmp_path / "surrogate.json"
+    # json.dumps escapes the lone surrogate as \ud800, which json.load reads back
+    path.write_text(json.dumps({"vars": ["x\ud800", "y"], "J": [{"x\ud800": 1, "y": 1}],
+                                "a": [{"x\ud800": 1}]}))
+    code, out, err = run_cli(capsys, *([mode] if mode else []), "cd", str(path))
+    assert code == 2 and out == ""
+    assert "is not UTF-8 text" in err
+
+
+def test_a_generator_subset_table_past_the_sweep_guard_exits_3(tmp_path):
+    # 30 generators pass --guard 30, but their 2^30 subset unions would not
+    # fit in the 1 GiB this process is held to
+    from itertools import combinations, islice
+
+    names = [f"u{k}" for k in range(1, 21)]
+    path = tmp_path / "wide_a.json"
+    path.write_text(json.dumps({
+        "vars": names,
+        "J": [{n: 1 for n in names}],
+        "a": [{names[k]: 1 for k in c} for c in islice(combinations(range(20), 10), 30)],
+    }))
+    code, out, err = _fresh_process("--quiet", "oracle", "ranks", str(path), "--guard", "30",
+                                    "--box=0:0", timeout=60, preexec_fn=_limit_memory)
+    assert code == 3 and out == ""
+    assert "1073741824 generator subsets exceed the guard 200000" in err
+
+
+def test_cd_oracle_check_script_refuses_a_malformed_box():
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    code, out, err = _fresh_process("--box=x:1", script=str(root / "scripts" /
+                                    "run_cd_oracle_check.py"), cwd=str(root))
+    assert code == 2 and out == ""
+    assert "a box bound must be ASCII decimal digits" in err

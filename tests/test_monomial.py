@@ -293,6 +293,9 @@ def test_power_requires_positive_exponent():
 def test_public_constructor_refuses_negative_exponents():
     with pytest.raises(InvalidInputError, match="nonnegative"):
         Monomial((1, -1))
+    for exps in [(1.5, 0), (True, 0)]:
+        with pytest.raises(InvalidInputError, match="nonnegative ints"):
+            Monomial(exps)
     with pytest.raises(InvalidInputError, match="n >= 0"):
         mono(2, 0).power(-1)
     assert Monomial([1, 2]).exponents == (1, 2)
