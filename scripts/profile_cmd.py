@@ -16,12 +16,12 @@ import io
 import pstats
 import sys
 
-from topann.cli import main as topann_main
+from topann.cli import main as topann_main, natural
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--top", type=int, default=25, help="functions to list")
+    parser.add_argument("--top", type=natural, default=25, help="functions to list")
     parser.add_argument("argv", nargs=argparse.REMAINDER, help="-- then the topann arguments")
     args = parser.parse_args()
     argv = args.argv[1:] if args.argv[:1] == ["--"] else args.argv

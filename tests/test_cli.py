@@ -530,6 +530,17 @@ def test_profile_cmd_passes_output_and_exit_code_through(sw_file, capsys):
         assert "tottime" in err
 
 
+@pytest.mark.parametrize("top", ["٥", "+3", "1_0", "-2"])
+def test_profile_cmd_reads_top_by_the_integer_rule(top):
+    from pathlib import Path
+
+    script = str(Path(__file__).resolve().parents[1] / "scripts" / "profile_cmd.py")
+    code, out, err = _fresh_process(f"--top={top}", "--", "--quiet", "cd", _README,
+                                    script=script)
+    assert code == 2 and out == ""
+    assert "invalid natural value" in err
+
+
 _README = os.path.join(os.path.dirname(__file__), "golden", "instances", "readme.json")
 _LONG = "1" * 4301  # one digit past CPython's default int-string limit
 
@@ -667,12 +678,3 @@ def test_a_generator_subset_table_past_the_sweep_guard_exits_3(tmp_path):
     assert code == 3 and out == ""
     assert "1073741824 generator subsets exceed the guard 200000" in err
 
-
-def test_cd_oracle_check_script_refuses_a_malformed_box():
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[1]
-    code, out, err = _fresh_process("--box=x:1", script=str(root / "scripts" /
-                                    "run_cd_oracle_check.py"), cwd=str(root))
-    assert code == 2 and out == ""
-    assert "a box bound must be ASCII decimal digits" in err
