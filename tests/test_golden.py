@@ -1,8 +1,10 @@
 """Every golden report is reproduced byte for byte.
 
 The corpus under `tests/golden/` holds the README examples, both Lynch
-fixtures, `lynch search --max-d 6`, and `cd`, `ann-bounds` and `gamma` over Q
-and F_2 on instances whose Betti degrees are ranked on either complex.
+fixtures, `lynch search --max-d 6`, `cd`, `ann-bounds` and `gamma` over Q
+and F_2 on instances whose Betti degrees are ranked on either complex, and
+Cech oracle reports on ten generators with J = 0 (rp2) and on a J whose
+support misses some variables (cycle).
 """
 from __future__ import annotations
 
