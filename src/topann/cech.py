@@ -3,10 +3,18 @@
 The Cech complex on the minimal generators of radical(lift) computes the local
 cohomology of R = S/J with respect to the ideal.  Each Z^d-degree slice is a
 finite complex of vector spaces whose components are 0- or 1-dimensional
-localization pieces, and the slice depends only on the sign pattern of the
-degree (Takayama's degree-wise formula).  So no box is walked degree by degree:
+localization pieces, and the slice depends only on the sign pattern (neg, pos)
+of the degree (Takayama's degree-wise formula), and only on part of it:
 
-- `cech_ranks` ranks each sign pattern the box allows once (at most 3^d), and
+- pos is read only through the variables of J (supp J): a J generator lies
+  inside pos | W[sigma] iff it lies inside (pos & supp J) | W[sigma];
+- a neg that meets a variable outside every generator's support gives the
+  zero slice, since no W[sigma] holds it.
+
+So slices are built once per key (neg, pos & supp J), with one shared zero
+slice, and no box is walked degree by degree:
+
+- `cech_ranks` looks up each sign pattern the box allows once (at most 3^d), and
   `CechReport.ranks` maps degrees to ranks through their patterns.  Degrees are
   listed only by `DegreeRanks.nonzero`, each nonzero pattern as the product of
   its per-coordinate ranges.
@@ -116,7 +124,10 @@ def localization_piece(J: MonomialIdeal, W: VarSet, deg: tuple[int, ...]) -> int
 
 
 class _SliceEngine:
-    """Slice complexes of the Cech complex, cached by degree sign pattern."""
+    """Slice complexes of the Cech complex, cached by the part of the sign
+    pattern they read: (neg, pos & supp J), since the face test reads pos only
+    through J's variables, and one zero slice for every neg that meets a
+    variable outside all generators, since no W[sigma] holds such a neg."""
 
     def __init__(self, a: QuotientIdeal, field: FieldSpec, guard: int):
         ring = a.ring
@@ -132,6 +143,11 @@ class _SliceEngine:
         _check_sweep(1 << self.t, "generator subsets")
         # W[sigma]: the union of the supports of the generators in sigma
         self.W = subset_unions([g.mask for g in gens])
+        self._supp_j = 0
+        for m in self.j_masks:
+            self._supp_j |= m
+        # the variables outside every generator's support
+        self._outside = ((1 << ring.ambient) - 1) & ~self.W[-1]
         self._by_pos: dict[int, list[int]] = {}
         self._slices: dict[tuple[int, int], tuple] = {}
 
@@ -147,10 +163,15 @@ class _SliceEngine:
     def slice_complex(self, pat: tuple[int, int]):
         """Bases (lists of subset masks per cohomological index), the complex,
         with the sparse columns of `family_columns`, and its cohomology ranks."""
-        hit = self._slices.get(pat)
+        neg, pos = pat
+        if neg & self._outside:
+            neg, pos = self._outside, 0  # the shared zero slice
+        else:
+            pos &= self._supp_j
+        key = (neg, pos)
+        hit = self._slices.get(key)
         if hit is not None:
             return hit
-        neg, pos = pat
         W = self.W
         # the rule of `localization_piece`: neg inside W[sigma], pos | W[sigma] a face
         bases: list[list[int]] = [[] for _ in range(self.t + 1)]
@@ -163,7 +184,7 @@ class _SliceEngine:
             for i in range(self.t)
         )
         complex_ = VectorSpaceComplex(self.field, tuple(map(len, bases)), diffs)
-        hit = self._slices[pat] = (bases, complex_, cohomology_ranks(complex_))
+        hit = self._slices[key] = (bases, complex_, cohomology_ranks(complex_))
         return hit
 
     def ranks(self, pat: tuple[int, int]) -> tuple[int, ...]:

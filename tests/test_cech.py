@@ -356,6 +356,90 @@ def test_zero_induced_maps_between_nonzero_spaces_match_the_dense_reference():
     assert verdicts[True] >= 50 and verdicts[False] >= 50
 
 
+def _ring_with_idle_variables(rng, d):
+    """(ring, ideal) whose generators miss one or two variables and whose J,
+    zero a quarter of the time, is supported on a random proper subset."""
+    variables = list(range(1, d + 1))
+    outside = set(rng.sample(variables, rng.randint(1, 2)))
+    inside = [v for v in variables if v not in outside]
+    gens = [
+        Monomial.from_support(rng.sample(inside, rng.randint(1, min(3, len(inside)))), d)
+        for _ in range(rng.randint(1, 5))
+    ]
+    j_vars = rng.sample(variables, rng.randint(1, d - 1))
+    j_gens = [] if rng.random() < 0.25 else [
+        Monomial.from_support(rng.sample(j_vars, rng.randint(1, min(3, len(j_vars)))), d)
+        for _ in range(rng.randint(1, 3))
+    ]
+    ring = QuotientRing(d, minimalize(j_gens, d))
+    return ring, QuotientIdeal(ring, minimalize(gens, d))
+
+
+def test_slices_are_keyed_by_the_variables_they_read():
+    # the engine keys a slice by (neg, pos & supp J), and gives every neg that
+    # meets a variable outside all generators one zero slice; each request is
+    # checked against the dense slice of its raw pattern, together with a twin
+    # of the same key and the previous request, and the engine builds exactly
+    # one slice per distinct key
+    rng = random.Random(149)
+    seen = {"j-zero": 0, "pos-twins": 0, "zero-twins": 0, "nonzero-slices": 0}
+    nonzero_maps = 0
+    for _ in range(40):
+        d = rng.randint(3, 6)
+        ring, a = _ring_with_idle_variables(rng, d)
+        supp_j = covered = 0
+        for g in ring.relations.gens:
+            supp_j |= g.mask
+        for g in a.radical_lift.gens:
+            covered |= g.mask
+        outside = [v for v in range(d) if not covered >> v & 1]
+        seen["j-zero"] += supp_j == 0
+
+        def key(b):
+            neg, pos = _sign_pattern(b)
+            return "zero" if neg & ~covered else (neg, pos & supp_j)
+
+        def twin(b):
+            if key(b) == "zero":
+                t = [rng.randint(-1, 1) for _ in range(d)]
+                t[rng.choice(outside)] = -1
+                return tuple(t)
+            return tuple(
+                rng.randint(0, 2) if x >= 0 and not supp_j >> v & 1 else x
+                for v, x in enumerate(b)
+            )
+
+        for field in (Q, F2):
+            engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+            requested = set()
+            previous = (0,) * d
+            for _ in range(12):
+                b = tuple(rng.randint(-1, 1) for _ in range(d))
+                c = twin(b)
+                assert key(b) == key(c)
+                pat1, pat2 = _sign_pattern(b), _sign_pattern(c)
+                if pat1 != pat2:
+                    seen["zero-twins" if key(b) == "zero" else "pos-twins"] += 1
+                requested.add(key(b))
+                for pat in (pat1, pat2):
+                    bases, complex_, ranks = engine.slice_complex(pat)
+                    dense_bases, _, dims, mats = orc.dense_slice(engine, pat)
+                    assert (bases, complex_.dims) == (dense_bases, dims)
+                    assert ranks == orc.dense_cohomology_ranks(dims, mats, field)
+                    seen["nonzero-slices"] += any(ranks)
+                pairs = ((pat1, pat2), (pat2, pat1), (_sign_pattern(previous), pat1))
+                requested.add(key(previous))
+                for p, q in pairs:
+                    for i in range(-1, engine.t + 2):
+                        zero = _induced_map_is_zero(engine, p, q, i)
+                        assert zero == orc.dense_induced_map_is_zero(engine, p, q, i)
+                        nonzero_maps += not zero
+                previous = b
+            assert len(engine._slices) == len(requested)
+    assert min(seen.values()) >= 5, seen
+    assert nonzero_maps >= 50
+
+
 def test_degree_ranks_is_a_read_only_mapping():
     inst, _ = fixture("singh-walther")
     box = DegreeBox((-2, -1, 0, 1), (1, 1, 2, 3))
