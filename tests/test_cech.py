@@ -392,7 +392,7 @@ def test_slices_are_keyed_by_the_variables_they_read():
             supp_j |= g.mask
         for g in a.radical_lift.gens:
             covered |= g.mask
-        outside = [v for v in range(d) if not covered >> v & 1]
+        uncovered = [v for v in range(d) if not covered >> v & 1]
         seen["j-zero"] += supp_j == 0
 
         def key(b):
@@ -402,7 +402,7 @@ def test_slices_are_keyed_by_the_variables_they_read():
         def twin(b):
             if key(b) == "zero":
                 t = [rng.randint(-1, 1) for _ in range(d)]
-                t[rng.choice(outside)] = -1
+                t[rng.choice(uncovered)] = -1
                 return tuple(t)
             return tuple(
                 rng.randint(0, 2) if x >= 0 and not supp_j >> v & 1 else x
