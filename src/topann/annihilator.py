@@ -30,6 +30,7 @@ from .monomial import (
     power,
     prime_intersection,
     variable_ideal,
+    varset_mask,
 )
 from .stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient, krull_dim
 
@@ -49,11 +50,14 @@ def torsion_ideal(a: QuotientIdeal) -> MonomialIdeal:
     lift, i.e. that miss the support of some generator.  Rejects ideals that
     are zero in the quotient (no such prime), whose torsion would be all of R.
     """
-    ring = a.ring
-    kept = [p for p in ring.minimal_primes if any(not g.support() & p for g in a.lift.gens)]
+    primes = a.ring.minimal_primes
+    kept = [
+        p for p, killed in zip(primes, map(varset_mask, primes))
+        if any(not g.mask & killed for g in a.lift.gens)
+    ]
     if not kept:
         raise InvalidInputError("ideal is zero in the quotient; torsion is everything")
-    return prime_intersection(kept, ring.ambient)
+    return prime_intersection(kept, a.ring.ambient)
 
 
 def localization_kernel(q: VarSet, ring: QuotientRing) -> MonomialIdeal:
@@ -111,7 +115,7 @@ def _witness_for(a: QuotientIdeal, p: VarSet, c: int) -> VarSet | None:
     "certified unequal".
     """
     d = a.ring.ambient
-    linear = {min(g.support()) for g in a.radical_lift.gens if g.degree == 1}
+    linear = {g.mask.bit_length() for g in a.radical_lift.gens if g.degree == 1}
     q = p | (frozenset(range(1, d + 1)) - linear)
     return q if len(q) == d - c else None
 

@@ -42,7 +42,7 @@ from math import prod
 
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks, eliminate, family_columns
-from .monomial import Monomial, MonomialIdeal, VarSet, subset_unions, varset_mask
+from .monomial import Monomial, MonomialIdeal, subset_unions
 from .stanley_reisner import QuotientIdeal, is_face
 
 CECH_GUARD_DEFAULT = 10
@@ -107,19 +107,18 @@ def _sign_pattern(deg: tuple[int, ...]) -> tuple[int, int]:
     return neg, pos
 
 
-def localization_piece(J: MonomialIdeal, W: VarSet, deg: tuple[int, ...]) -> int:
-    """Dimension (0 or 1) of the degree-deg piece of (S/J) localized at prod(W).
+def localization_piece(J: MonomialIdeal, w: int, deg: tuple[int, ...]) -> int:
+    """Dimension (0 or 1) of the degree-deg piece of (S/J) localized at u^w.
 
     The piece is spanned by the Laurent monomial u^deg; it survives iff the
-    negative support of deg sits inside W and the union of W with the positive
-    support is a face of the Stanley-Reisner complex of J.
+    negative support of deg sits inside the variable bitmask w and w joined with
+    the positive support is a face of the Stanley-Reisner complex of J.
     """
     if not J.is_squarefree() or J.is_unit():
         raise InvalidInputError("localization pieces need a squarefree proper ideal")
     if len(deg) != J.ambient:
         raise InvalidInputError("degree vector has the wrong length")
     neg, pos = _sign_pattern(deg)
-    w = varset_mask(W)
     return int(not neg & ~w and is_face(pos | w, [g.mask for g in J.gens]))
 
 

@@ -166,7 +166,7 @@ def parse_box_text(text: str, d: int) -> DegreeBox:
     if len(bounds) != 2:
         raise InvalidInputError(f"cannot parse box {text!r}; use lo:hi")
     lo, hi = (parse_int(b, "a box bound", signed=True) for b in bounds)
-    return DegreeBox((lo,) * d, (hi,) * d)
+    return DegreeBox.uniform(d, lo, hi)
 
 
 def cd_report_dict(rep: CdReport, names) -> dict:
@@ -338,8 +338,7 @@ def _cmd_cd(args) -> int:
 def _cmd_ann_bounds(args) -> int:
     inst = load_instance(args.instance, args.field, None)
     rep = annihilator_bounds(inst.acting, inst.field)
-    heights = height_report(rep, inst.ring)
-    _emit(lambda: ann_report_dict(rep, heights, inst.names), lambda: [
+    _emit(lambda: ann_report_dict(rep, height_report(rep, inst.ring), inst.names), lambda: [
         f"c = {rep.c} over {rep.field.label()}",
         f"lower bound (lift): {rep.lower.pretty(inst.names)} + J",
         "upper bound (lift): "

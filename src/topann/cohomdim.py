@@ -20,7 +20,6 @@ from .monomial import (
     Monomial,
     MonomialIdeal,
     VarSet,
-    mask_varset,
     subset_unions,
     varset_mask,
 )
@@ -31,16 +30,16 @@ HOCHSTER_GUARD = 14
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Nonzero graded Betti numbers beta_{i, sigma} of S/I at squarefree degrees."""
+    """Nonzero Betti numbers beta_{i, sigma} of S/I, as sorted (i, sigma mask, beta) triples."""
 
     field: FieldSpec
     ambient: int
-    entries: tuple[tuple[int, VarSet, int], ...]
+    entries: tuple[tuple[int, int, int], ...]
 
     def projective_dimension(self) -> int:
         return max(i for i, _, _ in self.entries)
 
-    def as_dict(self) -> dict[tuple[int, VarSet], int]:
+    def as_dict(self) -> dict[tuple[int, int], int]:
         return {(i, s): v for i, s, v in self.entries}
 
 
@@ -95,8 +94,8 @@ def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
     Each degree sigma of the lcm lattice is ranked on the smaller of its two
     complexes (see `_degree_betti`): the crosscut complex on the m generators
     below sigma when m < |sigma|, else Hochster's restriction to the |sigma|
-    vertices.  A degree costs 2^min(m, |sigma|) face tests.  Supports are
-    variable bitmasks (`Monomial.mask`).
+    vertices.  A degree costs 2^min(m, |sigma|) face tests.  Supports and
+    degrees are variable bitmasks (`Monomial.mask`).
     """
     if not ideal.is_squarefree():
         raise InvalidInputError("Betti numbers here need a squarefree ideal")
@@ -111,10 +110,9 @@ def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
     for sigma in _lcm_support_closure(supports):
         below = [s for s in supports if not s & ~sigma]
         crosscut = len(below) < sigma.bit_count()
-        verts = mask_varset(sigma)
         for i, h in _degree_betti(sigma, below, field, crosscut).items():
-            entries.append((i, verts, h))
-    entries.sort(key=lambda e: (e[0], len(e[1]), sorted(e[1])))
+            entries.append((i, sigma, h))
+    entries.sort()
     return BettiTable(field, ideal.ambient, tuple(entries))
 
 

@@ -143,7 +143,7 @@ def brute_minimal_covers(edges, d):
 def koszul_tor_table(ideal: MonomialIdeal, field: FieldSpec):
     """Graded Betti numbers of S/I as Koszul homology, a route independent of
     Hochster's formula: tensor the Koszul complex on all variables with S/I and
-    take ranks in each squarefree multidegree."""
+    take ranks in each squarefree multidegree, keyed (i, sigma mask)."""
     d = ideal.ambient
     table = {}
     for smask in range(1 << d):
@@ -174,7 +174,7 @@ def koszul_tor_table(ideal: MonomialIdeal, field: FieldSpec):
         for i in range(len(sigma) + 1):
             h = len(bases[i]) - boundary_rank.get(i, 0) - boundary_rank.get(i + 1, 0)
             if h:
-                table[(i, sigma)] = h
+                table[(i, smask)] = h
     return table
 
 
@@ -452,7 +452,7 @@ def dense_homology_ranks_of_faces(faces, field: FieldSpec) -> dict[int, int]:
 
 def dense_betti_table(ideal: MonomialIdeal, field: FieldSpec):
     """Hochster's formula on every subset sigma of the variables, with tuple
-    faces and dense boundary matrices: {(i, sigma): beta} for nonzero beta."""
+    faces and dense boundary matrices: {(i, sigma mask): beta} for nonzero beta."""
     d = ideal.ambient
     supports = [g.support() for g in ideal.gens]
     table = {}
@@ -467,5 +467,5 @@ def dense_betti_table(ideal: MonomialIdeal, field: FieldSpec):
         ]
         for dim, h in dense_homology_ranks_of_faces(faces, field).items():
             if h:
-                table[(len(sigma) - dim - 1, sigma)] = h
+                table[(len(sigma) - dim - 1, smask)] = h
     return table

@@ -650,6 +650,22 @@ def test_quiet_builds_no_summary(sw_file, capsys, monkeypatch):
         capsys.readouterr()
 
 
+def test_pretty_ann_bounds_computes_no_heights(capsys, monkeypatch):
+    import topann.cli as cli
+
+    code, summary, _ = run_cli(capsys, "--pretty", "ann-bounds", _README)
+    assert code == 0 and summary.startswith("c = ")
+
+    def refuse(*args):
+        raise AssertionError("heights were computed")
+
+    monkeypatch.setattr(cli, "height_report", refuse)
+    assert run_cli(capsys, "--pretty", "ann-bounds", _README) == (0, summary, "")
+    with pytest.raises(AssertionError, match="heights were computed"):
+        main(["--quiet", "ann-bounds", _README])
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("mode", [None, "--pretty", "--quiet"])
 def test_variable_names_that_are_not_utf8_text_exit_2(tmp_path, capsys, mode):
     path = tmp_path / "surrogate.json"

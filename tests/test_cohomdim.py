@@ -57,17 +57,12 @@ def sw_ideal():
 
 def test_betti_of_two_variables_is_koszul():
     table = betti_numbers(ideal(2, (1, 0), (0, 1)), Q).as_dict()
-    assert table == {
-        (0, frozenset()): 1,
-        (1, frozenset({1})): 1,
-        (1, frozenset({2})): 1,
-        (2, frozenset({1, 2})): 1,
-    }
+    assert table == {(0, 0b00): 1, (1, 0b01): 1, (1, 0b10): 1, (2, 0b11): 1}
 
 
 def test_betti_of_principal_ideal():
     table = betti_numbers(ideal(2, (1, 1)), Q).as_dict()
-    assert table == {(0, frozenset()): 1, (1, frozenset({1, 2})): 1}
+    assert table == {(0, 0b00): 1, (1, 0b11): 1}
 
 
 def test_pd_examples():
@@ -100,7 +95,9 @@ def test_betti_equals_koszul_tor_on_random_ideals():
         if I.is_zero():
             continue
         for field in (Q, F2):
-            assert betti_numbers(I, field).as_dict() == orc.koszul_tor_table(I, field)
+            table = betti_numbers(I, field)
+            assert table.entries == tuple(sorted(table.entries))
+            assert table.as_dict() == orc.koszul_tor_table(I, field)
 
 
 def test_betti_koszul_exhaustive_small():
@@ -137,9 +134,8 @@ def _forced_table(I, field, crosscut):
     table = {}
     for sigma in cohomdim._lcm_support_closure(supports):
         below = [s for s in supports if not s & ~sigma]
-        verts = frozenset(v + 1 for v in range(I.ambient) if sigma >> v & 1)
         for i, h in cohomdim._degree_betti(sigma, below, field, crosscut and sigma != 0).items():
-            table[(i, verts)] = h
+            table[(i, sigma)] = h
     return table
 
 
