@@ -11,8 +11,8 @@ of the degree (Takayama's degree-wise formula), and only on part of it:
 - a neg that meets a variable outside every generator's support gives the
   zero slice, since no W[sigma] holds it.
 
-So slices are built once per key (neg, pos & supp J), with one shared zero
-slice, and no box is walked degree by degree:
+So slices are ranked once per key (neg, pos & supp J), with one shared zero
+slice, only their ranks are kept, and no box is walked degree by degree:
 
 - `cech_ranks` looks up each sign pattern the box allows once (at most 3^d), and
   `CechReport.ranks` maps degrees to ranks through their patterns.  Degrees are
@@ -122,11 +122,17 @@ def localization_piece(J: MonomialIdeal, w: int, deg: tuple[int, ...]) -> int:
     return int(not neg & ~w and is_face(pos | w, [g.mask for g in J.gens]))
 
 
+def _coboundary(members: list[list[int]], i: int) -> list[list[tuple[int, int]]]:
+    """Sparse columns of d_i on a slice's members, grouped by bit count."""
+    return family_columns({m: k for k, m in enumerate(members[i])}, members[i + 1])
+
+
 class _SliceEngine:
-    """Slice complexes of the Cech complex, cached by the part of the sign
-    pattern they read: (neg, pos & supp J), since the face test reads pos only
-    through J's variables, and one zero slice for every neg that meets a
-    variable outside all generators, since no W[sigma] holds such a neg."""
+    """Cech slices, built, checked and ranked once per key, which keeps only
+    their ranks.  The key is the part of the sign pattern a slice reads:
+    (neg, pos & supp J), since the face test reads pos only through J's
+    variables, and one zero slice for every neg that meets a variable outside
+    all generators, since no W[sigma] holds such a neg."""
 
     def __init__(self, a: QuotientIdeal, field: FieldSpec, guard: int):
         ring = a.ring
@@ -148,7 +154,7 @@ class _SliceEngine:
         # the variables outside every generator's support
         self._outside = ((1 << ring.ambient) - 1) & ~self.W[-1]
         self._by_pos: dict[int, list[int]] = {}
-        self._slices: dict[tuple[int, int], tuple] = {}
+        self._ranks: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def _face_family(self, pos: int) -> list[int]:
         """The subsets sigma with pos | W[sigma] a face, in increasing order."""
@@ -159,35 +165,26 @@ class _SliceEngine:
             self._by_pos[pos] = hit
         return hit
 
-    def slice_complex(self, pat: tuple[int, int]):
-        """Bases (lists of subset masks per cohomological index), the complex,
-        with the sparse columns of `family_columns`, and its cohomology ranks."""
+    def members(self, pat: tuple[int, int]) -> list[list[int]]:
+        """The slice's subset masks by bit count, cut from the cached face family by
+        the rule of `localization_piece`: neg inside W[sigma], pos | W[sigma] a face."""
         neg, pos = pat
-        if neg & self._outside:
-            neg, pos = self._outside, 0  # the shared zero slice
-        else:
-            pos &= self._supp_j
-        key = (neg, pos)
-        hit = self._slices.get(key)
-        if hit is not None:
-            return hit
-        W = self.W
-        # the rule of `localization_piece`: neg inside W[sigma], pos | W[sigma] a face
-        bases: list[list[int]] = [[] for _ in range(self.t + 1)]
-        for m in self._face_family(pos):
-            if not neg & ~W[m]:
-                bases[m.bit_count()].append(m)
-        positions = [{m: k for k, m in enumerate(b)} for b in bases]
-        diffs = tuple(
-            tuple(map(tuple, family_columns(positions[i], bases[i + 1])))
-            for i in range(self.t)
-        )
-        complex_ = VectorSpaceComplex(self.field, tuple(map(len, bases)), diffs)
-        hit = self._slices[key] = (bases, complex_, cohomology_ranks(complex_))
-        return hit
+        members: list[list[int]] = [[] for _ in range(self.t + 1)]
+        for m in self._face_family(pos & self._supp_j):
+            if not neg & ~self.W[m]:
+                members[m.bit_count()].append(m)
+        return members
 
     def ranks(self, pat: tuple[int, int]) -> tuple[int, ...]:
-        return self.slice_complex(pat)[2]
+        neg, pos = pat
+        key = (self._outside, 0) if neg & self._outside else (neg, pos & self._supp_j)
+        hit = self._ranks.get(key)
+        if hit is None:
+            members = self.members(key)
+            diffs = tuple(_coboundary(members, i) for i in range(self.t))
+            complex_ = VectorSpaceComplex(self.field, tuple(map(len, members)), diffs)
+            hit = self._ranks[key] = cohomology_ranks(complex_)
+        return hit
 
 
 def _sign_ranges(lo: int, hi: int) -> list[range]:
@@ -235,6 +232,8 @@ class DegreeRanks(Mapping):
         return self.box.degrees()
 
     def __len__(self) -> int:
+        """The box volume.  Python's len() raises OverflowError past sys.maxsize;
+        `box.volume()` and `nonzero_count()` have no such limit."""
         return self.box.volume()
 
     def nonzero_count(self) -> int:
@@ -347,28 +346,28 @@ def annihilation_check(
 def _induced_map_is_zero(engine: _SliceEngine, pat1, pat2, i: int) -> bool:
     """Is H^i(slice 1) -> H^i(slice 2) zero?  Decided from two ranks.
 
-    Multiplication f sends the basis element sigma of slice 1 to the same
-    sigma of slice 2 when slice 2 holds it, and to zero otherwise.  The cone
-    matrix (z, w) -> (d_i z, f z + d' w), with d' = d'_{i-1} of slice 2, has
-    a kernel that projects onto {z a cycle : f z a boundary}, with fibre
-    ker d'.  That space has dimension dim ker d_i - rank H^i(f), so the cone's
-    rank is rank d_i + rank d' + rank H^i(f).  Its rows of d_i come after the
-    shift = dims2[i] rows of slice 2, and `eliminate` pivots on the largest
-    row, so the pivots at or past the shift number the rank of those rows,
-    rank d_i: the map is zero iff the pivots below the shift number rank d'.
+    Multiplication f sends the member sigma of slice 1 to the same sigma of
+    slice 2 when slice 2 holds it, and to zero otherwise.  The cone matrix
+    (z, w) -> (d_i z, f z + d' w), with d' = d'_{i-1} of slice 2, has a kernel
+    that projects onto {z a cycle : f z a boundary}, with fibre ker d'.  That
+    space has dimension dim ker d_i - rank H^i(f), so the cone's rank is
+    rank d_i + rank d' + rank H^i(f).  `_coboundary` writes d_i on the
+    `members` of slice 1 and d' on those of slice 2.  The rows of d_i come
+    after the shift = len(members2[i]) rows of slice 2, and `eliminate` pivots
+    on the largest row, so the pivots at or past the shift number rank d_i:
+    the map is zero iff the pivots below the shift number rank d'.
     """
     if i < 0 or i > engine.t:
         return True
-    bases1, complex1, ranks1 = engine.slice_complex(pat1)
-    bases2, complex2, ranks2 = engine.slice_complex(pat2)
-    if ranks1[i] == 0 or ranks2[i] == 0:
+    if 0 in (engine.ranks(pat1)[i], engine.ranks(pat2)[i]):
         return True
-    to2, shift = {m: k for k, m in enumerate(bases2[i])}, complex2.dims[i]
-    d_i = complex1.differentials[i] if i < engine.t else [()] * complex1.dims[i]
-    boundary = list(complex2.differentials[i - 1]) if i > 0 else []
+    members1, members2 = engine.members(pat1), engine.members(pat2)
+    to2, shift = {m: k for k, m in enumerate(members2[i])}, len(members2[i])
+    d_i = _coboundary(members1, i) if i < engine.t else [()] * len(members1[i])
+    boundary = _coboundary(members2, i - 1) if i > 0 else []
     cone = boundary + [
         (((to2[s], 1),) if s in to2 else ()) + tuple((r + shift, v) for r, v in col)
-        for s, col in zip(bases1[i], d_i)
+        for s, col in zip(members1[i], d_i)
     ]
     below = sum(1 for r in eliminate(cone, engine.field) if r < shift)
     return below == len(eliminate(boundary, engine.field))

@@ -85,7 +85,7 @@ class FieldSpec:
         raise InvalidInputError(f"cannot parse field spec {text!r} (use Q or Fp:<prime>)")
 
 
-Column = tuple[tuple[int, int], ...]
+Column = Sequence[tuple[int, int]]
 
 
 def _combine(a: dict[int, int], s: int, b: dict[int, int], t: int, p: int) -> None:
@@ -143,13 +143,13 @@ class VectorSpaceComplex:
     """A bounded cochain complex of finite dimensional vector spaces.
 
     differentials[i] maps component i to component i+1 and is stored as
-    dims[i] sparse columns, each a tuple of (row, value) pairs with distinct
+    dims[i] sparse columns, each a sequence of (row, value) pairs with distinct
     rows below dims[i+1]; consecutive maps must compose to zero.
     """
 
     field: FieldSpec
     dims: tuple[int, ...]
-    differentials: tuple[tuple[Column, ...], ...]
+    differentials: tuple[Sequence[Column], ...]
 
     def __post_init__(self) -> None:
         if not self.dims:

@@ -1,6 +1,8 @@
 """The multigraded Cech oracle: pieces, slice ranks, annihilation action."""
 from __future__ import annotations
 
+import gc
+import os
 import random
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from topann.cech import (
     CECH_GUARD_DEFAULT,
     DegreeBox,
+    _coboundary,
     _induced_map_is_zero,
     _sign_pattern,
     _SliceEngine,
@@ -17,7 +20,8 @@ from topann.cech import (
 )
 from topann.cohomdim import betti_numbers, cohomological_dimension
 from topann.errors import GuardExceededError, InvalidInputError
-from topann.linalg import FieldSpec
+from topann.cli import load_instance
+from topann.linalg import FieldSpec, VectorSpaceComplex
 from topann.lynch import fixture
 from topann.monomial import Monomial, minimalize, power, radical, varset_mask
 from topann.stanley_reisner import QuotientIdeal, QuotientRing
@@ -304,12 +308,12 @@ def test_sparse_slices_match_the_dense_reference():
                 b = tuple(rng.randint(-2, 1) for _ in range(d))
                 target = tuple(x + rng.randint(0, 2) for x in b)
                 pat1, pat2 = _sign_pattern(b), _sign_pattern(target)
-                bases, complex_, _ = engine.slice_complex(pat1)
+                members = engine.members(pat1)
                 dense_bases, _, dims, mats = orc.dense_slice(engine, pat1)
-                assert (bases, complex_.dims) == (dense_bases, dims)
+                assert (members, tuple(map(len, members))) == (dense_bases, dims)
                 assert [
-                    orc.dense_rows(cols, dims[i + 1])
-                    for i, cols in enumerate(complex_.differentials)
+                    orc.dense_rows(_coboundary(members, i), dims[i + 1])
+                    for i in range(engine.t)
                 ] == mats
                 assert engine.ranks(pat1) == orc.dense_cohomology_ranks(dims, mats, field)
                 for i in range(-1, engine.t + 2):
@@ -422,9 +426,9 @@ def test_slices_are_keyed_by_the_variables_they_read():
                     seen["zero-twins" if key(b) == "zero" else "pos-twins"] += 1
                 requested.add(key(b))
                 for pat in (pat1, pat2):
-                    bases, complex_, ranks = engine.slice_complex(pat)
+                    members, ranks = engine.members(pat), engine.ranks(pat)
                     dense_bases, _, dims, mats = orc.dense_slice(engine, pat)
-                    assert (bases, complex_.dims) == (dense_bases, dims)
+                    assert (members, tuple(map(len, members))) == (dense_bases, dims)
                     assert ranks == orc.dense_cohomology_ranks(dims, mats, field)
                     seen["nonzero-slices"] += any(ranks)
                 pairs = ((pat1, pat2), (pat2, pat1), (_sign_pattern(previous), pat1))
@@ -435,9 +439,31 @@ def test_slices_are_keyed_by_the_variables_they_read():
                         assert zero == orc.dense_induced_map_is_zero(engine, p, q, i)
                         nonzero_maps += not zero
                 previous = b
-            assert len(engine._slices) == len(requested)
+            assert len(engine._ranks) == len(requested)
     assert min(seen.values()) >= 5, seen
     assert nonzero_maps >= 50
+
+
+def _live_complexes():
+    gc.collect()
+    return sum(isinstance(o, VectorSpaceComplex) for o in gc.get_objects())
+
+
+def test_slice_engine_keeps_only_ranks():
+    # a ranked slice keeps its cohomology ranks and nothing else: no complex,
+    # member list or differential outlives the call that ranked it
+    path = os.path.join(os.path.dirname(__file__), "golden", "instances", "cycle.json")
+    inst = load_instance(path, None, "-1:1")
+    before = _live_complexes()
+    engine = _SliceEngine(inst.acting, inst.field, CECH_GUARD_DEFAULT)
+    for deg in inst.box.degrees():
+        engine.ranks(_sign_pattern(deg))
+    assert _live_complexes() == before
+    assert len(engine._ranks) > 100
+    assert all(
+        type(ranks) is tuple and all(type(r) is int for r in ranks)
+        for ranks in engine._ranks.values()
+    )
 
 
 def test_degree_ranks_is_a_read_only_mapping():
