@@ -32,6 +32,15 @@ its positive support (pos | W[sigma] a face, listed once per positive support)
 cut to the sigma whose union of supports W[sigma] holds its negative support.
 Its differentials are the signed columns of `linalg.family_columns`, ranked
 by `linalg.eliminate`.
+
+Only Lyubeznik-admissible sigma are listed (Lyubeznik 1988, "A new explicit
+finite free resolution of ideals generated by monomials"): in generator order,
+no g_q with q < i_k lies inside W[{i_k, ..., i_p}], for any k.  They are closed
+under subsets, so the rest F - L of a slice F is a subcomplex with quotient
+L & F, and F - L is acyclic: the Morse matching of Batzies and Welker 2002
+("Discrete Morse theory for cellular resolutions") keeps W, has them as its
+critical cells, and restricts to a slice, a union of W-fibres.  Multiplying by
+a monomial sends sigma to sigma or 0, so induced maps commute with the cut.
 """
 from __future__ import annotations
 
@@ -132,7 +141,8 @@ class _SliceEngine:
     their ranks.  The key is the part of the sign pattern a slice reads:
     (neg, pos & supp J), since the face test reads pos only through J's
     variables, and one zero slice for every neg that meets a variable outside
-    all generators, since no W[sigma] holds such a neg."""
+    all generators, since no W[sigma] holds such a neg.  A slice keeps only its
+    admissible members, of the same cohomology (Lyubeznik; Batzies-Welker)."""
 
     def __init__(self, a: QuotientIdeal, field: FieldSpec, guard: int):
         ring = a.ring
@@ -147,7 +157,14 @@ class _SliceEngine:
         self.j_masks = [g.mask for g in ring.relations.gens]
         _check_sweep(1 << self.t, "generator subsets")
         # W[sigma]: the union of the supports of the generators in sigma
-        self.W = subset_unions([g.mask for g in gens])
+        g_masks = [g.mask for g in gens]
+        self.W = subset_unions(g_masks)
+        # admissible sigma: the tails of sigma minus its lowest index are, and its own
+        adm = [True] * (1 << self.t)
+        for m in range(1, 1 << self.t):
+            low = (m & -m).bit_length() - 1
+            adm[m] = adm[m & (m - 1)] and all(g & ~self.W[m] for g in g_masks[:low])
+        self._admissible = [m for m, ok in enumerate(adm) if ok]
         self._supp_j = 0
         for m in self.j_masks:
             self._supp_j |= m
@@ -157,11 +174,11 @@ class _SliceEngine:
         self._ranks: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def _face_family(self, pos: int) -> list[int]:
-        """The subsets sigma with pos | W[sigma] a face, in increasing order."""
+        """The admissible sigma with pos | W[sigma] a face, in increasing order."""
         hit = self._by_pos.get(pos)
         if hit is None:
             W, j_masks = self.W, self.j_masks
-            hit = [m for m in range(1 << self.t) if is_face(pos | W[m], j_masks)]
+            hit = [m for m in self._admissible if is_face(pos | W[m], j_masks)]
             self._by_pos[pos] = hit
         return hit
 

@@ -214,7 +214,7 @@ def family_columns(cols: Mapping[int, int], rows: Iterable[int]) -> list[list[tu
     the paths from s to s + {j, k} (j < k) through s + {j} and s + {k} carry
     opposite signs, and by convexity both are there if s and s + {j, k} are.
     A face family is a down-set, so convex; a Cech slice is an up-set
-    (neg inside W[sigma]) meeting a down-set (pos | W[sigma] a face).
+    (neg inside W[sigma]) meeting down-sets (faces, and admissible sigma).
     """
     columns: list[list[tuple[int, int]]] = [[] for _ in cols]
     for r, f in enumerate(rows):

@@ -9,7 +9,9 @@ the reference for the prime-intersection closed forms of `topann.annihilator`,
 and `intersect`, by pairwise lcms, is the reference for `prime_intersection`.
 The dense matrices (Bareiss and reduced row echelon form, dense slices, tuple
 faces) are the reference for the sparse elimination kernel of
-`topann.linalg`, and Koszul homology is ranked with them.
+`topann.linalg`, and Koszul homology is ranked with them.  `admissible`,
+Lyubeznik's condition tested from its definition, is the reference for the
+admissible-subset table of the Cech slice engine.
 """
 from __future__ import annotations
 
@@ -368,6 +370,34 @@ def dense_rows(cols, nrows):
         for r, v in col:
             rows[r][c] = v
     return rows
+
+
+def admissible(gens_masks, sigma: int) -> bool:
+    """Lyubeznik's condition on the generator subset sigma (a bitmask of
+    generator indices), from the definition: for every tail {i_k, ..., i_p}
+    of sigma = {i_1 < ... < i_p}, no generator g_q with q < i_k has its
+    support inside the union of the tail's supports."""
+    indices = [i for i in range(len(gens_masks)) if sigma >> i & 1]
+    for k in range(len(indices)):
+        tail = 0
+        for i in indices[k:]:
+            tail |= gens_masks[i]
+        for q in range(indices[k]):
+            if gens_masks[q] & ~tail == 0:
+                return False
+    return True
+
+
+def admissible_part(engine: _SliceEngine, bases, mats):
+    """The bases of a dense slice cut to their admissible members, and each
+    dense differential cut to the rows and columns of those members."""
+    masks = [g.mask for g in engine.gens]
+    keep = [[k for k, m in enumerate(b) if admissible(masks, m)] for b in bases]
+    cut_bases = [[b[k] for k in ks] for b, ks in zip(bases, keep)]
+    cut_mats = [
+        [[mat[r][c] for c in keep[i]] for r in keep[i + 1]] for i, mat in enumerate(mats)
+    ]
+    return cut_bases, cut_mats
 
 
 def dense_slice(engine: _SliceEngine, pat):

@@ -30,6 +30,7 @@ import _oracles as orc
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
+F3 = FieldSpec.prime_field(3)
 
 
 def ideal(d, *gens):
@@ -294,8 +295,9 @@ def test_pattern_sweep_matches_the_degree_sweep():
 
 def test_sparse_slices_match_the_dense_reference():
     # the sparse kernel against the dense matrices it replaces: every slice's
-    # bases and signed entries, its cohomology ranks, the verdict on the map
-    # induced by a monomial shift, and Hochster's Betti tables
+    # bases and signed entries (the admissible part of the dense slice), its
+    # cohomology ranks and the verdict on the map induced by a monomial shift
+    # (both from the whole dense slice), and Hochster's Betti tables
     rng = random.Random(139)
     verdicts = {True: 0, False: 0}
     for _ in range(150):
@@ -310,11 +312,12 @@ def test_sparse_slices_match_the_dense_reference():
                 pat1, pat2 = _sign_pattern(b), _sign_pattern(target)
                 members = engine.members(pat1)
                 dense_bases, _, dims, mats = orc.dense_slice(engine, pat1)
-                assert (members, tuple(map(len, members))) == (dense_bases, dims)
+                cut_bases, cut_mats = orc.admissible_part(engine, dense_bases, mats)
+                assert members == cut_bases
                 assert [
-                    orc.dense_rows(_coboundary(members, i), dims[i + 1])
+                    orc.dense_rows(_coboundary(members, i), len(members[i + 1]))
                     for i in range(engine.t)
-                ] == mats
+                ] == cut_mats
                 assert engine.ranks(pat1) == orc.dense_cohomology_ranks(dims, mats, field)
                 for i in range(-1, engine.t + 2):
                     zero = _induced_map_is_zero(engine, pat1, pat2, i)
@@ -383,7 +386,8 @@ def test_slices_are_keyed_by_the_variables_they_read():
     # the engine keys a slice by (neg, pos & supp J), and gives every neg that
     # meets a variable outside all generators one zero slice; each request is
     # checked against the dense slice of its raw pattern, together with a twin
-    # of the same key and the previous request, and the engine builds exactly
+    # of the same key and the previous request (members against its admissible
+    # part, ranks and verdicts against all of it), and the engine builds exactly
     # one slice per distinct key
     rng = random.Random(149)
     seen = {"j-zero": 0, "pos-twins": 0, "zero-twins": 0, "nonzero-slices": 0}
@@ -428,7 +432,7 @@ def test_slices_are_keyed_by_the_variables_they_read():
                 for pat in (pat1, pat2):
                     members, ranks = engine.members(pat), engine.ranks(pat)
                     dense_bases, _, dims, mats = orc.dense_slice(engine, pat)
-                    assert (members, tuple(map(len, members))) == (dense_bases, dims)
+                    assert members == orc.admissible_part(engine, dense_bases, mats)[0]
                     assert ranks == orc.dense_cohomology_ranks(dims, mats, field)
                     seen["nonzero-slices"] += any(ranks)
                 pairs = ((pat1, pat2), (pat2, pat1), (_sign_pattern(previous), pat1))
@@ -442,6 +446,100 @@ def test_slices_are_keyed_by_the_variables_they_read():
             assert len(engine._ranks) == len(requested)
     assert min(seen.values()) >= 5, seen
     assert nonzero_maps >= 50
+
+
+def _overlapping_ring(rng):
+    """(ring, ideal) on 6 to 8 variables whose radical has 6 to 10 generators of
+    2 or 3 variables each; their supports overlap, so most generator subsets are
+    not admissible.  J is zero half the time."""
+    d = rng.randint(6, 8)
+    while True:
+        gens = minimalize([
+            Monomial.from_support(rng.sample(range(1, d + 1), rng.randint(2, 3)), d)
+            for _ in range(rng.randint(6, 12))
+        ], d)
+        if 6 <= len(gens.gens) <= 10:
+            break
+    j_gens = [] if rng.random() < 0.5 else [
+        Monomial.from_support(rng.sample(range(1, d + 1), rng.randint(3, 4)), d)
+        for _ in range(rng.randint(1, 2))
+    ]
+    ring = QuotientRing(d, minimalize(j_gens, d))
+    return ring, QuotientIdeal(ring, gens)
+
+
+def test_admissible_slices_match_the_unfiltered_dense_reference():
+    # each slice is ranked on its admissible members only; on rp2's generators
+    # and on rings where most generator subsets are not admissible, the members
+    # are the admissible part of the dense slice (by the definition in
+    # _oracles), and the ranks over Q, F_2 and F_3 and every induced-map verdict
+    # match the dense matrices of the whole slice
+    seen = {"slices": 0, "dropped": 0, "both-nonzero": 0, "zero-both-nonzero": 0}
+
+    def check(engine, pats, map_pairs):
+        for pat in pats:
+            members = engine.members(pat)
+            dense_bases, _, dims, mats = orc.dense_slice(engine, pat)
+            assert members == orc.admissible_part(engine, dense_bases, mats)[0]
+            assert engine.ranks(pat) == orc.dense_cohomology_ranks(dims, mats, engine.field)
+            seen["slices"] += 1
+            seen["dropped"] += sum(dims) - sum(map(len, members))
+        # a map with a zero end is zero on both sides once the ranks agree
+        for pat1, pat2 in map_pairs:
+            for i, (r1, r2) in enumerate(zip(engine.ranks(pat1), engine.ranks(pat2))):
+                if r1 and r2:
+                    zero = _induced_map_is_zero(engine, pat1, pat2, i)
+                    assert zero == orc.dense_induced_map_is_zero(engine, pat1, pat2, i)
+                    seen["both-nonzero"] += 1
+                    seen["zero-both-nonzero"] += zero
+
+    # rp2: 10 generators, 74 admissible subsets; its dense slices are large, so
+    # only a few patterns and one map
+    path = os.path.join(os.path.dirname(__file__), "golden", "instances", "rp2.json")
+    a = load_instance(path, None, "-1:1").acting
+    top, corner = _sign_pattern((-1,) * 6), _sign_pattern((-1,) * 5 + (0,))
+    check(_SliceEngine(a, Q, CECH_GUARD_DEFAULT), [top], [])
+    for field in (F2, F3):
+        engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+        pats = [top, corner, _sign_pattern((-1, -1, -1, 0, 0, 1))]
+        check(engine, pats, [(top, corner)])
+    assert _SliceEngine(a, F2, CECH_GUARD_DEFAULT).ranks(top)[3:5] == (1, 1)
+
+    rng = random.Random(157)
+    for _ in range(16):
+        ring, a = _overlapping_ring(rng)
+        d = ring.ambient
+        for field in (Q, F2, F3):
+            engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+            pats = sorted({
+                _sign_pattern(tuple(rng.choice((-1, -1, -1, 0, 1)) for _ in range(d)))
+                for _ in range(20)
+            })
+            live = [pat for pat in pats if any(engine.ranks(pat))]
+            # every pair of live patterns that a monomial shift joins
+            pairs = [
+                (p, q) for p in live for q in live
+                if not q[0] & ~p[0] and not p[1] & ~q[1]
+            ]
+            check(engine, pats, pairs)
+    assert seen["slices"] >= 900 and seen["dropped"] >= 20_000, seen
+    assert seen["both-nonzero"] >= 200 and seen["zero-both-nonzero"] >= 1, seen
+
+
+def test_engine_lists_only_the_admissible_subsets():
+    # a work count no timing can give: the engine lists exactly the admissible
+    # generator subsets (by the definition in _oracles) of rp2 and cubics8, 10
+    # generators each, and the face family at pos = 0 holds only those
+    expected = {"rp2": (74, 74), "cubics8": (232, 232), "cubics8-fullj": (232, 205)}
+    for name, (admissible, family) in expected.items():
+        path = os.path.join(os.path.dirname(__file__), "golden", "instances", f"{name}.json")
+        inst = load_instance(path, None, "-1:1")
+        engine = _SliceEngine(inst.acting, inst.field, CECH_GUARD_DEFAULT)
+        masks = [g.mask for g in engine.gens]
+        listed = [s for s in range(1 << engine.t) if orc.admissible(masks, s)]
+        assert (engine.t, len(listed)) == (10, admissible)
+        assert engine._admissible == listed
+        assert len(engine._face_family(0)) == family
 
 
 def _live_complexes():
