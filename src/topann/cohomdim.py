@@ -6,9 +6,21 @@ degrees sigma of the lcm lattice, and each is a reduced homology rank of a
 small simplicial complex: the restriction of the Stanley-Reisner complex to
 sigma (Hochster), or the crosscut complex of the generators below sigma
 (Gasharov-Peeva-Welker), whichever has fewer vertices.  Both are face
-families of bitmasks, ranked by `linalg.homology_ranks_of_faces`.  Over a
-quotient R = S/J, cd is the maximum of cd on the associated prime quotients,
-each of which is again a polynomial ring.
+families of bitmasks, ranked by `linalg.homology_ranks_of_faces`.
+
+pd needs only the largest i, so `top_betti_degree` searches for it instead of
+building the whole table.  If beta_{i, sigma} != 0 then i <= min(m, |sigma|),
+where m is the number of generators below sigma.  The crosscut faces omit at
+least one of those m generators, since all of them join to sigma, so
+H~_{i-2} != 0 needs i - 2 <= m - 2.  Hochster's H~_{|sigma|-i-1} != 0 needs
+|sigma| - i - 1 >= -1.  The degrees are ranked in descending order of this
+bound, and the search stops at the first bound no larger than the best i found.
+Every degree left unranked then has no nonzero Betti number past that i, so the
+result is pd exactly, together with a degree that attains it.  `betti_numbers`
+still builds the whole table and is the reference for the search.
+
+Over a quotient R = S/J, cd is the maximum of cd on the associated prime
+quotients, each of which is again a polynomial ring.
 """
 from __future__ import annotations
 
@@ -88,15 +100,9 @@ def _degree_betti(sigma: int, below: list[int], field: FieldSpec, crosscut: bool
     return {sigma.bit_count() - dim - 1: h for dim, h in hom.items() if h}
 
 
-def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
-    """Graded Betti numbers of S/I for squarefree proper I.
-
-    Each degree sigma of the lcm lattice is ranked on the smaller of its two
-    complexes (see `_degree_betti`): the crosscut complex on the m generators
-    below sigma when m < |sigma|, else Hochster's restriction to the |sigma|
-    vertices.  A degree costs 2^min(m, |sigma|) face tests.  Supports and
-    degrees are variable bitmasks (`Monomial.mask`).
-    """
+def _lcm_lattice(ideal: MonomialIdeal) -> tuple[list[int], set[int]]:
+    """The generator supports of a squarefree proper I and the degrees of its
+    lcm lattice, after the input checks and the ambient guard."""
     if not ideal.is_squarefree():
         raise InvalidInputError("Betti numbers here need a squarefree ideal")
     if ideal.is_unit():
@@ -106,14 +112,58 @@ def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
             f"Betti enumeration: ambient {ideal.ambient} exceeds the guard {HOCHSTER_GUARD}"
         )
     supports = [g.mask for g in ideal.gens]
+    return supports, _lcm_support_closure(supports)
+
+
+def _below(sigma: int, supports: list[int]) -> list[int]:
+    """The generator supports inside sigma."""
+    return [s for s in supports if not s & ~sigma]
+
+
+def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
+    """Graded Betti numbers of S/I for squarefree proper I.
+
+    Each degree sigma of the lcm lattice is ranked on the smaller of its two
+    complexes (see `_degree_betti`): the crosscut complex on the m generators
+    below sigma when m < |sigma|, else Hochster's restriction to the |sigma|
+    vertices.  A degree costs 2^min(m, |sigma|) face tests, and min(m, |sigma|)
+    bounds every i with beta_{i, sigma} != 0, which `top_betti_degree` uses to
+    find pd without this whole table.  Supports and degrees are variable
+    bitmasks (`Monomial.mask`).
+    """
+    supports, degrees = _lcm_lattice(ideal)
     entries = []
-    for sigma in _lcm_support_closure(supports):
-        below = [s for s in supports if not s & ~sigma]
+    for sigma in degrees:
+        below = _below(sigma, supports)
         crosscut = len(below) < sigma.bit_count()
         for i, h in _degree_betti(sigma, below, field, crosscut).items():
             entries.append((i, sigma, h))
     entries.sort()
     return BettiTable(field, ideal.ambient, tuple(entries))
+
+
+def top_betti_degree(ideal: MonomialIdeal, field: FieldSpec) -> tuple[int, int]:
+    """(pd(S/I), sigma) for squarefree proper I, with beta_{pd, sigma} != 0.
+
+    Degrees are ranked in descending order of the bound min(m, |sigma|), ties
+    by sigma, and the search stops at the first bound no larger than the best
+    i found; sigma = 0 (beta_{0, 0} = 1) is the start.  The module docstring
+    says why this is exact.  Only (bound, sigma) is kept per degree, and the
+    supports below sigma are listed again when sigma is ranked.
+    """
+    supports, degrees = _lcm_lattice(ideal)
+    order = sorted(
+        (-min(len(_below(sigma, supports)), sigma.bit_count()), sigma) for sigma in degrees
+    )
+    pd, top = 0, 0
+    for neg_bound, sigma in order:
+        if -neg_bound <= pd:
+            break
+        below = _below(sigma, supports)
+        i = max(_degree_betti(sigma, below, field, len(below) < sigma.bit_count()), default=0)
+        if i > pd:
+            pd, top = i, sigma
+    return pd, top
 
 
 def _image_in_prime_quotient(a: QuotientIdeal, prime: VarSet) -> MonomialIdeal:
@@ -142,7 +192,7 @@ def cd_on_prime(a: QuotientIdeal, prime: VarSet, field: FieldSpec) -> int:
     image = _image_in_prime_quotient(a, prime)
     if image.is_zero():
         return 0
-    return betti_numbers(image, field).projective_dimension()
+    return top_betti_degree(image, field)[0]
 
 
 def grade_on_prime(a: QuotientIdeal, prime: VarSet) -> int | None:

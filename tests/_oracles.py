@@ -434,29 +434,59 @@ def dense_cohomology_ranks(dims, mats, field: FieldSpec):
     )
 
 
-def dense_induced_map_is_zero(engine: _SliceEngine, pat1, pat2, i: int) -> bool:
-    """Is H^i(slice 1) -> H^i(slice 2) zero?  Cycles from the dense kernel,
-    moved to slice 2 basis element by basis element, against the boundaries."""
-    if i < 0 or i > engine.t:
-        return True
-    field = engine.field
-    bases1, _, dims1, mats1 = dense_slice(engine, pat1)
-    _, positions2, dims2, mats2 = dense_slice(engine, pat2)
-    if (dense_cohomology_ranks(dims1, mats1, field)[i] == 0
-            or dense_cohomology_ranks(dims2, mats2, field)[i] == 0):
-        return True
-    cycles = dense_kernel_basis(mats1[i] if i < engine.t else [], field, dims1[i])
-    mapped = []
-    for vec in cycles:
-        out = [0] * dims2[i]
-        for c1, sm in enumerate(bases1[i]):
-            r2 = positions2[i].get(sm)
-            if r2 is not None:
-                out[r2] = vec[c1]
-        mapped.append(out)
-    boundary = mats2[i - 1] if i > 0 else [[] for _ in range(dims2[i])]
-    stacked = [list(boundary[r]) + [vec[r] for vec in mapped] for r in range(dims2[i])]
-    return dense_rank(stacked, field) == dense_rank(boundary, field)
+class DenseSlices:
+    """The dense slices of one engine, each built and ranked once per sign
+    pattern: the map checks ask for the same slice at every index i and in
+    many pairs.  It keeps at most MAX_PATTERNS slices and starts again when
+    full, so a long sweep cannot grow it without bound."""
+
+    MAX_PATTERNS = 1024
+
+    def __init__(self, engine: _SliceEngine):
+        self.engine = engine
+        self._entries: dict = {}
+
+    def _entry(self, pat):
+        entry = self._entries.get(pat)
+        if entry is None:
+            if len(self._entries) >= self.MAX_PATTERNS:
+                self._entries.clear()
+            dense = dense_slice(self.engine, pat)
+            _, _, dims, mats = dense
+            ranks = dense_cohomology_ranks(dims, mats, self.engine.field)
+            entry = self._entries[pat] = (dense, ranks)
+        return entry
+
+    def slice(self, pat):
+        """`dense_slice(engine, pat)`; callers must not change it."""
+        return self._entry(pat)[0]
+
+    def ranks(self, pat):
+        """The cohomology ranks of the dense slice."""
+        return self._entry(pat)[1]
+
+    def induced_map_is_zero(self, pat1, pat2, i: int) -> bool:
+        """Is H^i(slice 1) -> H^i(slice 2) zero?  Cycles from the dense kernel,
+        moved to slice 2 basis element by basis element, against the
+        boundaries."""
+        engine = self.engine
+        if i < 0 or i > engine.t or self.ranks(pat1)[i] == 0 or self.ranks(pat2)[i] == 0:
+            return True
+        field = engine.field
+        bases1, _, dims1, mats1 = self.slice(pat1)
+        _, positions2, dims2, mats2 = self.slice(pat2)
+        cycles = dense_kernel_basis(mats1[i] if i < engine.t else [], field, dims1[i])
+        mapped = []
+        for vec in cycles:
+            out = [0] * dims2[i]
+            for c1, sm in enumerate(bases1[i]):
+                r2 = positions2[i].get(sm)
+                if r2 is not None:
+                    out[r2] = vec[c1]
+            mapped.append(out)
+        boundary = mats2[i - 1] if i > 0 else [[] for _ in range(dims2[i])]
+        stacked = [list(boundary[r]) + [vec[r] for vec in mapped] for r in range(dims2[i])]
+        return dense_rank(stacked, field) == dense_rank(boundary, field)
 
 
 def dense_homology_ranks_of_faces(faces, field: FieldSpec) -> dict[int, int]:

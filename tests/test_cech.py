@@ -306,22 +306,23 @@ def test_sparse_slices_match_the_dense_reference():
         a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d, max_gens=6))
         for field in (Q, F2):
             engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+            dense = orc.DenseSlices(engine)
             for _ in range(6):
                 b = tuple(rng.randint(-2, 1) for _ in range(d))
                 target = tuple(x + rng.randint(0, 2) for x in b)
                 pat1, pat2 = _sign_pattern(b), _sign_pattern(target)
                 members = engine.members(pat1)
-                dense_bases, _, dims, mats = orc.dense_slice(engine, pat1)
+                dense_bases, _, _, mats = dense.slice(pat1)
                 cut_bases, cut_mats = orc.admissible_part(engine, dense_bases, mats)
                 assert members == cut_bases
                 assert [
                     orc.dense_rows(_coboundary(members, i), len(members[i + 1]))
                     for i in range(engine.t)
                 ] == cut_mats
-                assert engine.ranks(pat1) == orc.dense_cohomology_ranks(dims, mats, field)
+                assert engine.ranks(pat1) == dense.ranks(pat1)
                 for i in range(-1, engine.t + 2):
                     zero = _induced_map_is_zero(engine, pat1, pat2, i)
-                    assert zero == orc.dense_induced_map_is_zero(engine, pat1, pat2, i)
+                    assert zero == dense.induced_map_is_zero(pat1, pat2, i)
                     if 0 <= i <= engine.t and engine.ranks(pat1)[i] and engine.ranks(pat2)[i]:
                         verdicts[zero] += 1
         betti_ideal = orc.random_squarefree_ideal(rng, d, allow_zero=False)
@@ -345,6 +346,7 @@ def test_zero_induced_maps_between_nonzero_spaces_match_the_dense_reference():
         a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d, max_gens=6))
         for field in (Q, F2):
             engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+            dense = orc.DenseSlices(engine)
             live = [
                 (neg, pos)
                 for neg in range(1 << d)
@@ -358,7 +360,7 @@ def test_zero_induced_maps_between_nonzero_spaces_match_the_dense_reference():
                     for i, (r1, r2) in enumerate(zip(engine.ranks(pat1), engine.ranks(pat2))):
                         if r1 and r2:
                             zero = _induced_map_is_zero(engine, pat1, pat2, i)
-                            assert zero == orc.dense_induced_map_is_zero(engine, pat1, pat2, i)
+                            assert zero == dense.induced_map_is_zero(pat1, pat2, i)
                             verdicts[zero] += 1
     assert verdicts[True] >= 50 and verdicts[False] >= 50
 
@@ -419,6 +421,7 @@ def test_slices_are_keyed_by_the_variables_they_read():
 
         for field in (Q, F2):
             engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+            dense = orc.DenseSlices(engine)
             requested = set()
             previous = (0,) * d
             for _ in range(12):
@@ -431,16 +434,16 @@ def test_slices_are_keyed_by_the_variables_they_read():
                 requested.add(key(b))
                 for pat in (pat1, pat2):
                     members, ranks = engine.members(pat), engine.ranks(pat)
-                    dense_bases, _, dims, mats = orc.dense_slice(engine, pat)
+                    dense_bases, _, _, mats = dense.slice(pat)
                     assert members == orc.admissible_part(engine, dense_bases, mats)[0]
-                    assert ranks == orc.dense_cohomology_ranks(dims, mats, field)
+                    assert ranks == dense.ranks(pat)
                     seen["nonzero-slices"] += any(ranks)
                 pairs = ((pat1, pat2), (pat2, pat1), (_sign_pattern(previous), pat1))
                 requested.add(key(previous))
                 for p, q in pairs:
                     for i in range(-1, engine.t + 2):
                         zero = _induced_map_is_zero(engine, p, q, i)
-                        assert zero == orc.dense_induced_map_is_zero(engine, p, q, i)
+                        assert zero == dense.induced_map_is_zero(p, q, i)
                         nonzero_maps += not zero
                 previous = b
             assert len(engine._ranks) == len(requested)
@@ -477,11 +480,12 @@ def test_admissible_slices_match_the_unfiltered_dense_reference():
     seen = {"slices": 0, "dropped": 0, "both-nonzero": 0, "zero-both-nonzero": 0}
 
     def check(engine, pats, map_pairs):
+        dense = orc.DenseSlices(engine)
         for pat in pats:
             members = engine.members(pat)
-            dense_bases, _, dims, mats = orc.dense_slice(engine, pat)
+            dense_bases, _, dims, mats = dense.slice(pat)
             assert members == orc.admissible_part(engine, dense_bases, mats)[0]
-            assert engine.ranks(pat) == orc.dense_cohomology_ranks(dims, mats, engine.field)
+            assert engine.ranks(pat) == dense.ranks(pat)
             seen["slices"] += 1
             seen["dropped"] += sum(dims) - sum(map(len, members))
         # a map with a zero end is zero on both sides once the ranks agree
@@ -489,7 +493,7 @@ def test_admissible_slices_match_the_unfiltered_dense_reference():
             for i, (r1, r2) in enumerate(zip(engine.ranks(pat1), engine.ranks(pat2))):
                 if r1 and r2:
                     zero = _induced_map_is_zero(engine, pat1, pat2, i)
-                    assert zero == orc.dense_induced_map_is_zero(engine, pat1, pat2, i)
+                    assert zero == dense.induced_map_is_zero(pat1, pat2, i)
                     seen["both-nonzero"] += 1
                     seen["zero-both-nonzero"] += zero
 

@@ -1,6 +1,7 @@
 """Betti numbers, projective dimension, and cohomological dimension."""
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
 
@@ -8,13 +9,15 @@ import pytest
 
 from topann import cohomdim
 
+from topann.cli import main
 from topann.cohomdim import (
     betti_numbers,
     cd_on_prime,
     cohomological_dimension,
     grade_on_prime,
+    top_betti_degree,
 )
-from topann.errors import InvalidInputError
+from topann.errors import GuardExceededError, InvalidInputError
 from topann.linalg import FieldSpec
 from topann.monomial import Monomial, minimalize, radical, variable_ideal
 from topann.stanley_reisner import QuotientIdeal, QuotientRing
@@ -80,8 +83,6 @@ def test_betti_rejects_bad_input():
 
 
 def test_betti_ambient_guard():
-    from topann.errors import GuardExceededError
-
     wide = ideal(15, tuple([1] + [0] * 14))
     with pytest.raises(GuardExceededError, match="ambient 15 exceeds the guard 14"):
         betti_numbers(wide, Q)
@@ -133,7 +134,7 @@ def _forced_table(I, field, crosscut):
     supports = _supports(I)
     table = {}
     for sigma in cohomdim._lcm_support_closure(supports):
-        below = [s for s in supports if not s & ~sigma]
+        below = cohomdim._below(sigma, supports)
         for i, h in cohomdim._degree_betti(sigma, below, field, crosscut and sigma != 0).items():
             table[(i, sigma)] = h
     return table
@@ -179,6 +180,88 @@ def test_each_degree_is_ranked_on_the_smaller_complex(monkeypatch):
             smaller = "_crosscut_faces" if m < sigma.bit_count() else "_restricted_faces"
             assert side == smaller
         assert {side for side, _, _ in calls} == {"_crosscut_faces", "_restricted_faces"}
+
+
+# ------------------------------------------------------- top Betti degree
+
+def _seeded_ideals(rng, count):
+    """Squarefree proper ideals in 1 to 12 variables with 1 to 8 generators,
+    mostly of 1 to 4 variables each, so that pd spreads over its range."""
+    ideals = []
+    while len(ideals) < count:
+        d = rng.randint(1, 12)
+        largest = rng.choice((2, 3, 4, d))
+        gens = [
+            Monomial.from_support(rng.sample(range(1, d + 1), rng.randint(1, min(d, largest))), d)
+            for _ in range(rng.randint(1, 8))
+        ]
+        ideals.append(minimalize(gens, d))
+    return ideals
+
+
+def test_top_betti_degree_matches_the_whole_table():
+    # the bounded search against the whole table it replaces: pd, and a degree
+    # sigma with beta_{pd, sigma} != 0, over Q, F_2 and F_3 on seeded ideals
+    # and on rp2, whose pd is 4 over F_2 and 3 otherwise
+    rng = random.Random(211)
+    ideals = [rp2_ideal(), edge_ideal_of_complete_graph(7), J_SW] + _seeded_ideals(rng, 3_000)
+    pds = set()
+    for I in ideals:
+        for field in (Q, F2, F3):
+            table = betti_numbers(I, field)
+            pd, sigma = top_betti_degree(I, field)
+            assert pd == table.projective_dimension(), (I, field)
+            assert (pd, sigma) in table.as_dict(), (I, field)
+            pds.add(pd)
+    assert pds >= set(range(1, 7)), pds
+
+
+def test_top_betti_degree_ranks_few_degrees(monkeypatch):
+    # rp2's lcm lattice has 33 degrees, and the search ranks 7 of them: sigma =
+    # x1...x6 (bound 6) and the six degrees of 5 variables (bound 5); past them
+    # every bound is at most 3
+    ranked = []
+    original = cohomdim._degree_betti
+
+    def spy(sigma, below, field, crosscut):
+        ranked.append(sigma)
+        return original(sigma, below, field, crosscut)
+
+    monkeypatch.setattr(cohomdim, "_degree_betti", spy)
+    I = rp2_ideal()
+    lattice = cohomdim._lcm_support_closure([g.mask for g in I.gens])
+    for field, expected in ((Q, (3, 0b011111)), (F2, (4, 0b111111))):
+        ranked.clear()
+        assert top_betti_degree(I, field) == expected
+        assert len(ranked) == 7 < len(lattice) == 33
+        assert ranked[0] == 0b111111
+        assert {s.bit_count() for s in ranked[1:]} == {5}
+
+
+def test_cd_on_prime_does_not_build_the_betti_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("betti_numbers called")
+
+    monkeypatch.setattr(cohomdim, "betti_numbers", refuse)
+    ring = QuotientRing(6, minimalize([], 6))
+    assert cd_on_prime(QuotientIdeal(ring, rp2_ideal()), frozenset(), F2) == 4
+    assert cohomological_dimension(sw_ideal(), Q).c == 2
+
+
+def test_an_image_past_the_betti_guard_exits_3(tmp_path, capsys):
+    # J = 0 in 15 variables: the image on the zero prime has ambient 15
+    ring = QuotientRing(15, minimalize([], 15))
+    a = QuotientIdeal(ring, variable_ideal({1}, 15))
+    with pytest.raises(GuardExceededError, match="ambient 15 exceeds the guard 14"):
+        cd_on_prime(a, frozenset(), Q)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "vars": [f"x{k}" for k in range(1, 16)], "J": [], "a": [{"x1": 1}],
+    }))
+    code = main(["--quiet", "cd", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "ambient 15 exceeds the guard 14" in err
 
 
 # ------------------------------------------------------------------ cd
