@@ -16,12 +16,17 @@ slice, only their ranks are kept, and no box is walked degree by degree:
 
 - `cech_ranks` looks up each sign pattern the box allows once (at most 3^d), and
   `CechReport.ranks` maps degrees to ranks through their patterns.  Degrees are
-  listed only by `DegreeRanks.nonzero`, each nonzero pattern as the product of
-  its per-coordinate ranges.
+  listed only by `DegreeRanks._listing`, each nonzero pattern as the product of
+  its per-coordinate ranges, as sorted (degree, cell index) pairs: `nonzero`
+  pairs them with their ranks, and the CLI writes one text template per cell.
 - `annihilation_check` cuts the degrees b with b + deg(m) in the box into
   their sign intervals (at most 3 per coordinate) and tests only the smallest
   b of each interval tuple, walking the tuples in lexicographic order.
   Checked degrees and coverage gaps are counted in closed form.
+
+Both walks read the sign pattern of each cell from `_cell_patterns`, which
+sums per-coordinate shares over the same product of ranges, so that no degree
+is built per cell.
 
 `CECH_SWEEP_GUARD` bounds the generator subsets tabulated (2^t for t
 generators), the patterns ranked, the interval tuples walked and the degrees
@@ -44,9 +49,9 @@ a monomial sends sigma to sigma or 0, so induced maps commute with the cut.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import prod
 
 from .errors import GuardExceededError, InvalidInputError
@@ -214,6 +219,19 @@ def _sign_ranges(lo: int, hi: int) -> list[range]:
     return [r for r in parts if r]
 
 
+def _cell_patterns(
+    per_coord: list[list[range]], shift: Iterable[int]
+) -> Iterator[tuple[int, int]]:
+    """`_sign_pattern` of the smallest degree of each cell of product(*per_coord),
+    plus shift, in that order.  Each coordinate's share of a pattern, packed as
+    neg << d | pos, is summed over the same product and unpacked by divmod, so no
+    degree is built per cell."""
+    d = len(per_coord)
+    shares = [[(r[0] + s < 0) << (i + d) | (r[0] + s > 0) << i for r in rs]
+              for i, (rs, s) in enumerate(zip(per_coord, shift))]
+    return map(divmod, map(sum, product(*shares)), repeat(1 << d))
+
+
 def _lex_rank(deg: tuple[int, ...], lower: tuple[int, ...], widths) -> int:
     """Number of degrees before deg, in lexicographic order, in the box with
     these lower corners and widths (deg must lie in that box)."""
@@ -257,12 +275,20 @@ class DegreeRanks(Mapping):
         """Number of degrees with a nonzero rank, from the pattern multiplicities."""
         return sum(prod(r.stop - r.start for r in cell) for cell, _ in self._nonzero_cells)
 
+    def _listing(self) -> tuple[list[tuple[tuple[int, ...], int]], list[tuple[int, ...]]]:
+        """The degrees with a nonzero rank as sorted (degree, k) pairs, and the ranks
+        of each nonzero cell k, which the degree has."""
+        _check_sweep(self.nonzero_count(), "nonzero degrees")
+        pairs: list[tuple[tuple[int, ...], int]] = []
+        for k, (cell, _) in enumerate(self._nonzero_cells):
+            pairs += zip(product(*cell), repeat(k))
+        pairs.sort()
+        return pairs, [ranks for _, ranks in self._nonzero_cells]
+
     def nonzero(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Sorted (degree, ranks) pairs of the degrees with a nonzero rank."""
-        _check_sweep(self.nonzero_count(), "nonzero degrees")
-        return sorted(
-            (deg, ranks) for cell, ranks in self._nonzero_cells for deg in product(*cell)
-        )
+        pairs, cell_ranks = self._listing()
+        return [(deg, cell_ranks[k]) for deg, k in pairs]
 
 
 @dataclass(frozen=True)
@@ -293,8 +319,7 @@ def cech_ranks(
     by_pattern: dict[tuple[int, int], tuple[int, ...]] = {}
     nonzero_cells = []
     top = -1
-    for cell in product(*per_coord):
-        pat = _sign_pattern(tuple(r[0] for r in cell))
+    for cell, pat in zip(product(*per_coord), _cell_patterns(per_coord, repeat(0))):
         slice_ranks = engine.ranks(pat)
         by_pattern[pat] = slice_ranks
         if any(slice_ranks):
@@ -347,10 +372,11 @@ def annihilation_check(
     engine = _SliceEngine(a, field, guard)
     widths = box.widths()
     in_range = [max(0, w - s) for w, s in zip(widths, shift)]
-    for cell in product(*per_coord):
-        b = tuple(r[0] for r in cell)
-        target = tuple(x + s for x, s in zip(b, shift))
-        if not _induced_map_is_zero(engine, _sign_pattern(b), _sign_pattern(target), i):
+    walk = zip(product(*per_coord), _cell_patterns(per_coord, repeat(0)),
+               _cell_patterns(per_coord, shift))
+    for cell, pat, target in walk:
+        if not _induced_map_is_zero(engine, pat, target, i):
+            b = tuple(r[0] for r in cell)
             before = _lex_rank(b, box.lower, widths)
             checked_before = _lex_rank(b, box.lower, in_range)
             return AnnihilationVerdict(

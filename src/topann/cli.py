@@ -30,6 +30,7 @@ from .cech import (
     AnnihilationVerdict,
     CechReport,
     DegreeBox,
+    DegreeRanks,
     annihilation_check,
     cech_ranks,
 )
@@ -243,9 +244,8 @@ def lynch_report_dict(rep: LynchReport, names) -> dict:
 
 
 def cech_report_dict(rep: CechReport, names) -> dict:
-    nonzero = [
-        {"degree": list(deg), "ranks": list(ranks)} for deg, ranks in rep.ranks.nonzero()
-    ]
+    """The oracle report; `_dump` writes its "nonzero_slices" from `rep.ranks`, one
+    {"degree": [...], "ranks": [...]} object per nonzero degree, in sorted order."""
     return {
         "format_version": FORMAT_VERSION,
         "report": "cech-ranks",
@@ -253,7 +253,7 @@ def cech_report_dict(rep: CechReport, names) -> dict:
         "generators": [monomial_to_obj(g, names) for g in rep.generators],
         "box": {"lower": list(rep.box.lower), "upper": list(rep.box.upper)},
         "top_nonvanishing": rep.top_nonvanishing,
-        "nonzero_slices": nonzero,
+        "nonzero_slices": rep.ranks,
     }
 
 
@@ -278,9 +278,10 @@ def _dump(x, nl: str) -> str:
     """x in the bytes of the json module's dumps(x, sort_keys=True, indent=2).
 
     nl is the newline and indent of the line x starts on.  Reports hold only
-    dicts with str keys, lists, str, int, bool and None; any other type, as a
-    value or a key, raises TypeError.  A list of plain ints, which is most of
-    an oracle report, is joined in one call.
+    dicts with str keys, lists, str, int, bool and None, and the `DegreeRanks`
+    of an oracle report, written as `_dump_nonzero` says; any other type, as a
+    value or a key, raises TypeError.  A list of plain ints is joined in one
+    call.
     """
     t = type(x)
     if t is dict:
@@ -308,7 +309,27 @@ def _dump(x, nl: str) -> str:
         return "true"
     if x is False:
         return "false"
+    if t is DegreeRanks:
+        return _dump_nonzero(x, nl)
     raise TypeError(f"a report cannot hold {t.__name__} {x!r}")
+
+
+def _dump_nonzero(ranks: DegreeRanks, nl: str) -> str:
+    """The list of {"degree": list(deg), "ranks": list(r)} over the sorted
+    `ranks.nonzero()`, as `_dump` writes it, with no object built per degree.
+
+    Every degree of a nonzero cell has that cell's ranks, so each cell gets one
+    text template: its ranks already written, and a %d slot per coordinate of
+    the degree, at the indent the list's items start on.
+    """
+    pairs, cell_ranks = ranks._listing()
+    if not pairs:
+        return "[]"
+    item, inner = nl + "  ", nl + "    "
+    slots = ("," + inner + "  ").join(["%d"] * len(ranks.box.lower))
+    head = "{" + inner + '"degree": [' + inner + "  " + slots + inner + "]," + inner
+    templates = [head + '"ranks": ' + _dump(list(r), inner) + item + "}" for r in cell_ranks]
+    return "[" + item + ("," + item).join([templates[k] % deg for deg, k in pairs]) + nl + "]"
 
 
 # ------------------------------------------------------------------- commands

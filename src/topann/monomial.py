@@ -84,10 +84,6 @@ class Monomial:
     def gcd(self, other: Monomial) -> Monomial:
         return _trusted(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
 
-    def quotient_clipped(self, other: Monomial) -> Monomial:
-        """self / gcd(self, other): exponentwise subtraction clipped at 0."""
-        return _trusted(tuple(max(a - b, 0) for a, b in zip(self.exponents, other.exponents)))
-
     def power(self, n: int) -> Monomial:
         if n < 0:
             raise InvalidInputError("monomial power requires n >= 0")

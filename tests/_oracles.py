@@ -68,9 +68,14 @@ def intersect(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialIdeal:
     return acc
 
 
+def quotient_clipped(m: Monomial, n: Monomial) -> Monomial:
+    """m / gcd(m, n): exponentwise subtraction clipped at 0."""
+    return Monomial(tuple(max(a - b, 0) for a, b in zip(m.exponents, n.exponents)))
+
+
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """(I : m), generated by g / gcd(g, m) over the generators g."""
-    return minimalize((g.quotient_clipped(m) for g in ideal.gens), ideal.ambient)
+    return minimalize((quotient_clipped(g, m) for g in ideal.gens), ideal.ambient)
 
 
 def colon_by_ideal(ideal: MonomialIdeal, divisor: MonomialIdeal) -> MonomialIdeal:
@@ -111,7 +116,7 @@ def brute_power_member(f, I, n) -> bool:
         if k == 0:
             return True
         return any(
-            g.divides(current) and descend(current.quotient_clipped(g), k - 1)
+            g.divides(current) and descend(quotient_clipped(current, g), k - 1)
             for g in I.gens
         )
     return descend(f, n)

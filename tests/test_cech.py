@@ -4,6 +4,7 @@ from __future__ import annotations
 import gc
 import os
 import random
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from topann.cech import (
     _coboundary,
     _induced_map_is_zero,
     _sign_pattern,
+    _sign_ranges,
     _SliceEngine,
     annihilation_check,
     cech_ranks,
@@ -291,6 +293,49 @@ def test_pattern_sweep_matches_the_degree_sweep():
                 seen["gaps-before-witness"] += bool(v.witness_degree and v.coverage_gaps)
     assert seen["acts-nonzero"] >= 200 and seen["annihilates-in-box"] >= 200
     assert seen["gaps-before-witness"] >= 50
+
+
+def _span_box(rng, d):
+    """A box each of whose coordinates spans one, two or three sign ranges, and
+    the span counts."""
+    lower, upper, spans = [], [], []
+    for _ in range(d):
+        signs = rng.choice(((-1,), (0,), (1,), (-1, 0), (0, 1), (-1, 0, 1)))
+        lower.append(-rng.randint(1, 3) if signs[0] < 0 else signs[0])
+        upper.append(rng.randint(1, 2) if signs[-1] > 0 else signs[-1])
+        spans.append(len(signs))
+    return DegreeBox(tuple(lower), tuple(upper)), spans
+
+
+def test_cell_walk_sums_the_sign_pattern_of_each_cell():
+    # both walks sum per-coordinate shares of a cell's sign pattern: the keys
+    # of cech_ranks against _sign_pattern of each cell's first degree and of
+    # every degree, and annihilation_check against the per-degree sweep
+    rng = random.Random(2207)
+    spans = {1: 0, 2: 0, 3: 0}
+    verdicts = {"acts-nonzero": 0, "annihilates-in-box": 0}
+    for n in range(300):
+        d = rng.randint(1, 4)
+        ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+        a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d))
+        box, box_spans = _span_box(rng, d)
+        field = (Q, F2, F3)[n % 3]
+        rep = cech_ranks(a, box, field)
+        keys = list(rep.ranks._by_pattern)
+        cells = product(*(_sign_ranges(lo, hi) for lo, hi in zip(box.lower, box.upper)))
+        assert keys == [_sign_pattern(tuple(r[0] for r in cell)) for cell in cells]
+        assert keys == list(dict.fromkeys(map(_sign_pattern, box.degrees())))
+        live = sorted({i for r in rep.ranks._by_pattern.values() for i, x in enumerate(r) if x})
+        for _ in range(3):
+            m = _random_shift(rng, d)
+            i = rng.choice(live) if live and rng.random() < 0.9 else rng.randint(0, d)
+            v = annihilation_check(m, a, i, box, field)
+            got = (v.verdict, v.witness_degree, v.degrees_checked, v.coverage_gaps)
+            assert got == orc.sweep_annihilation(m, a, i, box, field), (box, m.exponents, i)
+            verdicts[v.verdict] += 1
+        for k in box_spans:
+            spans[k] += 1
+    assert min(spans.values()) >= 100 and min(verdicts.values()) >= 150, (spans, verdicts)
 
 
 def test_sparse_slices_match_the_dense_reference():

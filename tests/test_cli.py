@@ -6,8 +6,8 @@ import os
 
 import pytest
 
-from topann.cli import main, parse_monomial_text
-from topann.errors import InvalidInputError
+from topann.cli import load_instance, main, parse_monomial_text
+from topann.errors import GuardExceededError, InvalidInputError
 
 SW_INSTANCE = {
     "vars": ["x", "y", "z1", "z2"],
@@ -607,6 +607,27 @@ def test_pretty_lists_no_degrees_so_skips_their_guard(capsys, mode, code):
     else:
         assert out == ""
         assert "453720 nonzero degrees exceed the guard" in err
+
+
+def test_nonzero_degree_guard_has_one_home(monkeypatch, capsys):
+    # the guard on listed degrees sits in the listing that both nonzero() and
+    # the report writer read; --pretty lists nothing, so it never trips it
+    from topann import cech
+
+    inst = load_instance(_README, None, "-12:12")
+    ranks = cech.cech_ranks(inst.acting, inst.box, inst.field).ranks
+    n = ranks.nonzero_count()
+    message = f"Cech sweep: {n} nonzero degrees exceed the guard {n - 1}"
+    monkeypatch.setattr(cech, "CECH_SWEEP_GUARD", n - 1)
+    with pytest.raises(GuardExceededError, match=message):
+        ranks.nonzero()
+    for mode in (["--quiet"], []):
+        code, out, err = run_cli(capsys, *mode, "oracle", "ranks", _README, "--box=-12:12")
+        assert (code, out, err) == (3, "", f"error (guard): {message}\n")
+    code, out, _ = run_cli(capsys, "--pretty", "oracle", "ranks", _README, "--box=-12:12")
+    assert code == 0 and f"nonzero slices: {n} of 390625 degrees" in out
+    monkeypatch.setattr(cech, "CECH_SWEEP_GUARD", n)
+    assert len(ranks.nonzero()) == n
 
 
 def test_search_table_rows_are_read_from_the_json_reports(capsys):

@@ -312,7 +312,6 @@ def test_operations_build_the_same_monomials_as_the_constructor():
             (a * b, [x + y for x, y in zip(a.exponents, b.exponents)]),
             (a.lcm(b), [max(x, y) for x, y in zip(a.exponents, b.exponents)]),
             (a.gcd(b), [min(x, y) for x, y in zip(a.exponents, b.exponents)]),
-            (a.quotient_clipped(b), [max(x - y, 0) for x, y in zip(a.exponents, b.exponents)]),
             (a.squarefree_part(), [min(x, 1) for x in a.exponents]),
         ]
         for got, exps in pairs:

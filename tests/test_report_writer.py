@@ -1,12 +1,17 @@
-"""The report writer reproduces json.dumps(sort_keys=True, indent=2) byte for byte."""
+"""The report writer reproduces json.dumps(sort_keys=True, indent=2) byte for byte,
+also where it writes the oracle ranks array from per-cell templates."""
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
 
-from topann.cli import _dump
+from topann.cech import cech_ranks
+from topann.cli import _dump, cech_report_dict, ideal_to_list, load_instance, main
+
+import _oracles as orc
 
 # ASCII, quote, backslash, control characters, non-ASCII, astral and lone surrogates
 _CHARS = ["a", "Z", "0", " ", "/", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é",
@@ -57,3 +62,75 @@ def test_writer_matches_json_dumps_on_random_documents():
 def test_writer_refuses_what_no_report_holds(value):
     with pytest.raises(TypeError):
         _dump(value, "\n")
+
+
+# ------------------------------------------------------- the oracle ranks array
+
+_README = os.path.join(os.path.dirname(__file__), "golden", "instances", "readme.json")
+_FIELDS = ("Q", "Fp:2", "Fp:3")
+
+
+def _oracle_cases(tmp_path):
+    """(instance path, field, uniform box) of oracle ranks runs, None for the
+    file's own: random rings with 1 to 7 variables in boxes with some lo == hi
+    coordinates, a box that holds no cohomology, and multi-digit negative bounds."""
+    rng = random.Random(2206)
+    for n in range(140):
+        d = n % 7 + 1
+        names = [f"x{k}" for k in range(1, d + 1)]
+        lower, upper = [], []
+        for _ in range(d):
+            if rng.random() < 0.2:
+                lo = hi = rng.choice((-2, -1, 0, 0, 1))
+            else:  # cohomology needs degree 0 on the variables a leaves free
+                lo, hi = rng.randint(-3 if d < 5 else -2, 0), rng.randint(0, 1)
+            lower.append(lo)
+            upper.append(hi)
+        if n % 2:
+            a = orc.random_monomial_ideal(rng, d, max_gens=5)
+        else:
+            a = orc.random_squarefree_ideal(rng, d, allow_zero=False)
+        doc = {
+            "vars": names,
+            "J": ideal_to_list(orc.random_squarefree_ideal(rng, d), names),
+            "a": ideal_to_list(a, names),
+            "box": {"lower": lower, "upper": upper},
+        }
+        path = tmp_path / f"ring{n}.json"
+        path.write_text(json.dumps(doc))
+        yield str(path), _FIELDS[n % 3], None
+    # x is a nonzerodivisor and H^1_(x)(k[x]) lives in negative degrees only
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vars": ["x"], "J": [], "a": [{"x": 1}],
+                                "box": {"lower": [0], "upper": [3]}}))
+    yield str(path), None, None
+    for field in _FIELDS:
+        yield _README, field, "-12:12"
+
+
+def test_oracle_ranks_writes_the_bytes_of_one_object_per_degree(tmp_path, capsys):
+    # the array written from per-cell templates against json.dumps of the
+    # per-degree objects it stands for
+    seen = {"empty": 0, "several-rank-tuples": 0, "flat-coordinate": 0, "two-digit": 0}
+    variables = set()
+    for path, field, box in _oracle_cases(tmp_path):
+        field_flag = [f"--field={field}"] if field else []
+        box_flag = [f"--box={box}"] if box else []
+        assert main(["--quiet", *field_flag, "oracle", "ranks", path, *box_flag]) == 0
+        out = capsys.readouterr().out
+        inst = load_instance(path, field, box)
+        rep = cech_ranks(inst.acting, inst.box, inst.field)
+        nonzero = rep.ranks.nonzero()
+        doc = cech_report_dict(rep, inst.names)
+        doc["nonzero_slices"] = [{"degree": list(deg), "ranks": list(r)} for deg, r in nonzero]
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n", (path, field, box)
+        seen["empty"] += not nonzero
+        if nonzero:
+            variables.add(len(inst.names))
+        seen["several-rank-tuples"] += len({r for _, r in nonzero}) > 1
+        seen["flat-coordinate"] += bool(nonzero) and inst.box.lower != inst.box.upper and any(
+            lo == hi for lo, hi in zip(inst.box.lower, inst.box.upper))
+        seen["two-digit"] += any(x <= -10 for deg, _ in nonzero for x in deg)
+    assert variables == set(range(1, 8))
+    assert seen["empty"] >= 1 and seen["two-digit"] == 3
+    assert seen["several-rank-tuples"] >= 10 and seen["flat-coordinate"] >= 40, seen
