@@ -29,9 +29,10 @@ from dataclasses import dataclass
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec, homology_ranks_of_faces
 from .monomial import (
-    Monomial,
     MonomialIdeal,
     VarSet,
+    _canonical,
+    _trusted,
     subset_unions,
     varset_mask,
 )
@@ -170,16 +171,17 @@ def _image_in_prime_quotient(a: QuotientIdeal, prime: VarSet) -> MonomialIdeal:
     """Image of radical(lift) in S/prime, reindexed onto the surviving variables.
 
     The generators missing the prime are an antichain in canonical order, and
-    dropping coordinates on which all of them are 0 keeps divisibility and order."""
+    dropping coordinates on which all of them are 0 keeps divisibility and
+    order, so the image is canonical."""
     a.ring.require_support(prime)
     survivors = [i for i in range(a.ring.ambient) if i + 1 not in prime]
     killed = varset_mask(prime)  # a generator meeting the prime is zero in S/prime
-    gens = [
-        Monomial(tuple(g.exponents[i] for i in survivors))
+    gens = tuple(
+        _trusted(tuple(g.exponents[i] for i in survivors))
         for g in a.radical_lift.gens
         if not g.mask & killed
-    ]
-    return MonomialIdeal(len(survivors), tuple(gens))
+    )
+    return _canonical(len(survivors), gens)
 
 
 def cd_on_prime(a: QuotientIdeal, prime: VarSet, field: FieldSpec) -> int:

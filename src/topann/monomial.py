@@ -9,6 +9,15 @@ v - 1 set for variable v.  The layout is defined here once: `Monomial.mask`,
 `varset_mask` and `mask_varset`.  Here `_antichain` tests divisibility on
 masks first, and `prime_intersection` meets monomial primes on masks alone,
 building `Monomial`s only for the final generators.
+
+The public constructors check their input: `Monomial(...)` its exponents and
+`MonomialIdeal(...)` that its generators are a sorted antichain.  Results that
+are valid by construction skip those checks: `_trusted` builds a `Monomial`
+from the exponents of a monomial operation, and `_canonical` builds a
+`MonomialIdeal` from generators that are already canonical.  `_canonical` has
+four callers, each of which states why its output is canonical: `minimalize`,
+`prime_intersection`, `variable_ideal` and
+`cohomdim._image_in_prime_quotient`.
 """
 from __future__ import annotations
 
@@ -41,13 +50,6 @@ class Monomial:
         if not 1 <= index <= ambient:
             raise InvalidInputError(f"variable index {index} out of range 1..{ambient}")
         return cls(tuple(1 if i == index else 0 for i in range(1, ambient + 1)))
-
-    @classmethod
-    def from_support(cls, support: Iterable[int], ambient: int) -> Monomial:
-        sup = set(support)
-        if sup and not sup <= set(range(1, ambient + 1)):
-            raise InvalidInputError(f"support {sorted(sup)} out of range 1..{ambient}")
-        return cls(tuple(1 if i in sup else 0 for i in range(1, ambient + 1)))
 
     @property
     def ambient(self) -> int:
@@ -115,6 +117,13 @@ def _trusted(exponents: tuple[int, ...]) -> Monomial:
     return m
 
 
+def _squarefree(mask: int, ambient: int) -> Monomial:
+    """The squarefree monomial with support `mask`, its `mask` already set."""
+    m = _trusted(tuple(mask >> i & 1 for i in range(ambient)))
+    m.__dict__["mask"] = mask
+    return m
+
+
 def varset_mask(varset: Iterable[int]) -> int:
     """The variable bitmask of a set of variables (bit v - 1 for variable v)."""
     m = 0
@@ -178,13 +187,20 @@ class MonomialIdeal:
             raise InvalidInputError("ambient dimension mismatch")
         return any(g.divides(m) for g in self.gens)
 
-    def contains_ideal(self, other: MonomialIdeal) -> bool:
-        return all(g in self for g in other.gens)
-
     def pretty(self, names: list[str] | None = None) -> str:
         if self.is_zero():
             return "(0)"
         return "(" + ", ".join(g.pretty(names) for g in self.gens) + ")"
+
+
+def _canonical(ambient: int, gens: tuple[Monomial, ...]) -> MonomialIdeal:
+    """A MonomialIdeal skipping the checks of `__post_init__`: `gens` must be
+    a divisibility antichain of monomials of the given ambient, sorted in
+    descending order, as the caller's construction guarantees."""
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "ambient", ambient)
+    object.__setattr__(ideal, "gens", gens)
+    return ideal
 
 
 def _antichain(gens: Iterable[Monomial]) -> list[Monomial]:
@@ -212,7 +228,12 @@ def _antichain(gens: Iterable[Monomial]) -> list[Monomial]:
 
 
 def minimalize(gens: Iterable[Monomial], ambient: int) -> MonomialIdeal:
-    """Canonical ideal generated by `gens`: the divisibility antichain, sorted."""
+    """Canonical ideal generated by `gens`: the divisibility antichain, sorted.
+
+    Every generator is checked to have the given ambient; `_antichain` and the
+    sort then make the result canonical, and the identity alone is the unit
+    ideal.
+    """
     pool = set()
     for g in gens:
         if g.ambient != ambient:
@@ -220,9 +241,9 @@ def minimalize(gens: Iterable[Monomial], ambient: int) -> MonomialIdeal:
                 f"generator of ambient {g.ambient}, expected {ambient}"
             )
         if g.is_identity():
-            return MonomialIdeal(ambient, (g,))
+            return _canonical(ambient, (g,))
         pool.add(g)
-    return MonomialIdeal(ambient, tuple(sorted(_antichain(pool), reverse=True)))
+    return _canonical(ambient, tuple(sorted(_antichain(pool), reverse=True)))
 
 
 def _check_same_ambient(*ideals: MonomialIdeal) -> int:
@@ -250,6 +271,8 @@ def prime_intersection(primes: Iterable[Iterable[int]], ambient: int) -> Monomia
     antichain and never lie under a kept support (s misses p), so the only
     redundant ones are those over a kept support, which must hold v.  An
     empty list gives the unit ideal; the zero prime gives the zero ideal.
+    The supports are thus an antichain at every step, and sorting their
+    generators makes the result canonical.
     """
     supports = [0]
     for p in primes:
@@ -271,10 +294,10 @@ def prime_intersection(primes: Iterable[Iterable[int]], ambient: int) -> Monomia
                 if not any(t & ~g == 0 for t in kept if t & low):
                     grown.append(g)
         supports = kept + grown
-    exponents = sorted(
-        (tuple(s >> i & 1 for i in range(ambient)) for s in supports), reverse=True
+    gens = sorted(
+        (_squarefree(s, ambient) for s in supports), key=lambda m: m.exponents, reverse=True
     )
-    return MonomialIdeal(ambient, tuple(map(_trusted, exponents)))
+    return _canonical(ambient, tuple(gens))
 
 
 def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -303,9 +326,12 @@ def radical(ideal: MonomialIdeal) -> MonomialIdeal:
 def variable_ideal(varset: Iterable[int], ambient: int) -> MonomialIdeal:
     """The monomial prime generated by the given variables; empty set gives (0).
 
-    Distinct variables in ascending index order are already a canonical
-    antichain, so no minimalization is needed.
+    Distinct variables are an antichain, and in ascending index order their
+    monomials are in descending order, so the result is canonical.
     """
-    return MonomialIdeal(
-        ambient, tuple(Monomial.variable(i, ambient) for i in sorted(set(varset)))
-    )
+    gens = []
+    for v in sorted(set(varset)):
+        if not 1 <= v <= ambient:
+            raise InvalidInputError(f"variable index {v} out of range 1..{ambient}")
+        gens.append(_squarefree(1 << (v - 1), ambient))
+    return _canonical(ambient, tuple(gens))

@@ -37,6 +37,19 @@ def box_monomials(d: int, max_exp: int):
         yield Monomial(exps)
 
 
+def from_support(support, ambient: int) -> Monomial:
+    """The squarefree monomial on the variables of `support`."""
+    sup = set(support)
+    if sup and not sup <= set(range(1, ambient + 1)):
+        raise InvalidInputError(f"support {sorted(sup)} out of range 1..{ambient}")
+    return Monomial(tuple(1 if i in sup else 0 for i in range(1, ambient + 1)))
+
+
+def contains_ideal(big: MonomialIdeal, small: MonomialIdeal) -> bool:
+    """Does `big` hold every generator of `small`?"""
+    return all(g in big for g in small.gens)
+
+
 def member(m: Monomial, gens) -> bool:
     return any(g.divides(m) for g in gens)
 
@@ -159,7 +172,7 @@ def koszul_tor_table(ideal: MonomialIdeal, field: FieldSpec):
         for i in range(len(sigma) + 1):
             basis = []
             for tau in combinations(sorted(sigma), i):
-                rest = Monomial.from_support(sigma - set(tau), d)
+                rest = from_support(sigma - set(tau), d)
                 if rest not in ideal:
                     basis.append(tau)
             bases.append(basis)
@@ -220,7 +233,7 @@ def random_squarefree_ideal(rng, d: int, allow_zero=True) -> MonomialIdeal:
     gens = []
     for _ in range(n):
         size = rng.randint(1, d)
-        gens.append(Monomial.from_support(rng.sample(range(1, d + 1), size), d))
+        gens.append(from_support(rng.sample(range(1, d + 1), size), d))
     ideal = minimalize(gens, d)
     if ideal.is_unit():  # cannot happen for nonempty supports, kept for clarity
         return minimalize([], d)

@@ -78,7 +78,7 @@ def test_localization_piece_against_truncated_fractions_exhaustive():
             chosen = [subsets[i] for i in range(n) if mask >> i & 1]
             if any(a <= b for i, a in enumerate(chosen) for j, b in enumerate(chosen) if i != j):
                 continue
-            ideals.append(minimalize([Monomial.from_support(s, d) for s in chosen], d))
+            ideals.append(minimalize([orc.from_support(s, d) for s in chosen], d))
         box = DegreeBox.uniform(d, -2, 2)
         for J in ideals:
             for wmask in range(1 << d):
@@ -198,7 +198,7 @@ def test_projective_plane_slice_feels_the_characteristic():
         {2, 3, 6}, {2, 4, 5}, {2, 5, 6}, {3, 4, 5}, {3, 4, 6},
     ]
     nonfaces = [set(t) for t in combinations(range(1, 7), 3) if set(t) not in facets]
-    I = minimalize([Monomial.from_support(t, 6) for t in nonfaces], 6)
+    I = minimalize([orc.from_support(t, 6) for t in nonfaces], 6)
     ring = QuotientRing(6, minimalize([], 6))
     a = QuotientIdeal(ring, I)
     point = DegreeBox((-1,) * 6, (-1,) * 6)
@@ -417,12 +417,12 @@ def _ring_with_idle_variables(rng, d):
     outside = set(rng.sample(variables, rng.randint(1, 2)))
     inside = [v for v in variables if v not in outside]
     gens = [
-        Monomial.from_support(rng.sample(inside, rng.randint(1, min(3, len(inside)))), d)
+        orc.from_support(rng.sample(inside, rng.randint(1, min(3, len(inside)))), d)
         for _ in range(rng.randint(1, 5))
     ]
     j_vars = rng.sample(variables, rng.randint(1, d - 1))
     j_gens = [] if rng.random() < 0.25 else [
-        Monomial.from_support(rng.sample(j_vars, rng.randint(1, min(3, len(j_vars)))), d)
+        orc.from_support(rng.sample(j_vars, rng.randint(1, min(3, len(j_vars)))), d)
         for _ in range(rng.randint(1, 3))
     ]
     ring = QuotientRing(d, minimalize(j_gens, d))
@@ -503,13 +503,13 @@ def _overlapping_ring(rng):
     d = rng.randint(6, 8)
     while True:
         gens = minimalize([
-            Monomial.from_support(rng.sample(range(1, d + 1), rng.randint(2, 3)), d)
+            orc.from_support(rng.sample(range(1, d + 1), rng.randint(2, 3)), d)
             for _ in range(rng.randint(6, 12))
         ], d)
         if 6 <= len(gens.gens) <= 10:
             break
     j_gens = [] if rng.random() < 0.5 else [
-        Monomial.from_support(rng.sample(range(1, d + 1), rng.randint(3, 4)), d)
+        orc.from_support(rng.sample(range(1, d + 1), rng.randint(3, 4)), d)
         for _ in range(rng.randint(1, 2))
     ]
     ring = QuotientRing(d, minimalize(j_gens, d))

@@ -44,11 +44,11 @@ def rp2_ideal():
         {2, 3, 6}, {2, 4, 5}, {2, 5, 6}, {3, 4, 5}, {3, 4, 6},
     ]
     nonfaces = [set(t) for t in combinations(range(1, 7), 3) if set(t) not in facets]
-    return minimalize([Monomial.from_support(t, 6) for t in nonfaces], 6)
+    return minimalize([orc.from_support(t, 6) for t in nonfaces], 6)
 
 
 def edge_ideal_of_complete_graph(n):
-    return minimalize([Monomial.from_support(e, n) for e in combinations(range(1, n + 1), 2)], n)
+    return minimalize([orc.from_support(e, n) for e in combinations(range(1, n + 1), 2)], n)
 
 
 def sw_ideal():
@@ -113,7 +113,7 @@ def test_betti_koszul_exhaustive_small():
             chosen = [subsets[i] for i in range(n) if mask >> i & 1]
             if any(a < b for a in chosen for b in chosen):
                 continue
-            I = minimalize([Monomial.from_support(s, d) for s in chosen], d)
+            I = minimalize([orc.from_support(s, d) for s in chosen], d)
             for field in (Q, F2):
                 assert betti_numbers(I, field).as_dict() == orc.koszul_tor_table(I, field)
     rng = random.Random(97)
@@ -192,7 +192,7 @@ def _seeded_ideals(rng, count):
         d = rng.randint(1, 12)
         largest = rng.choice((2, 3, 4, d))
         gens = [
-            Monomial.from_support(rng.sample(range(1, d + 1), rng.randint(1, min(d, largest))), d)
+            orc.from_support(rng.sample(range(1, d + 1), rng.randint(1, min(d, largest))), d)
             for _ in range(rng.randint(1, 8))
         ]
         ideals.append(minimalize(gens, d))

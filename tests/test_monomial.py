@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topann.cohomdim import _image_in_prime_quotient
 from topann.errors import InvalidInputError
 from topann.monomial import (
     Monomial,
@@ -20,6 +22,7 @@ from topann.monomial import (
     variable_ideal,
     varset_mask,
 )
+from topann.stanley_reisner import QuotientIdeal, QuotientRing
 
 import _oracles as orc
 from _oracles import intersect
@@ -69,10 +72,12 @@ def test_ideal_rejects_a_repeated_generator():
 
 
 def test_ideal_rejects_a_divisible_generator_and_a_wrong_order():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="antichain"):
         MonomialIdeal(2, (mono(1, 1), mono(1, 0)))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="canonical order"):
         MonomialIdeal(2, (mono(0, 1), mono(1, 0)))
+    with pytest.raises(InvalidInputError, match="canonical order"):
+        MonomialIdeal(2, [mono(0, 1), mono(1, 0)])
 
 
 def _random_generator_lists(rng):
@@ -191,6 +196,11 @@ def test_variable_ideal_is_the_minimalized_variables():
     for bad in ([0], [4], [1, 5], [-1]):
         with pytest.raises(InvalidInputError, match="out of range"):
             variable_ideal(bad, 3)
+    for d in (1, 3, 9):
+        for v in (0, d + 1):
+            with pytest.raises(InvalidInputError) as err:
+                variable_ideal([1, v], d)
+            assert str(err.value) == f"variable index {v} out of range 1..{d}"
 
 
 def test_intersection_two_primes():
@@ -198,24 +208,29 @@ def test_intersection_two_primes():
     assert got == ideal(3, (0, 1, 0), (1, 0, 1))
 
 
+def _random_primes(rng, d):
+    """Prime lists with the zero prime and repeated or nested primes."""
+    primes = []
+    for _ in range(rng.randint(1, 6)):
+        roll = rng.random()
+        if primes and roll < 0.15:
+            primes.append(rng.choice(primes))
+        elif primes and roll < 0.3:
+            base = rng.choice(primes)
+            primes.append(base | {v for v in range(1, d + 1) if rng.random() < 0.3})
+        elif roll < 0.35:
+            primes.append(frozenset())
+        else:
+            density = rng.random()
+            primes.append(frozenset(v for v in range(1, d + 1) if rng.random() < density))
+    return primes
+
+
 def test_prime_intersection_matches_intersect():
-    # seeded prime lists, with the zero prime and repeated or nested primes
     rng = random.Random(83)
     for _ in range(3000):
         d = rng.randint(1, 12)
-        primes = []
-        for _ in range(rng.randint(1, 6)):
-            roll = rng.random()
-            if primes and roll < 0.15:
-                primes.append(rng.choice(primes))
-            elif primes and roll < 0.3:
-                base = rng.choice(primes)
-                primes.append(base | {v for v in range(1, d + 1) if rng.random() < 0.3})
-            elif roll < 0.35:
-                primes.append(frozenset())
-            else:
-                density = rng.random()
-                primes.append(frozenset(v for v in range(1, d + 1) if rng.random() < density))
+        primes = _random_primes(rng, d)
         expected = intersect(*(variable_ideal(p, d) for p in primes))
         assert prime_intersection(primes, d) == expected, (d, primes)
 
@@ -321,6 +336,69 @@ def test_operations_build_the_same_monomials_as_the_constructor():
             assert (got < a) == (checked < a)
 
 
+def _checked_mask(m: Monomial) -> int:
+    return sum(1 << i for i, e in enumerate(m.exponents) if e)
+
+
+def _assert_canonical(r: MonomialIdeal) -> int:
+    """`r` equals the checked construction of itself, and every preset mask is
+    the one its exponents give; returns the number of preset masks."""
+    assert type(r) is MonomialIdeal and type(r.gens) is tuple
+    assert all(type(g.exponents) is tuple for g in r.gens)
+    assert MonomialIdeal(r.ambient, r.gens) == r
+    preset = [g for g in r.gens if "mask" in vars(g)]
+    for g in preset:
+        assert g.mask == _checked_mask(g), g
+    return len(preset)
+
+
+def test_trusted_constructions_equal_the_checked_ones():
+    # minimalize, prime_intersection, variable_ideal and the image in S/p
+    # build their ideals without the constructor's checks
+    rng = random.Random(89)
+    cases = 0
+    for r in (prime_intersection([], 4), prime_intersection([frozenset()], 4)):
+        assert _assert_canonical(r) == len(r.gens)
+    assert prime_intersection([], 4).is_unit()
+    assert prime_intersection([frozenset()], 4).is_zero()
+    for _ in range(700):
+        d = rng.randint(1, 12)
+        r = prime_intersection(_random_primes(rng, d), d)
+        assert _assert_canonical(r) == len(r.gens)
+        cases += 1
+    for _ in range(400):
+        d = rng.randint(1, 12)
+        varset = [rng.randint(1, d) for _ in range(rng.randint(0, 2 * d))]
+        r = variable_ideal(varset, d)
+        assert _assert_canonical(r) == len(r.gens) == len(set(varset))
+        cases += 1
+    for d, gens in islice(_random_generator_lists(rng), 600):
+        r = minimalize(gens, d)
+        _assert_canonical(r)
+        if Monomial.identity(d) in gens:
+            assert r.gens == (Monomial.identity(d),)
+        cases += 1
+    while cases < 2000:
+        d = rng.randint(2, 9)
+        primes = [p for p in _random_primes(rng, d) if p] or [frozenset({1})]
+        ring = QuotientRing(d, prime_intersection(primes, d))
+        top = rng.choice((1, 2, 3))
+        lift = minimalize([
+            Monomial(tuple(rng.randint(0, top) for _ in range(d)))
+            for _ in range(rng.randint(0, 5))
+        ], d)
+        if lift.is_unit():
+            continue
+        a = QuotientIdeal(ring, lift)
+        for p in ring.minimal_primes:
+            q = p | {v for v in range(1, d + 1) if rng.random() < 0.2}
+            image = _image_in_prime_quotient(a, q)
+            _assert_canonical(image)
+            assert image.ambient == d - len(q)
+            cases += 1
+    assert cases >= 2000
+
+
 # ----------------------------------------------------------- support bitmask
 
 def test_mask_layout_is_one_bit_per_variable():
@@ -392,8 +470,8 @@ def test_sum_and_intersection_membership(pair):
     s = ideal_sum(I, J)
     m = intersect(I, J)
     assert ideal_sum(J, I) == s and intersect(J, I) == m
-    assert s.contains_ideal(I) and s.contains_ideal(J)
-    assert I.contains_ideal(m) and J.contains_ideal(m)
+    assert orc.contains_ideal(s, I) and orc.contains_ideal(s, J)
+    assert orc.contains_ideal(I, m) and orc.contains_ideal(J, m)
     for f in orc.box_monomials(d, 2):
         assert (f in s) == orc.brute_sum_member(f, I, J)
         assert (f in m) == orc.brute_intersection_member(f, I, J)
@@ -430,7 +508,7 @@ def test_radical_properties(pair):
     I, _ = pair
     r = radical(I)
     assert radical(r) == r
-    assert r.contains_ideal(I)
+    assert orc.contains_ideal(r, I)
     for f in orc.box_monomials(I.ambient, 2):
         assert (f in r) == orc.brute_radical_member(f, I)
 

@@ -122,7 +122,7 @@ def test_sr_faces_are_supports_outside_the_ideal():
         J = orc.random_squarefree_ideal(rng, d)
         j_masks = [g.mask for g in J.gens]
         for mask in range(1 << d):
-            outside = Monomial.from_support(mask_varset(mask), d) not in J
+            outside = orc.from_support(mask_varset(mask), d) not in J
             assert is_face(mask, j_masks) == outside
 
 
@@ -135,7 +135,7 @@ def test_krull_dim_is_max_facet_size():
             continue
         # the largest face: the largest support of a squarefree monomial outside J
         supports = [mask_varset(mask) for mask in range(1 << d)]
-        largest = max(len(s) for s in supports if Monomial.from_support(s, d) not in J)
+        largest = max(len(s) for s in supports if orc.from_support(s, d) not in J)
         assert krull_dim(J) == largest
 
 
