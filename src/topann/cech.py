@@ -22,7 +22,8 @@ slice, only their ranks are kept, and no box is walked degree by degree:
 - `annihilation_check` cuts the degrees b with b + deg(m) in the box into
   their sign intervals (at most 3 per coordinate) and tests only the smallest
   b of each interval tuple, walking the tuples in lexicographic order.
-  Checked degrees and coverage gaps are counted in closed form.
+  Checked degrees and coverage gaps are counted in closed form.  A map whose
+  source H^i is 0 is zero, and its target slice is not ranked for it.
 
 Both walks read the sign pattern of each cell from `_cell_patterns`, which
 sums per-coordinate shares over the same product of ranges, so that no degree
@@ -36,7 +37,10 @@ A slice is a complex on subsets sigma of the generators: the face family of
 its positive support (pos | W[sigma] a face, listed once per positive support)
 cut to the sigma whose union of supports W[sigma] holds its negative support.
 Its differentials are the signed columns of `linalg.family_columns`, ranked
-by `linalg.eliminate`.
+by `linalg.eliminate`.  It is built, d∘d-checked and ranked only on the band
+[lo, hi) from its lowest to its highest nonempty component (one zero
+component when it has no member), and its ranks are padded with zeros to
+length t + 1.
 
 Only Lyubeznik-admissible sigma are listed (Lyubeznik 1988, "A new explicit
 finite free resolution of ideals generated by monomials"): in generator order,
@@ -147,7 +151,10 @@ class _SliceEngine:
     (neg, pos & supp J), since the face test reads pos only through J's
     variables, and one zero slice for every neg that meets a variable outside
     all generators, since no W[sigma] holds such a neg.  A slice keeps only its
-    admissible members, of the same cohomology (Lyubeznik; Batzies-Welker)."""
+    admissible members, of the same cohomology (Lyubeznik; Batzies-Welker).
+    Its complex spans only the band from its lowest to its highest nonempty
+    component, and the ranks are padded with zeros outside it; the components
+    outside are 0, so neither the ranks nor the d∘d check change."""
 
     def __init__(self, a: QuotientIdeal, field: FieldSpec, guard: int):
         ring = a.ring
@@ -203,9 +210,13 @@ class _SliceEngine:
         hit = self._ranks.get(key)
         if hit is None:
             members = self.members(key)
-            diffs = tuple(_coboundary(members, i) for i in range(self.t))
-            complex_ = VectorSpaceComplex(self.field, tuple(map(len, members)), diffs)
-            hit = self._ranks[key] = cohomology_ranks(complex_)
+            band = [i for i, component in enumerate(members) if component]
+            lo, hi = (band[0], band[-1] + 1) if band else (0, 1)
+            diffs = tuple(_coboundary(members, i) for i in range(lo, hi - 1))
+            complex_ = VectorSpaceComplex(self.field, tuple(map(len, members[lo:hi])), diffs)
+            hit = self._ranks[key] = (
+                (0,) * lo + cohomology_ranks(complex_) + (0,) * (self.t + 1 - hi)
+            )
         return hit
 
 
@@ -389,6 +400,9 @@ def annihilation_check(
 def _induced_map_is_zero(engine: _SliceEngine, pat1, pat2, i: int) -> bool:
     """Is H^i(slice 1) -> H^i(slice 2) zero?  Decided from two ranks.
 
+    The map is zero when H^i of slice 1 is 0, and then slice 2 is not ranked;
+    otherwise it is zero when H^i of slice 2 is 0.
+
     Multiplication f sends the member sigma of slice 1 to the same sigma of
     slice 2 when slice 2 holds it, and to zero otherwise.  The cone matrix
     (z, w) -> (d_i z, f z + d' w), with d' = d'_{i-1} of slice 2, has a kernel
@@ -402,7 +416,7 @@ def _induced_map_is_zero(engine: _SliceEngine, pat1, pat2, i: int) -> bool:
     """
     if i < 0 or i > engine.t:
         return True
-    if 0 in (engine.ranks(pat1)[i], engine.ranks(pat2)[i]):
+    if engine.ranks(pat1)[i] == 0 or engine.ranks(pat2)[i] == 0:
         return True
     members1, members2 = engine.members(pat1), engine.members(pat2)
     to2, shift = {m: k for k, m in enumerate(members2[i])}, len(members2[i])

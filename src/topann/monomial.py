@@ -45,12 +45,6 @@ class Monomial:
     def identity(cls, ambient: int) -> Monomial:
         return cls((0,) * ambient)
 
-    @classmethod
-    def variable(cls, index: int, ambient: int) -> Monomial:
-        if not 1 <= index <= ambient:
-            raise InvalidInputError(f"variable index {index} out of range 1..{ambient}")
-        return cls(tuple(1 if i == index else 0 for i in range(1, ambient + 1)))
-
     @property
     def ambient(self) -> int:
         return len(self.exponents)

@@ -9,7 +9,9 @@ the reference for the prime-intersection closed forms of `topann.annihilator`,
 and `intersect`, by pairwise lcms, is the reference for `prime_intersection`.
 The dense matrices (Bareiss and reduced row echelon form, dense slices, tuple
 faces) are the reference for the sparse elimination kernel of
-`topann.linalg`, and Koszul homology is ranked with them.  `admissible`,
+`topann.linalg`, and Koszul homology is ranked with them.  `full_slice_ranks`,
+a slice ranked on all of its components, is the reference for the band of
+nonzero components that the slice engine ranks.  `admissible`,
 Lyubeznik's condition tested from its definition, is the reference for the
 admissible-subset table of the Cech slice engine.
 """
@@ -21,13 +23,14 @@ from itertools import combinations, product
 
 from topann.cech import (
     CECH_GUARD_DEFAULT,
+    _coboundary,
     _induced_map_is_zero,
     _sign_pattern,
     _SliceEngine,
 )
 from topann.cohomdim import cd_on_prime
 from topann.errors import InvalidInputError
-from topann.linalg import FieldSpec
+from topann.linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks
 from topann.monomial import Monomial, MonomialIdeal, minimalize
 from topann.stanley_reisner import is_face
 
@@ -43,6 +46,11 @@ def from_support(support, ambient: int) -> Monomial:
     if sup and not sup <= set(range(1, ambient + 1)):
         raise InvalidInputError(f"support {sorted(sup)} out of range 1..{ambient}")
     return Monomial(tuple(1 if i in sup else 0 for i in range(1, ambient + 1)))
+
+
+def variable(index: int, ambient: int) -> Monomial:
+    """The variable x_index of the ring in `ambient` variables."""
+    return from_support({index}, ambient)
 
 
 def contains_ideal(big: MonomialIdeal, small: MonomialIdeal) -> bool:
@@ -416,6 +424,15 @@ def admissible_part(engine: _SliceEngine, bases, mats):
         [[mat[r][c] for c in keep[i]] for r in keep[i + 1]] for i, mat in enumerate(mats)
     ]
     return cut_bases, cut_mats
+
+
+def full_slice_ranks(engine: _SliceEngine, pat):
+    """The cohomology ranks of a slice's members on all t + 1 components: every
+    differential d_0, ..., d_{t-1} and the full dims, empty components
+    included.  It is the reference for the nonzero band of `_SliceEngine.ranks`."""
+    members = engine.members(pat)
+    diffs = tuple(_coboundary(members, i) for i in range(engine.t))
+    return cohomology_ranks(VectorSpaceComplex(engine.field, tuple(map(len, members)), diffs))
 
 
 def dense_slice(engine: _SliceEngine, pat):

@@ -162,7 +162,7 @@ def test_radical_equality_gives_equal_rank_maps():
 def test_annihilation_of_certified_generator():
     inst, _ = fixture("singh-walther")
     box = DegreeBox.uniform(4, -3, 1)
-    z1 = Monomial.variable(3, 4)
+    z1 = orc.variable(3, 4)
     verdict = annihilation_check(z1, inst.ideal, 2, box, Q)
     assert verdict.verdict == "annihilates-in-box"
     assert verdict.witness_degree is None
@@ -172,7 +172,7 @@ def test_annihilation_of_certified_generator():
 def test_action_of_nonmember_is_visible():
     inst, _ = fixture("singh-walther")
     box = DegreeBox.uniform(4, -3, 1)
-    x = Monomial.variable(1, 4)
+    x = orc.variable(1, 4)
     verdict = annihilation_check(x, inst.ideal, 2, box, Q)
     assert verdict.verdict == "acts-nonzero"
     assert verdict.witness_degree is not None
@@ -589,6 +589,83 @@ def test_engine_lists_only_the_admissible_subsets():
         assert (engine.t, len(listed)) == (10, admissible)
         assert engine._admissible == listed
         assert len(engine._face_family(0)) == family
+
+
+def _slice_key(engine, pat):
+    """The key under which the engine keeps the ranks of a sign pattern."""
+    neg, pos = pat
+    return (engine._outside, 0) if neg & engine._outside else (neg, pos & engine._supp_j)
+
+
+def test_slices_are_ranked_on_their_nonzero_band():
+    # the engine ranks each slice on the band of its nonempty components and
+    # pads the ranks with zeros; against every differential on all t + 1
+    # components, on every key of rp2 and cycle at --box=-1:1 and on seeded
+    # rings over Q, F_2 and F_3, with slices whose band starts above 0, ends
+    # below t + 1, or is empty
+    seen = {"keys": 0, "lo > 0": 0, "hi < t + 1": 0, "empty": 0}
+
+    def check(engine, pats):
+        for pat in pats:
+            engine.ranks(pat)
+        for key in engine._ranks:
+            ranks = engine.ranks(key)
+            assert len(ranks) == engine.t + 1
+            assert ranks == orc.full_slice_ranks(engine, key)
+            band = [i for i, component in enumerate(engine.members(key)) if component]
+            seen["keys"] += 1
+            seen["empty"] += not band
+            seen["lo > 0"] += bool(band) and band[0] > 0
+            seen["hi < t + 1"] += bool(band) and band[-1] < engine.t
+
+    for name in ("rp2", "cycle"):
+        path = os.path.join(os.path.dirname(__file__), "golden", "instances", f"{name}.json")
+        inst = load_instance(path, None, "-1:1")
+        pats = {_sign_pattern(deg) for deg in inst.box.degrees()}
+        for field in (Q, F2):
+            check(_SliceEngine(inst.acting, field, CECH_GUARD_DEFAULT), pats)
+    rng = random.Random(167)
+    for k in range(24):
+        ring, a = _overlapping_ring(rng) if k % 2 else _ring_with_idle_variables(
+            rng, rng.randint(3, 6))
+        d = ring.ambient
+        pats = {_sign_pattern(tuple(rng.randint(-1, 1) for _ in range(d))) for _ in range(30)}
+        for field in (Q, F2, F3):
+            check(_SliceEngine(a, field, CECH_GUARD_DEFAULT), pats)
+    assert seen["keys"] >= 1000 and min(seen.values()) >= 50, seen
+
+
+def test_a_zero_source_leaves_the_target_slice_unranked():
+    # a work count: when H^i of the source slice is 0 the map is zero, and the
+    # target slice is not ranked for it; the verdict matches the dense map, and
+    # a target whose source H^i is nonzero is ranked
+    rng = random.Random(173)
+    seen = {"skipped": 0, "ranked": 0}
+    for _ in range(40):
+        d = rng.randint(2, 5)
+        ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+        a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d, max_gens=6))
+        for field in (Q, F2, F3):
+            engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+            dense = orc.DenseSlices(engine)
+            for _ in range(10):
+                b = tuple(rng.randint(-2, 1) for _ in range(d))
+                pat1 = _sign_pattern(b)
+                pat2 = _sign_pattern(tuple(x + rng.randint(0, 2) for x in b))
+                i = rng.randint(0, engine.t)
+                fresh = _slice_key(engine, pat2) not in engine._ranks
+                zero = _induced_map_is_zero(engine, pat1, pat2, i)
+                assert zero == dense.induced_map_is_zero(pat1, pat2, i)
+                if not fresh:
+                    continue
+                ranked = _slice_key(engine, pat2) in engine._ranks
+                if dense.ranks(pat1)[i] == 0:
+                    assert not ranked or _slice_key(engine, pat1) == _slice_key(engine, pat2)
+                    seen["skipped"] += not ranked
+                else:
+                    assert ranked
+                    seen["ranked"] += 1
+    assert seen["skipped"] >= 300 and seen["ranked"] >= 30, seen
 
 
 def _live_complexes():

@@ -189,7 +189,7 @@ def test_variable_ideal_is_the_minimalized_variables():
         for d in (rng.randint(1, 12) for _ in range(300))
     ]
     for d, indices in cases:
-        expected = minimalize([Monomial.variable(i, d) for i in indices], d)
+        expected = minimalize([orc.variable(i, d) for i in indices], d)
         assert variable_ideal(indices, d) == expected
         assert variable_ideal(frozenset(indices), d) == expected
     assert variable_ideal([2, 2, 1], 3).gens == (mono(1, 0, 0), mono(0, 1, 0))
@@ -495,7 +495,7 @@ def test_saturation_fixpoint_and_membership(pair, data):
     d = I.ambient
     m = Monomial(data.draw(exponent_vectors(d, 2)))
     if m.is_identity():
-        m = Monomial.variable(1, d)
+        m = orc.variable(1, d)
     s = orc.saturate(I, m)
     assert orc.colon(s, m) == s
     for f in orc.box_monomials(d, 2):
@@ -518,7 +518,7 @@ def test_radical_properties(pair):
 def test_power_membership(pair, n):
     I, J = pair
     if I.is_zero():
-        I = ideal_sum(I, minimalize([Monomial.variable(1, I.ambient)], I.ambient))
+        I = ideal_sum(I, minimalize([orc.variable(1, I.ambient)], I.ambient))
     p = power(I, n)
     for f in orc.box_monomials(I.ambient, 3):
         assert (f in p) == orc.brute_power_member(f, I, n)
