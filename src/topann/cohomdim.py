@@ -19,8 +19,19 @@ Every degree left unranked then has no nonzero Betti number past that i, so the
 result is pd exactly, together with a degree that attains it.  `betti_numbers`
 still builds the whole table and is the reference for the search.
 
+Most ideals met in practice need no search.  If each of the k generators holds
+a variable that no other generator holds, dropping any generator from a set
+drops its variable from the lcm, so Taylor's resolution is minimal (Taylor
+1966): pd = k over every field, attained at sigma = the union of the supports.
+That sigma is also the only degree with bound k, so the search would return
+the same pair first; `_top_betti` answers it in one pass over the supports and
+builds the lcm lattice only for the other ideals.
+
 Over a quotient R = S/J, cd is the maximum of cd on the associated prime
-quotients, each of which is again a polynomial ring.
+quotients, each of which is again a polynomial ring.  On R/p the image of a is
+generated by the supports of radical(a) that miss p.  Betti numbers do not see
+variables no generator holds, so `cd_on_prime` ranks those masks as they are,
+with no reindexed ideal.
 """
 from __future__ import annotations
 
@@ -51,9 +62,6 @@ class BettiTable:
 
     def projective_dimension(self) -> int:
         return max(i for i, _, _ in self.entries)
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(i, s): v for i, s, v in self.entries}
 
 
 def _lcm_support_closure(supports: list[int]) -> set[int]:
@@ -101,19 +109,22 @@ def _degree_betti(sigma: int, below: list[int], field: FieldSpec, crosscut: bool
     return {sigma.bit_count() - dim - 1: h for dim, h in hom.items() if h}
 
 
-def _lcm_lattice(ideal: MonomialIdeal) -> tuple[list[int], set[int]]:
-    """The generator supports of a squarefree proper I and the degrees of its
-    lcm lattice, after the input checks and the ambient guard."""
+def _guard_betti(ambient: int) -> None:
+    if ambient > HOCHSTER_GUARD:
+        raise GuardExceededError(
+            f"Betti enumeration: ambient {ambient} exceeds the guard {HOCHSTER_GUARD}"
+        )
+
+
+def _betti_supports(ideal: MonomialIdeal) -> list[int]:
+    """The generator supports of a squarefree proper I, after the input checks
+    and the ambient guard."""
     if not ideal.is_squarefree():
         raise InvalidInputError("Betti numbers here need a squarefree ideal")
     if ideal.is_unit():
         raise InvalidInputError("Betti numbers of the zero ring are not defined here")
-    if ideal.ambient > HOCHSTER_GUARD:
-        raise GuardExceededError(
-            f"Betti enumeration: ambient {ideal.ambient} exceeds the guard {HOCHSTER_GUARD}"
-        )
-    supports = [g.mask for g in ideal.gens]
-    return supports, _lcm_support_closure(supports)
+    _guard_betti(ideal.ambient)
+    return [g.mask for g in ideal.gens]
 
 
 def _below(sigma: int, supports: list[int]) -> list[int]:
@@ -132,9 +143,9 @@ def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
     find pd without this whole table.  Supports and degrees are variable
     bitmasks (`Monomial.mask`).
     """
-    supports, degrees = _lcm_lattice(ideal)
+    supports = _betti_supports(ideal)
     entries = []
-    for sigma in degrees:
+    for sigma in _lcm_support_closure(supports):
         below = _below(sigma, supports)
         crosscut = len(below) < sigma.bit_count()
         for i, h in _degree_betti(sigma, below, field, crosscut).items():
@@ -144,17 +155,29 @@ def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
 
 
 def top_betti_degree(ideal: MonomialIdeal, field: FieldSpec) -> tuple[int, int]:
-    """(pd(S/I), sigma) for squarefree proper I, with beta_{pd, sigma} != 0.
+    """(pd(S/I), sigma) for squarefree proper I, with beta_{pd, sigma} != 0."""
+    return _top_betti(_betti_supports(ideal), field)
 
-    Degrees are ranked in descending order of the bound min(m, |sigma|), ties
-    by sigma, and the search stops at the first bound no larger than the best
-    i found; sigma = 0 (beta_{0, 0} = 1) is the start.  The module docstring
-    says why this is exact.  Only (bound, sigma) is kept per degree, and the
-    supports below sigma are listed again when sigma is ranked.
+
+def _top_betti(supports: list[int], field: FieldSpec) -> tuple[int, int]:
+    """(pd, sigma) of the ideal generated by the squarefree `supports`, an antichain.
+
+    When every support holds a variable no other one holds, Taylor's closed
+    form answers (k, union) (module docstring).  Otherwise degrees are ranked
+    in descending order of the bound min(m, |sigma|), ties by sigma, and the
+    search stops at the first bound no larger than the best i found; sigma = 0
+    (beta_{0, 0} = 1) is the start.  Only (bound, sigma) is kept per degree,
+    and the supports below sigma are listed again when sigma is ranked.
     """
-    supports, degrees = _lcm_lattice(ideal)
+    once = seen = 0  # variables held by exactly one support, by at least one
+    for s in supports:
+        once = once & ~s | s & ~seen
+        seen |= s
+    if all(s & once for s in supports):
+        return len(supports), seen
     order = sorted(
-        (-min(len(_below(sigma, supports)), sigma.bit_count()), sigma) for sigma in degrees
+        (-min(len(_below(sigma, supports)), sigma.bit_count()), sigma)
+        for sigma in _lcm_support_closure(supports)
     )
     pd, top = 0, 0
     for neg_bound, sigma in order:
@@ -190,11 +213,16 @@ def cd_on_prime(a: QuotientIdeal, prime: VarSet, field: FieldSpec) -> int:
     If the image of the ideal is zero there, the torsion functor fixes
     everything and cd is 0; otherwise cd equals the projective dimension of the
     image's quotient (Lyubeznik's equality for squarefree monomial ideals).
+    The image is generated by the radical's supports that miss the prime, an
+    antichain; the Betti guard applies to the d - |prime| surviving variables.
     """
-    image = _image_in_prime_quotient(a, prime)
-    if image.is_zero():
+    a.ring.require_support(prime)
+    killed = varset_mask(prime)  # a generator meeting the prime is zero in S/prime
+    supports = [s for s in a.radical_masks if not s & killed]
+    if not supports:
         return 0
-    return top_betti_degree(image, field)[0]
+    _guard_betti(a.ring.ambient - len(prime))
+    return _top_betti(supports, field)[0]
 
 
 def grade_on_prime(a: QuotientIdeal, prime: VarSet) -> int | None:

@@ -168,6 +168,11 @@ def brute_minimal_covers(edges, d):
     )
 
 
+def betti_dict(table) -> dict[tuple[int, int], int]:
+    """A `BettiTable` as {(i, sigma mask): beta}, the form of the tables here."""
+    return {(i, s): v for i, s, v in table.entries}
+
+
 def koszul_tor_table(ideal: MonomialIdeal, field: FieldSpec):
     """Graded Betti numbers of S/I as Koszul homology, a route independent of
     Hochster's formula: tensor the Koszul complex on all variables with S/I and

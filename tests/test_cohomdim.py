@@ -59,12 +59,12 @@ def sw_ideal():
 # ------------------------------------------------------------------ Betti
 
 def test_betti_of_two_variables_is_koszul():
-    table = betti_numbers(ideal(2, (1, 0), (0, 1)), Q).as_dict()
+    table = orc.betti_dict(betti_numbers(ideal(2, (1, 0), (0, 1)), Q))
     assert table == {(0, 0b00): 1, (1, 0b01): 1, (1, 0b10): 1, (2, 0b11): 1}
 
 
 def test_betti_of_principal_ideal():
-    table = betti_numbers(ideal(2, (1, 1)), Q).as_dict()
+    table = orc.betti_dict(betti_numbers(ideal(2, (1, 1)), Q))
     assert table == {(0, 0b00): 1, (1, 0b11): 1}
 
 
@@ -98,7 +98,7 @@ def test_betti_equals_koszul_tor_on_random_ideals():
         for field in (Q, F2):
             table = betti_numbers(I, field)
             assert table.entries == tuple(sorted(table.entries))
-            assert table.as_dict() == orc.koszul_tor_table(I, field)
+            assert orc.betti_dict(table) == orc.koszul_tor_table(I, field)
 
 
 def test_betti_koszul_exhaustive_small():
@@ -115,14 +115,14 @@ def test_betti_koszul_exhaustive_small():
                 continue
             I = minimalize([orc.from_support(s, d) for s in chosen], d)
             for field in (Q, F2):
-                assert betti_numbers(I, field).as_dict() == orc.koszul_tor_table(I, field)
+                assert orc.betti_dict(betti_numbers(I, field)) == orc.koszul_tor_table(I, field)
     rng = random.Random(97)
     for _ in range(20):
         I = orc.random_squarefree_ideal(rng, 5, allow_zero=False)
         if I.is_zero():
             continue
         for field in (Q, F2):
-            assert betti_numbers(I, field).as_dict() == orc.koszul_tor_table(I, field)
+            assert orc.betti_dict(betti_numbers(I, field)) == orc.koszul_tor_table(I, field)
 
 
 def _supports(I):
@@ -152,11 +152,11 @@ def test_both_betti_complexes_match_the_dense_reference():
             reference = orc.dense_betti_table(I, field)
             assert _forced_table(I, field, crosscut=False) == reference
             assert _forced_table(I, field, crosscut=True) == reference
-            assert betti_numbers(I, field).as_dict() == reference
+            assert orc.betti_dict(betti_numbers(I, field)) == reference
     # more generators than variables: 21 edges on 7 vertices
     K7 = edge_ideal_of_complete_graph(7)
     for field in (Q, F2):
-        assert betti_numbers(K7, field).as_dict() == orc.koszul_tor_table(K7, field)
+        assert orc.betti_dict(betti_numbers(K7, field)) == orc.koszul_tor_table(K7, field)
 
 
 def test_each_degree_is_ranked_on_the_smaller_complex(monkeypatch):
@@ -211,7 +211,7 @@ def test_top_betti_degree_matches_the_whole_table():
             table = betti_numbers(I, field)
             pd, sigma = top_betti_degree(I, field)
             assert pd == table.projective_dimension(), (I, field)
-            assert (pd, sigma) in table.as_dict(), (I, field)
+            assert (pd, sigma) in orc.betti_dict(table), (I, field)
             pds.add(pd)
     assert pds >= set(range(1, 7)), pds
 
@@ -236,6 +236,102 @@ def test_top_betti_degree_ranks_few_degrees(monkeypatch):
         assert len(ranked) == 7 < len(lattice) == 33
         assert ranked[0] == 0b111111
         assert {s.bit_count() for s in ranked[1:]} == {5}
+
+
+def _taylor_minimal_ideal(rng):
+    """k generators, each holding a private variable and some shared ones."""
+    k = rng.randint(1, 6)
+    d = rng.randint(k, 12)
+    shared = list(range(k + 1, d + 1))
+    gens = [
+        orc.from_support({g + 1, *rng.sample(shared, rng.randint(0, len(shared)))}, d)
+        for g in range(k)
+    ]
+    return minimalize(gens, d)
+
+
+# Near misses of the closed form, with pd below the generator count: in the
+# path x3-x1-x2-x4 every generator after the first holds a variable no earlier
+# one holds, and in the triangle and the 4-cycle no support lies in another
+# one, but each is covered by the union of the others.
+NEAR_MISSES = (
+    (ideal(4, (1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)), 2),
+    (ideal(3, (1, 1, 0), (0, 1, 1), (1, 0, 1)), 2),
+    (ideal(4, (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)), 3),
+)
+
+
+def test_the_taylor_closed_form_matches_the_whole_table():
+    rng = random.Random(223)
+    for _ in range(300):
+        I = _taylor_minimal_ideal(rng)
+        union = 0
+        for g in I.gens:
+            union |= g.mask
+        for field in (Q, F2, F3):
+            table = betti_numbers(I, field)
+            pd, sigma = top_betti_degree(I, field)
+            assert (pd, sigma) == (len(I.gens), union), (I, field)
+            assert pd == table.projective_dimension(), (I, field)
+            assert (pd, sigma) in orc.betti_dict(table), (I, field)
+    for I, pd in NEAR_MISSES:
+        for field in (Q, F2, F3):
+            assert pd == betti_numbers(I, field).projective_dimension() < len(I.gens)
+            assert top_betti_degree(I, field)[0] == pd
+
+
+def test_a_taylor_minimal_ideal_builds_no_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lcm lattice or Betti degree built")
+
+    rng = random.Random(227)
+    ideals = [_taylor_minimal_ideal(rng) for _ in range(100)]
+    searched = [I for I, _ in NEAR_MISSES]
+    expected = [top_betti_degree(I, Q) for I in ideals]
+    monkeypatch.setattr(cohomdim, "_degree_betti", refuse)
+    monkeypatch.setattr(cohomdim, "_lcm_support_closure", refuse)
+    for field in (Q, F2, F3):
+        assert [top_betti_degree(I, field) for I in ideals] == expected
+    for I, (pd, _) in zip(ideals, expected):
+        ring = QuotientRing(I.ambient, minimalize([], I.ambient))
+        assert cd_on_prime(QuotientIdeal(ring, I), frozenset(), F2) == pd
+    for I in searched:
+        with pytest.raises(AssertionError, match="lattice"):
+            top_betti_degree(I, Q)
+
+
+def test_cd_on_prime_matches_the_reindexed_image():
+    # the mask route against the reindexed image it replaces, on every minimal
+    # prime and on primes above one
+    rng = random.Random(229)
+    primes_seen = 0
+    for _ in range(150):
+        d = rng.randint(1, 7)
+        a = _random_quotient_instance(rng, d)
+        primes = set(a.ring.minimal_primes)
+        for p in a.ring.minimal_primes:
+            extra = rng.sample(range(1, d + 1), rng.randint(0, d))
+            primes.add(p | frozenset(extra))
+        for p in primes:
+            image = cohomdim._image_in_prime_quotient(a, p)
+            for field in (Q, F2, F3):
+                old = 0 if image.is_zero() else top_betti_degree(image, field)[0]
+                assert cd_on_prime(a, p, field) == old, (a, p, field)
+            primes_seen += 1
+    assert primes_seen > 300
+
+
+def test_cd_on_prime_guards_the_surviving_variables():
+    # J = 0 in 15 variables and a = (x1): the guard counts the variables
+    # outside the prime, and a zero image needs no Betti number
+    ring = QuotientRing(15, minimalize([], 15))
+    a = QuotientIdeal(ring, variable_ideal({1}, 15))
+    assert cd_on_prime(a, frozenset({2}), Q) == 1
+    assert cd_on_prime(a, frozenset({1}), Q) == 0
+    with pytest.raises(GuardExceededError, match="ambient 15 exceeds the guard 14"):
+        cd_on_prime(a, frozenset(), Q)
+    with pytest.raises(InvalidInputError, match="out-of-range"):
+        cd_on_prime(a, frozenset({16}), Q)
 
 
 def test_cd_on_prime_does_not_build_the_betti_table(monkeypatch):
@@ -378,7 +474,7 @@ def test_projective_plane_ideal_feels_the_characteristic():
     for field, expected_pd in ((Q, 3), (F2, 4), (FieldSpec.prime_field(3), 3)):
         table = betti_numbers(I, field)
         assert table.projective_dimension() == expected_pd
-        assert table.as_dict() == orc.koszul_tor_table(I, field)
+        assert orc.betti_dict(table) == orc.koszul_tor_table(I, field)
     # cd over a field follows pd, so the torsion functor support jumps too
     ring = QuotientRing(6, minimalize([], 6))
     a = QuotientIdeal(ring, I)

@@ -6,8 +6,15 @@ import random
 import pytest
 
 import topann.stanley_reisner as sr
-from topann.errors import InvalidInputError
-from topann.monomial import Monomial, mask_varset, minimalize, radical, variable_ideal
+from topann.errors import GuardExceededError, InvalidInputError
+from topann.monomial import (
+    Monomial,
+    mask_varset,
+    minimalize,
+    radical,
+    variable_ideal,
+    varset_mask,
+)
 from topann.stanley_reisner import (
     QuotientIdeal,
     QuotientRing,
@@ -113,6 +120,50 @@ def test_krull_dim_examples():
     assert krull_dim(ideal(4, (1, 0, 0, 0), (0, 1, 0, 0))) == 2
     with pytest.raises(InvalidInputError):
         krull_dim(ideal(2, (0, 0)))
+
+
+def _smallest_cover(edges, d):
+    return min(len(c) for c in orc.brute_minimal_covers(edges, d))
+
+
+def test_krull_dim_is_a_minimum_transversal():
+    # against every subset of the vertices, on seeded hypergraphs with d <= 12;
+    # raw edge lists keep nested edges and repeats, which an ideal would drop
+    rng = random.Random(239)
+    cases = [(d, []) for d in (1, 5, 12)]  # the zero ideal
+    cases.append((6, [{3}, {1, 3}, {1, 2, 3}, {5}, {4, 5, 6}]))
+    while len(cases) < 400:
+        d = rng.randint(1, 12)
+        largest = rng.choice((1, 2, 3, d))
+        edges = [
+            set(rng.sample(range(1, d + 1), rng.randint(1, min(d, largest))))
+            for _ in range(rng.randint(0, 10))
+        ]
+        cases.append((d, edges))
+    nested = singles = 0
+    for d, edges in cases:
+        masks = [varset_mask(e) for e in edges]
+        smallest = _smallest_cover(edges, d)
+        assert sr._min_transversal(masks) == smallest, (d, edges)
+        if edges:
+            I = minimalize([orc.from_support(e, d) for e in edges], d)
+            assert krull_dim(I) == d - smallest, (d, edges)
+            power = minimalize([g * g for g in I.gens], d)
+            assert krull_dim(power) == d - smallest
+        else:
+            assert krull_dim(minimalize([], d)) == d
+        nested += any(e < f for e in edges for f in edges)
+        singles += any(len(e) == 1 for e in edges)
+    assert nested >= 50 and singles >= 50
+
+
+def test_krull_dim_errors_unchanged():
+    for d in (2, 21):
+        with pytest.raises(InvalidInputError, match="zero ring"):
+            krull_dim(minimalize([Monomial((0,) * d)], d))
+    with pytest.raises(GuardExceededError, match="ambient 21 exceeds the guard 20"):
+        krull_dim(variable_ideal({1}, 21))
+    assert krull_dim(variable_ideal({1}, 20)) == 19
 
 
 def test_sr_faces_are_supports_outside_the_ideal():
