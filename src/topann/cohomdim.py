@@ -218,7 +218,7 @@ def cd_on_prime(a: QuotientIdeal, prime: VarSet, field: FieldSpec) -> int:
     """
     a.ring.require_support(prime)
     killed = varset_mask(prime)  # a generator meeting the prime is zero in S/prime
-    supports = [s for s in a.radical_masks if not s & killed]
+    supports = [g.mask for g in a.radical_lift.gens if not g.mask & killed]
     if not supports:
         return 0
     _guard_betti(a.ring.ambient - len(prime))

@@ -87,43 +87,18 @@ def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
     return _sorted_varsets(map(mask_varset, _minimal_covers(edges)))
 
 
-def _min_transversal(edges: list[int]) -> int:
-    """The smallest size of a transversal of the edges (variable bitmasks).
-
-    Every transversal holds a vertex of the smallest open edge, so branch on
-    those.  One vertex per edge is a transversal, so the bound starts at the
-    edge count; a branch is cut when one more vertex cannot beat the best.
-    """
-    best = len(edges)
-
-    def descend(size: int, open_edges: list[int]) -> None:
-        nonlocal best
-        if not open_edges:
-            best = size
-            return
-        if size + 1 >= best:
-            return
-        rest = open_edges[0]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            descend(size + 1, [e for e in open_edges if not e & low])
-
-    descend(0, sorted(edges, key=lambda e: (e.bit_count(), e)))
-    return best
-
-
 def krull_dim(ideal: MonomialIdeal) -> int:
     """dim S/I for proper I: ambient minus the smallest size of a minimal prime.
 
-    The smallest prime is a minimum transversal of the radical's supports, so
-    it is searched for directly, with no list of minimal primes.  Errors on
-    the unit ideal, then past `MINIMAL_PRIMES_GUARD`.
+    The sizes are read off the minimal covers of the radical's supports as
+    bitmasks, with no sorted list of primes.  Errors on the unit ideal, then
+    past `MINIMAL_PRIMES_GUARD`.
     """
     if ideal.is_unit():
         raise InvalidInputError("the zero ring has no Krull dimension")
     guard_ambient(ideal.ambient)
-    return ideal.ambient - _min_transversal([g.mask for g in radical(ideal).gens])
+    edges = [g.mask for g in radical(ideal).gens]
+    return ideal.ambient - min(map(int.bit_count, _minimal_covers(edges)))
 
 
 @dataclass(frozen=True)
@@ -179,11 +154,6 @@ class QuotientIdeal:
     def radical_lift(self) -> MonomialIdeal:
         """radical(lift), computed once per ideal."""
         return radical(self.lift)
-
-    @cached_property
-    def radical_masks(self) -> tuple[int, ...]:
-        """The supports of radical(lift)'s generators, as variable bitmasks."""
-        return tuple(g.mask for g in self.radical_lift.gens)
 
     def full_lift(self) -> MonomialIdeal:
         """lift + J, the preimage of the ideal in S."""

@@ -1,7 +1,9 @@
 """Minimal primes, dimensions, heights, and the Stanley-Reisner dictionary."""
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -144,7 +146,8 @@ def test_krull_dim_is_a_minimum_transversal():
     for d, edges in cases:
         masks = [varset_mask(e) for e in edges]
         smallest = _smallest_cover(edges, d)
-        assert sr._min_transversal(masks) == smallest, (d, edges)
+        fewest = min(map(int.bit_count, sr._minimal_covers(masks)))
+        assert fewest == smallest, (d, edges)
         if edges:
             I = minimalize([orc.from_support(e, d) for e in edges], d)
             assert krull_dim(I) == d - smallest, (d, edges)
@@ -155,6 +158,35 @@ def test_krull_dim_is_a_minimum_transversal():
         nested += any(e < f for e in edges for f in edges)
         singles += any(len(e) == 1 for e in edges)
     assert nested >= 50 and singles >= 50
+
+
+def test_krull_dim_work_is_bounded_on_dense_hypergraphs():
+    # all squarefree cubics and the complete graph on 20 variables: C(20, 2)
+    # and 20 minimal covers, each reached through its first pivot only, so the
+    # cover search makes 1,330 and 210 calls of its recursive step `descend`;
+    # a search that retries the pivots already branched on makes about 3^17
+    # and 2^18
+    limit = 2000
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "descend":
+            calls += 1
+            if calls > limit:
+                raise RuntimeError(f"more than {limit} cover search calls")
+
+    d = 20
+    for k, dim in ((3, 2), (2, 1)):
+        supports = itertools.combinations(range(1, d + 1), k)
+        I = minimalize([orc.from_support(set(s), d) for s in supports], d)
+        calls = 0
+        sys.setprofile(count)
+        try:
+            assert krull_dim(I) == dim
+        finally:
+            sys.setprofile(None)
+        assert 0 < calls <= limit
 
 
 def test_krull_dim_errors_unchanged():
