@@ -25,9 +25,7 @@ from .cech import (
     localization_piece,
 )
 from .cohomdim import (
-    BettiTable,
     CdReport,
-    betti_numbers,
     cd_on_prime,
     cohomological_dimension,
     grade_on_prime,
@@ -67,7 +65,6 @@ from .stanley_reisner import (
 __all__ = [
     "AnnBoundsReport",
     "AnnihilationVerdict",
-    "BettiTable",
     "CdReport",
     "CechReport",
     "DegreeBox",
@@ -85,7 +82,6 @@ __all__ = [
     "VectorSpaceComplex",
     "annihilation_check",
     "annihilator_bounds",
-    "betti_numbers",
     "build_instance",
     "cd_on_prime",
     "cech_ranks",

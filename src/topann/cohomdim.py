@@ -16,8 +16,9 @@ H~_{i-2} != 0 needs i - 2 <= m - 2.  Hochster's H~_{|sigma|-i-1} != 0 needs
 |sigma| - i - 1 >= -1.  The degrees are ranked in descending order of this
 bound, and the search stops at the first bound no larger than the best i found.
 Every degree left unranked then has no nonzero Betti number past that i, so the
-result is pd exactly, together with a degree that attains it.  `betti_numbers`
-still builds the whole table and is the reference for the search.
+result is pd exactly, together with a degree that attains it.  The whole
+table, every degree ranked by the same `_degree_betti`, is built only in the
+test oracles (`tests/_oracles.py`), as the reference for the search.
 
 Most ideals met in practice need no search.  If each of the k generators holds
 a variable that no other generator holds, dropping any generator from a set
@@ -29,9 +30,12 @@ builds the lcm lattice only for the other ideals.
 
 Over a quotient R = S/J, cd is the maximum of cd on the associated prime
 quotients, each of which is again a polynomial ring.  On R/p the image of a is
-generated by the supports of radical(a) that miss p.  Betti numbers do not see
-variables no generator holds, so `cd_on_prime` ranks those masks as they are,
-with no reindexed ideal.
+generated by the supports of radical(a) that miss p (`_image_masks`).  Betti
+numbers do not see variables no generator holds, so `cd_on_prime` ranks those
+masks as they are, with no reindexed ideal.  The grade of the image is its
+height in that polynomial ring, the fewest variables that meet every one of
+those masks, so `grade_on_prime` reads it from the same masks with the
+transversal routine behind `krull_dim`.
 """
 from __future__ import annotations
 
@@ -39,29 +43,10 @@ from dataclasses import dataclass
 
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec, homology_ranks_of_faces
-from .monomial import (
-    MonomialIdeal,
-    VarSet,
-    _canonical,
-    _trusted,
-    subset_unions,
-    varset_mask,
-)
-from .stanley_reisner import QuotientIdeal, is_face, krull_dim
+from .monomial import MonomialIdeal, VarSet, subset_unions, varset_mask
+from .stanley_reisner import QuotientIdeal, _min_cover_size, is_face
 
 HOCHSTER_GUARD = 14
-
-
-@dataclass(frozen=True)
-class BettiTable:
-    """Nonzero Betti numbers beta_{i, sigma} of S/I, as sorted (i, sigma mask, beta) triples."""
-
-    field: FieldSpec
-    ambient: int
-    entries: tuple[tuple[int, int, int], ...]
-
-    def projective_dimension(self) -> int:
-        return max(i for i, _, _ in self.entries)
 
 
 def _lcm_support_closure(supports: list[int]) -> set[int]:
@@ -132,28 +117,6 @@ def _below(sigma: int, supports: list[int]) -> list[int]:
     return [s for s in supports if not s & ~sigma]
 
 
-def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
-    """Graded Betti numbers of S/I for squarefree proper I.
-
-    Each degree sigma of the lcm lattice is ranked on the smaller of its two
-    complexes (see `_degree_betti`): the crosscut complex on the m generators
-    below sigma when m < |sigma|, else Hochster's restriction to the |sigma|
-    vertices.  A degree costs 2^min(m, |sigma|) face tests, and min(m, |sigma|)
-    bounds every i with beta_{i, sigma} != 0, which `top_betti_degree` uses to
-    find pd without this whole table.  Supports and degrees are variable
-    bitmasks (`Monomial.mask`).
-    """
-    supports = _betti_supports(ideal)
-    entries = []
-    for sigma in _lcm_support_closure(supports):
-        below = _below(sigma, supports)
-        crosscut = len(below) < sigma.bit_count()
-        for i, h in _degree_betti(sigma, below, field, crosscut).items():
-            entries.append((i, sigma, h))
-    entries.sort()
-    return BettiTable(field, ideal.ambient, tuple(entries))
-
-
 def top_betti_degree(ideal: MonomialIdeal, field: FieldSpec) -> tuple[int, int]:
     """(pd(S/I), sigma) for squarefree proper I, with beta_{pd, sigma} != 0."""
     return _top_betti(_betti_supports(ideal), field)
@@ -190,21 +153,13 @@ def _top_betti(supports: list[int], field: FieldSpec) -> tuple[int, int]:
     return pd, top
 
 
-def _image_in_prime_quotient(a: QuotientIdeal, prime: VarSet) -> MonomialIdeal:
-    """Image of radical(lift) in S/prime, reindexed onto the surviving variables.
-
-    The generators missing the prime are an antichain in canonical order, and
-    dropping coordinates on which all of them are 0 keeps divisibility and
-    order, so the image is canonical."""
+def _image_masks(a: QuotientIdeal, prime: VarSet) -> list[int]:
+    """The image of the ideal in R/prime, as the supports of radical(lift) that
+    miss the prime (an antichain); empty when the image is zero.  Rejects a
+    prime outside the ring's support."""
     a.ring.require_support(prime)
-    survivors = [i for i in range(a.ring.ambient) if i + 1 not in prime]
     killed = varset_mask(prime)  # a generator meeting the prime is zero in S/prime
-    gens = tuple(
-        _trusted(tuple(g.exponents[i] for i in survivors))
-        for g in a.radical_lift.gens
-        if not g.mask & killed
-    )
-    return _canonical(len(survivors), gens)
+    return [g.mask for g in a.radical_lift.gens if not g.mask & killed]
 
 
 def cd_on_prime(a: QuotientIdeal, prime: VarSet, field: FieldSpec) -> int:
@@ -212,13 +167,11 @@ def cd_on_prime(a: QuotientIdeal, prime: VarSet, field: FieldSpec) -> int:
 
     If the image of the ideal is zero there, the torsion functor fixes
     everything and cd is 0; otherwise cd equals the projective dimension of the
-    image's quotient (Lyubeznik's equality for squarefree monomial ideals).
-    The image is generated by the radical's supports that miss the prime, an
-    antichain; the Betti guard applies to the d - |prime| surviving variables.
+    image's quotient (Lyubeznik's equality for squarefree monomial ideals),
+    ranked on `_image_masks`; the Betti guard applies to the d - |prime|
+    surviving variables.
     """
-    a.ring.require_support(prime)
-    killed = varset_mask(prime)  # a generator meeting the prime is zero in S/prime
-    supports = [g.mask for g in a.radical_lift.gens if not g.mask & killed]
+    supports = _image_masks(a, prime)
     if not supports:
         return 0
     _guard_betti(a.ring.ambient - len(prime))
@@ -228,12 +181,11 @@ def cd_on_prime(a: QuotientIdeal, prime: VarSet, field: FieldSpec) -> int:
 def grade_on_prime(a: QuotientIdeal, prime: VarSet) -> int | None:
     """Grade of the image ideal on R/prime, i.e. its height in that polynomial ring.
 
+    The height is the fewest variables meeting every support of `_image_masks`.
     Returns None when the image is zero (grade undefined on torsion).
     """
-    image = _image_in_prime_quotient(a, prime)
-    if image.is_zero():
-        return None
-    return image.ambient - krull_dim(image)
+    supports = _image_masks(a, prime)
+    return _min_cover_size(supports) if supports else None
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ fails whenever |Z| > |X|.  The module verifies every claim from first
 principles rather than trusting the closed formulas, and computes each value
 once: claim i reads the ring's checked minimal primes, and claim ii the cd table
 of `annihilator_bounds` (a prime missing there reads None and fails the claim).
+Claim ii's grade on each prime comes from the masks cd is ranked on, the
+radical's supports that miss the prime, as their smallest transversal.
 """
 from __future__ import annotations
 

@@ -15,9 +15,8 @@ The public constructors check their input: `Monomial(...)` its exponents and
 are valid by construction skip those checks: `_trusted` builds a `Monomial`
 from the exponents of a monomial operation, and `_canonical` builds a
 `MonomialIdeal` from generators that are already canonical.  `_canonical` has
-four callers, each of which states why its output is canonical: `minimalize`,
-`prime_intersection`, `variable_ideal` and
-`cohomdim._image_in_prime_quotient`.
+three callers, each of which states why its output is canonical: `minimalize`,
+`prime_intersection` and `variable_ideal`.
 """
 from __future__ import annotations
 

@@ -57,6 +57,13 @@ def _minimal_covers(edges: list[int]) -> list[int]:
     return [c for c in found if not any(o & c == o and o != c for o in found)]
 
 
+def _min_cover_size(edges: list[int]) -> int:
+    """The fewest vertices that meet every edge: the smallest bit count among
+    `_minimal_covers`, 0 for no edges.  For the generator supports of an ideal
+    it is the ideal's height."""
+    return min(map(int.bit_count, _minimal_covers(edges)))
+
+
 def is_face(vmask: int, j_masks: list[int]) -> bool:
     """Is vmask a Stanley-Reisner face: does it hold none of the supports j_masks?"""
     return all(jm & ~vmask for jm in j_masks)
@@ -90,15 +97,14 @@ def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
 def krull_dim(ideal: MonomialIdeal) -> int:
     """dim S/I for proper I: ambient minus the smallest size of a minimal prime.
 
-    The sizes are read off the minimal covers of the radical's supports as
-    bitmasks, with no sorted list of primes.  Errors on the unit ideal, then
-    past `MINIMAL_PRIMES_GUARD`.
+    That size is `_min_cover_size` of the radical's supports as bitmasks, with
+    no sorted list of primes.  Errors on the unit ideal, then past
+    `MINIMAL_PRIMES_GUARD`.
     """
     if ideal.is_unit():
         raise InvalidInputError("the zero ring has no Krull dimension")
     guard_ambient(ideal.ambient)
-    edges = [g.mask for g in radical(ideal).gens]
-    return ideal.ambient - min(map(int.bit_count, _minimal_covers(edges)))
+    return ideal.ambient - _min_cover_size([g.mask for g in radical(ideal).gens])
 
 
 @dataclass(frozen=True)

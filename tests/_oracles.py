@@ -13,11 +13,18 @@ faces) are the reference for the sparse elimination kernel of
 a slice ranked on all of its components, is the reference for the band of
 nonzero components that the slice engine ranks.  `admissible`,
 Lyubeznik's condition tested from its definition, is the reference for the
-admissible-subset table of the Cech slice engine.
+admissible-subset table of the Cech slice engine.  `betti_numbers`, the whole
+Betti table on every degree of the lcm lattice, is the reference for the
+bounded search `cohomdim.top_betti_degree`; it ranks each degree with the
+search's own `_degree_betti` kernel, which `koszul_tor_table` and
+`dense_betti_table` check from first principles.  `_image_in_prime_quotient`,
+the image of an ideal in R/p built as a reindexed ideal, is the reference for
+the support masks from which `cd_on_prime` and `grade_on_prime` read it.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -28,10 +35,16 @@ from topann.cech import (
     _sign_pattern,
     _SliceEngine,
 )
-from topann.cohomdim import cd_on_prime
+from topann.cohomdim import (
+    _below,
+    _betti_supports,
+    _degree_betti,
+    _lcm_support_closure,
+    cd_on_prime,
+)
 from topann.errors import InvalidInputError
 from topann.linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks
-from topann.monomial import Monomial, MonomialIdeal, minimalize
+from topann.monomial import Monomial, MonomialIdeal, VarSet, minimalize
 from topann.stanley_reisner import is_face
 
 
@@ -168,6 +181,38 @@ def brute_minimal_covers(edges, d):
     )
 
 
+@dataclass(frozen=True)
+class BettiTable:
+    """Nonzero Betti numbers beta_{i, sigma} of S/I, as sorted (i, sigma mask, beta) triples."""
+
+    field: FieldSpec
+    ambient: int
+    entries: tuple[tuple[int, int, int], ...]
+
+    def projective_dimension(self) -> int:
+        return max(i for i, _, _ in self.entries)
+
+
+def betti_numbers(ideal: MonomialIdeal, field: FieldSpec) -> BettiTable:
+    """Graded Betti numbers of S/I for squarefree proper I, on every degree.
+
+    Each degree sigma of the lcm lattice is ranked on the smaller of its two
+    complexes (see `cohomdim._degree_betti`): the crosscut complex on the m
+    generators below sigma when m < |sigma|, else Hochster's restriction to
+    the |sigma| vertices.  The input checks and the guard are those of
+    `top_betti_degree`.  Supports and degrees are variable bitmasks.
+    """
+    supports = _betti_supports(ideal)
+    entries = []
+    for sigma in _lcm_support_closure(supports):
+        below = _below(sigma, supports)
+        crosscut = len(below) < sigma.bit_count()
+        for i, h in _degree_betti(sigma, below, field, crosscut).items():
+            entries.append((i, sigma, h))
+    entries.sort()
+    return BettiTable(field, ideal.ambient, tuple(entries))
+
+
 def betti_dict(table) -> dict[tuple[int, int], int]:
     """A `BettiTable` as {(i, sigma mask): beta}, the form of the tables here."""
     return {(i, s): v for i, s, v in table.entries}
@@ -209,6 +254,23 @@ def koszul_tor_table(ideal: MonomialIdeal, field: FieldSpec):
             if h:
                 table[(i, smask)] = h
     return table
+
+
+def _image_in_prime_quotient(a, prime: VarSet) -> MonomialIdeal:
+    """Image of radical(lift) in S/prime, reindexed onto the surviving variables,
+    through the checked constructors.
+
+    The generators missing the prime are an antichain in canonical order, and
+    dropping coordinates on which all of them are 0 keeps divisibility and
+    order, so the checked `MonomialIdeal(...)` accepts them as they come."""
+    a.ring.require_support(prime)
+    survivors = [i for i in range(a.ring.ambient) if i + 1 not in prime]
+    gens = tuple(
+        Monomial(tuple(g.exponents[i] for i in survivors))
+        for g in a.radical_lift.gens
+        if not g.support() & prime
+    )
+    return MonomialIdeal(len(survivors), gens)
 
 
 def truncated_localization_piece(J: MonomialIdeal, W, deg, extra_steps=6) -> int:

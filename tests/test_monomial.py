@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topann.cohomdim import _image_in_prime_quotient
 from topann.errors import InvalidInputError
 from topann.monomial import (
     Monomial,
@@ -22,7 +21,6 @@ from topann.monomial import (
     variable_ideal,
     varset_mask,
 )
-from topann.stanley_reisner import QuotientIdeal, QuotientRing
 
 import _oracles as orc
 from _oracles import intersect
@@ -353,49 +351,31 @@ def _assert_canonical(r: MonomialIdeal) -> int:
 
 
 def test_trusted_constructions_equal_the_checked_ones():
-    # minimalize, prime_intersection, variable_ideal and the image in S/p
-    # build their ideals without the constructor's checks
+    # minimalize, prime_intersection and variable_ideal build their ideals
+    # without the constructor's checks
     rng = random.Random(89)
     cases = 0
     for r in (prime_intersection([], 4), prime_intersection([frozenset()], 4)):
         assert _assert_canonical(r) == len(r.gens)
     assert prime_intersection([], 4).is_unit()
     assert prime_intersection([frozenset()], 4).is_zero()
-    for _ in range(700):
+    for _ in range(800):
         d = rng.randint(1, 12)
         r = prime_intersection(_random_primes(rng, d), d)
         assert _assert_canonical(r) == len(r.gens)
         cases += 1
-    for _ in range(400):
+    for _ in range(500):
         d = rng.randint(1, 12)
         varset = [rng.randint(1, d) for _ in range(rng.randint(0, 2 * d))]
         r = variable_ideal(varset, d)
         assert _assert_canonical(r) == len(r.gens) == len(set(varset))
         cases += 1
-    for d, gens in islice(_random_generator_lists(rng), 600):
+    for d, gens in islice(_random_generator_lists(rng), 700):
         r = minimalize(gens, d)
         _assert_canonical(r)
         if Monomial.identity(d) in gens:
             assert r.gens == (Monomial.identity(d),)
         cases += 1
-    while cases < 2000:
-        d = rng.randint(2, 9)
-        primes = [p for p in _random_primes(rng, d) if p] or [frozenset({1})]
-        ring = QuotientRing(d, prime_intersection(primes, d))
-        top = rng.choice((1, 2, 3))
-        lift = minimalize([
-            Monomial(tuple(rng.randint(0, top) for _ in range(d)))
-            for _ in range(rng.randint(0, 5))
-        ], d)
-        if lift.is_unit():
-            continue
-        a = QuotientIdeal(ring, lift)
-        for p in ring.minimal_primes:
-            q = p | {v for v in range(1, d + 1) if rng.random() < 0.2}
-            image = _image_in_prime_quotient(a, q)
-            _assert_canonical(image)
-            assert image.ambient == d - len(q)
-            cases += 1
     assert cases >= 2000
 
 
