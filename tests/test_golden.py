@@ -1,12 +1,15 @@
 """Every golden report is reproduced byte for byte.
 
 The corpus under `tests/golden/` holds the README examples, both Lynch
-fixtures, `lynch search --max-d 6`, `cd`, `ann-bounds` and `gamma` over Q
-and F_2 on instances whose Betti degrees are ranked on either complex, `cd`
-and `ann-bounds` over Q and F_2 on ten cubic generators with J = 0 and with J
-covering every variable (cubics8, cubics8-fullj), where the top Betti degree
-search skips the most degrees, and Cech oracle reports on ten generators
-with J = 0 (rp2) and on a J whose support misses some variables (cycle).
+fixtures, `lynch search --max-d 6`, `lynch verify` over Q and F_2 on a d = 14
+tuple whose J has 96 generators, `cd`, `ann-bounds` and `gamma` over Q and F_2
+on instances whose Betti degrees are ranked on either complex and on a d = 9
+ring with twelve minimal primes and squared lift generators whose supports
+repeat or nest (nested), `cd` and `ann-bounds` over Q and F_2 on ten cubic
+generators with J = 0 and with J covering every variable (cubics8,
+cubics8-fullj), where the top Betti degree search skips the most degrees, and
+Cech oracle reports on ten generators with J = 0 (rp2) and on a J whose
+support misses some variables (cycle).
 """
 from __future__ import annotations
 
