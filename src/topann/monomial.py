@@ -6,9 +6,13 @@ structural equality is ideal equality.
 
 A squarefree support (a set of variables) is also an int bitmask, with bit
 v - 1 set for variable v.  The layout is defined here once: `Monomial.mask`,
-`varset_mask` and `mask_varset`.  Here `_antichain` tests divisibility on
-masks first, and `prime_intersection` meets monomial primes on masks alone,
-building `Monomial`s only for the final generators.
+`varset_mask`, `mask_varset` and `_BYTE_BITS`, the exponents of the eight
+variables of each byte value, from which `_squarefree` builds a squarefree
+monomial a byte at a time.  Here `_antichain` tests divisibility on masks
+first, and `_prime_meet` meets monomial primes on masks alone: it is the one
+kernel of `prime_intersection`, which builds `Monomial`s only for the final
+generators, and of the check that a ring's minimal primes meet in its ideal,
+which builds none.
 
 The public constructors check their input: `Monomial(...)` its exponents and
 `MonomialIdeal(...)` that its generators are a sorted antichain.  Results that
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Iterable
 
 from .errors import InvalidInputError
@@ -88,7 +92,8 @@ class Monomial:
         return _trusted(tuple(min(e, 1) for e in self.exponents))
 
     def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
+        """No exponent above 1: the degree is the number of variables in the support."""
+        return sum(self.exponents) == self.mask.bit_count()
 
     def pretty(self, names: list[str] | None = None) -> str:
         if names is None:
@@ -110,9 +115,21 @@ def _trusted(exponents: tuple[int, ...]) -> Monomial:
     return m
 
 
+# the exponents of variables 8k + 1 .. 8k + 8 when byte k of a mask is b;
+# `product` counts in binary with the high bit first
+_BYTE_BITS = [bits[::-1] for bits in product((0, 1), repeat=8)]
+
+
 def _squarefree(mask: int, ambient: int) -> Monomial:
-    """The squarefree monomial with support `mask`, its `mask` already set."""
-    m = _trusted(tuple(mask >> i & 1 for i in range(ambient)))
+    """The squarefree monomial with support `mask`, its `mask` already set.
+
+    The exponents are the `_BYTE_BITS` of each byte of the mask, cut to the
+    ambient; `mask` must hold no bit past the ambient.
+    """
+    exponents: tuple[int, ...] = ()
+    for shift in range(0, ambient, 8):
+        exponents += _BYTE_BITS[mask >> shift & 255]
+    m = _trusted(exponents[:ambient])
     m.__dict__["mask"] = mask
     return m
 
@@ -254,26 +271,19 @@ def ideal_sum(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialIdeal:
     return minimalize(gens, d)
 
 
-def prime_intersection(primes: Iterable[Iterable[int]], ambient: int) -> MonomialIdeal:
-    """The intersection of the monomial primes (x_v : v in p) over `primes`.
+def _prime_meet(pmasks: Iterable[int]) -> list[int]:
+    """The generator supports of the intersection of monomial primes, as masks.
 
-    Equal to the intersection of their `variable_ideal`s, computed on variable
-    bitmasks: the generators of an intersection of primes are squarefree.
-    Meeting the antichain with p keeps each support that meets p and grows
-    every other support s by each variable v of p.  The grown s | v are an
-    antichain and never lie under a kept support (s misses p), so the only
-    redundant ones are those over a kept support, which must hold v.  An
-    empty list gives the unit ideal; the zero prime gives the zero ideal.
-    The supports are thus an antichain at every step, and sorting their
-    generators makes the result canonical.
+    Each prime is the mask of its variables.  Meeting the antichain with p
+    keeps each support that meets p and grows every other support s by each
+    variable v of p.  The grown s | v are an antichain and never lie under a
+    kept support (s misses p), so the only redundant ones are those over a
+    kept support, which must hold v.  The supports are thus an antichain at
+    every step.  No prime gives [0], the unit ideal; the zero prime gives [],
+    the zero ideal.
     """
     supports = [0]
-    for p in primes:
-        pmask = 0
-        for v in p:
-            if not 1 <= v <= ambient:
-                raise InvalidInputError(f"variable index {v} out of range 1..{ambient}")
-            pmask |= 1 << (v - 1)
+    for pmask in pmasks:
         kept = [s for s in supports if s & pmask]
         grown = []
         for s in supports:
@@ -287,8 +297,29 @@ def prime_intersection(primes: Iterable[Iterable[int]], ambient: int) -> Monomia
                 if not any(t & ~g == 0 for t in kept if t & low):
                     grown.append(g)
         supports = kept + grown
+    return supports
+
+
+def prime_intersection(primes: Iterable[Iterable[int]], ambient: int) -> MonomialIdeal:
+    """The intersection of the monomial primes (x_v : v in p) over `primes`.
+
+    Equal to the intersection of their `variable_ideal`s, computed on variable
+    bitmasks by `_prime_meet`: the generators of an intersection of primes are
+    squarefree, and their supports are an antichain, so sorting their
+    generators makes the result canonical.
+    """
+    pmasks = []
+    for p in primes:
+        pmask = 0
+        for v in p:
+            if not 1 <= v <= ambient:
+                raise InvalidInputError(f"variable index {v} out of range 1..{ambient}")
+            pmask |= 1 << (v - 1)
+        pmasks.append(pmask)
     gens = sorted(
-        (_squarefree(s, ambient) for s in supports), key=lambda m: m.exponents, reverse=True
+        (_squarefree(s, ambient) for s in _prime_meet(pmasks)),
+        key=lambda m: m.exponents,
+        reverse=True,
     )
     return _canonical(ambient, tuple(gens))
 

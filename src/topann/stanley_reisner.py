@@ -2,9 +2,13 @@
 
 Monomial primes are represented by their variable sets; the minimal primes of a
 monomial ideal are the minimal vertex covers of the hypergraph of generator
-supports, found on variable bitmasks.  The faces of the Stanley-Reisner
-complex of J are the supports of squarefree monomials outside J; `is_face`
-is the one test of a bitmask, made wherever a complex is ranked.
+supports, found on variable bitmasks.  The supports are those of the ideal's
+own generators, with no radical taken: a prime holds a monomial exactly when
+it meets the monomial's support, and an edge that contains another edge
+changes no minimal transversal, so the radical's antichain of supports has
+the same covers.  The faces of the Stanley-Reisner complex of J are the
+supports of squarefree monomials outside J; `is_face` is the one test of a
+bitmask, made wherever a complex is ranked.
 """
 from __future__ import annotations
 
@@ -15,10 +19,11 @@ from .errors import GuardExceededError, InvalidInputError
 from .monomial import (
     MonomialIdeal,
     VarSet,
+    _prime_meet,
     ideal_sum,
     mask_varset,
-    prime_intersection,
     radical,
+    varset_mask,
 )
 
 MINIMAL_PRIMES_GUARD = 20
@@ -85,26 +90,30 @@ def guard_ambient(ambient: int) -> None:
 def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
     """Minimal monomial primes over a proper ideal, sorted by (size, members).
 
-    The zero ideal returns the zero prime, written as the empty variable set.
+    They are the minimal transversals of the generators' supports.  The
+    radical would give the same covers: its supports are the inclusion-minimal
+    ones among these, and an edge over another edge is met by every set that
+    meets the smaller one.  The zero ideal returns the zero prime, written as
+    the empty variable set.
     """
     if ideal.is_unit():
         raise InvalidInputError("the unit ideal has no minimal primes")
     guard_ambient(ideal.ambient)
-    edges = [g.mask for g in radical(ideal).gens]
-    return _sorted_varsets(map(mask_varset, _minimal_covers(edges)))
+    return _sorted_varsets(map(mask_varset, _minimal_covers([g.mask for g in ideal.gens])))
 
 
 def krull_dim(ideal: MonomialIdeal) -> int:
     """dim S/I for proper I: ambient minus the smallest size of a minimal prime.
 
-    That size is `_min_cover_size` of the radical's supports as bitmasks, with
-    no sorted list of primes.  Errors on the unit ideal, then past
-    `MINIMAL_PRIMES_GUARD`.
+    That size is `_min_cover_size` of the generators' supports as bitmasks,
+    with no sorted list of primes and no radical: as in `minimal_primes`, the
+    supports that lie over others change no transversal.  Errors on the unit
+    ideal, then past `MINIMAL_PRIMES_GUARD`.
     """
     if ideal.is_unit():
         raise InvalidInputError("the zero ring has no Krull dimension")
     guard_ambient(ideal.ambient)
-    return ideal.ambient - _min_cover_size([g.mask for g in radical(ideal).gens])
+    return ideal.ambient - _min_cover_size([g.mask for g in ideal.gens])
 
 
 @dataclass(frozen=True)
@@ -127,7 +136,9 @@ class QuotientRing:
         if self.relations.is_unit():
             raise InvalidInputError("quotient by the unit ideal is the zero ring")
         primes = minimal_primes(self.relations)
-        if prime_intersection(primes, self.ambient) != self.relations:
+        # J is squarefree, so it equals the intersection exactly when the two
+        # antichains of supports are the same set
+        if set(_prime_meet(map(varset_mask, primes))) != {g.mask for g in self.relations.gens}:
             raise InvalidInputError("minimal primes do not intersect to the ideal")
         object.__setattr__(self, "minimal_primes", primes)
 

@@ -12,6 +12,7 @@ from topann.errors import InvalidInputError
 from topann.monomial import (
     Monomial,
     MonomialIdeal,
+    _squarefree,
     ideal_sum,
     mask_varset,
     minimalize,
@@ -398,6 +399,41 @@ def test_mask_layout_is_one_bit_per_variable():
             assert m.mask < 1 << d
     assert Monomial.identity(4).mask == 0 and mask_varset(0) == frozenset()
     assert Monomial((0, 2, 0, 1)).mask == 0b1010
+
+
+def test_squarefree_builds_the_checked_monomial_a_byte_at_a_time():
+    # every ambient 0..40 crosses the byte boundaries 8, 16 and 24 and goes past 24
+    rng = random.Random(71)
+    for d in range(41):
+        masks = {0, (1 << d) - 1} | {1 << i for i in range(d)}
+        masks |= {rng.getrandbits(d) for _ in range(40)} if d else set()
+        for mask in masks:
+            got = _squarefree(mask, d)
+            checked = Monomial(tuple(mask >> i & 1 for i in range(d)))
+            assert type(got) is Monomial and type(got.exponents) is tuple
+            assert got == checked and hash(got) == hash(checked), (d, mask)
+            assert vars(got)["mask"] == mask == _checked_mask(checked)
+
+
+def test_is_squarefree_has_no_exponent_above_one():
+    # the degree equals the support's bit count exactly when no exponent is 2 or more
+    rng = random.Random(73)
+    seen = set()
+    for _ in range(600):
+        d = rng.randint(0, 12)
+        gens = [
+            Monomial(tuple(rng.choice((0, 0, 1, 1, 1, 2, 3)) for _ in range(d)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        for m in gens + [Monomial.identity(d)]:
+            expected = all(e <= 1 for e in m.exponents)
+            assert m.is_squarefree() == expected, m
+            seen.add(expected)
+        I = minimalize(gens, d)
+        expected = all(e <= 1 for g in I.gens for e in g.exponents)
+        assert I.is_squarefree() == expected, I
+        seen.add(("ideal", expected))
+    assert seen == {True, False, ("ideal", True), ("ideal", False)}
 
 
 # ------------------------------------------------------------------ membership

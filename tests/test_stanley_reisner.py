@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import topann.monomial as monomial
 import topann.stanley_reisner as sr
 from topann.errors import GuardExceededError, InvalidInputError
 from topann.monomial import (
@@ -114,6 +115,59 @@ def test_intersection_of_minimal_primes_recovers_radical():
         for p in primes[1:]:
             meet = intersect(meet, variable_ideal(p, d))
         assert meet == radical(I)
+
+
+def _repeated_and_nested_supports(rng, d):
+    """Generators over a few supports of two or three variables: each support
+    twice with exponents up to 3, and once grown by a variable, minimalized."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        s = rng.sample(range(1, d + 1), rng.randint(2, min(3, d - 1)))
+        grown = s + [rng.choice([v for v in range(1, d + 1) if v not in s])]
+        for support in (s, s, grown):
+            exps = [0] * d
+            for v in support:
+                exps[v - 1] = rng.randint(1, 3)
+            gens.append(Monomial(tuple(exps)))
+    return minimalize(gens, d)
+
+
+def test_covers_are_read_from_the_generators_without_the_radical():
+    # ideals with exponents up to 3 and generator supports that repeat or nest,
+    # which the radical merges or drops: the minimal transversals are the same
+    rng = random.Random(241)
+    ideals = [orc.random_monomial_ideal(rng, rng.randint(1, 9), 3, 6) for _ in range(300)]
+    ideals += [_repeated_and_nested_supports(rng, rng.randint(3, 9)) for _ in range(300)]
+    repeated = nested = 0
+    for I in ideals:
+        if I.is_unit():
+            continue
+        supports = [g.mask for g in I.gens]
+        repeated += len(set(supports)) < len(supports)
+        nested += any(s & t == s != t for s in supports for t in supports)
+        brute = orc.brute_minimal_covers([g.support() for g in I.gens], I.ambient)
+        assert list(minimal_primes(I)) == brute == list(minimal_primes(radical(I))), I
+        assert krull_dim(I) == I.ambient - min(map(len, brute)) == krull_dim(radical(I)), I
+    assert repeated >= 100 and nested >= 100
+
+
+def test_minimal_primes_and_krull_dim_take_no_radical(monkeypatch):
+    rng = random.Random(251)
+    ideals = [_repeated_and_nested_supports(rng, rng.randint(3, 9)) for _ in range(50)]
+    radicals = [radical(I) for I in ideals]
+    calls = []
+
+    def spy(ideal):
+        calls.append(ideal)
+        return radical(ideal)
+
+    monkeypatch.setattr(sr, "radical", spy)
+    monkeypatch.setattr(monomial, "radical", spy)
+    for I, rad in zip(ideals, radicals):
+        minimal_primes(I)
+        krull_dim(I)
+        QuotientRing(I.ambient, rad)  # its meet check too
+    assert calls == []
 
 
 def test_krull_dim_examples():
@@ -236,9 +290,18 @@ def test_quotient_ring_rejects_primes_that_miss_the_ideal(monkeypatch):
     # the check intersects the primes it is given, not the covers behind them
     J = ideal(3, (1, 0, 1), (0, 1, 1))  # (x3) cap (x1, x2)
     assert QuotientRing(3, J).minimal_primes == (frozenset({3}), frozenset({1, 2}))
-    monkeypatch.setattr(sr, "minimal_primes", lambda ideal: (frozenset({3}),))
-    with pytest.raises(InvalidInputError, match="do not intersect"):
-        QuotientRing(3, J)
+    wrong = [
+        [{3}],  # the intersection (x3) lies strictly above J
+        # one extra prime: the intersection (x1*x3) lies strictly inside J, so
+        # a check of containment in one direction only passes one of these two
+        [{1}, {3}, {1, 2}],
+        # (x1*x2, x1*x3, x2*x3) lies strictly above J and holds J's generators
+        [{1, 2}, {1, 3}, {2, 3}],
+    ]
+    for primes in wrong:
+        monkeypatch.setattr(sr, "minimal_primes", lambda ideal: tuple(map(frozenset, primes)))
+        with pytest.raises(InvalidInputError, match="do not intersect"):
+            QuotientRing(3, J)
 
 
 def test_quotient_ideal_requires_proper_sum():
