@@ -19,6 +19,7 @@ annihilator is certified exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .cohomdim import cohomological_dimension
 from .errors import InvalidInputError
@@ -27,10 +28,10 @@ from .monomial import (
     MonomialIdeal,
     VarSet,
     ideal_sum,
+    mask_varset,
     power,
     prime_intersection,
     variable_ideal,
-    varset_mask,
 )
 from .stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient, krull_dim
 
@@ -50,9 +51,9 @@ def torsion_ideal(a: QuotientIdeal) -> MonomialIdeal:
     lift, i.e. that miss the support of some generator.  Rejects ideals that
     are zero in the quotient (no such prime), whose torsion would be all of R.
     """
-    primes = a.ring.minimal_primes
+    ring = a.ring
     kept = [
-        p for p, killed in zip(primes, map(varset_mask, primes))
+        p for p, killed in zip(ring.minimal_primes, ring.prime_masks)
         if any(not g.mask & killed for g in a.lift.gens)
     ]
     if not kept:
@@ -60,13 +61,14 @@ def torsion_ideal(a: QuotientIdeal) -> MonomialIdeal:
     return prime_intersection(kept, a.ring.ambient)
 
 
-def localization_kernel(q: VarSet, ring: QuotientRing) -> MonomialIdeal:
+def localization_kernel(q: Iterable[int], ring: QuotientRing) -> MonomialIdeal:
     """Lift of ker(R -> R_q): the intersection of the minimal primes of J inside q."""
-    ring.require_support(q)
-    return prime_intersection((p for p in ring.minimal_primes if p <= q), ring.ambient)
+    qmask = ring.require_support(q)
+    inside = [p for p, pmask in zip(ring.minimal_primes, ring.prime_masks) if not pmask & ~qmask]
+    return prime_intersection(inside, ring.ambient)
 
 
-def symbolic_power(q: VarSet, n: int, ring: QuotientRing) -> MonomialIdeal:
+def symbolic_power(q: Iterable[int], n: int, ring: QuotientRing) -> MonomialIdeal:
     """Lift of the n-th symbolic power of qR: ((q)^n + J : w^infinity), w outside q.
 
     Saturating by a monomial acts generator-wise, so it splits over the sum, and
@@ -74,8 +76,8 @@ def symbolic_power(q: VarSet, n: int, ring: QuotientRing) -> MonomialIdeal:
     """
     if n < 1:
         raise InvalidInputError("symbolic power requires n >= 1")
-    kernel = localization_kernel(q, ring)
-    return ideal_sum(power(variable_ideal(q, ring.ambient), n), kernel)
+    q = mask_varset(ring.require_support(q))  # q is read once, so it may be an iterator
+    return ideal_sum(power(variable_ideal(q, ring.ambient), n), localization_kernel(q, ring))
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,8 @@ def _witness_for(a: QuotientIdeal, p: VarSet, c: int) -> VarSet | None:
     "certified unequal".
     """
     d = a.ring.ambient
-    linear = {g.mask.bit_length() for g in a.radical_lift.gens if g.degree == 1}
-    q = p | (frozenset(range(1, d + 1)) - linear)
+    linear = sum(g.mask for g in a.radical_lift.gens if g.degree == 1)  # distinct bits
+    q = p | mask_varset(((1 << d) - 1) & ~linear)
     return q if len(q) == d - c else None
 
 

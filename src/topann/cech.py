@@ -79,6 +79,11 @@ class DegreeBox:
     upper: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name in ("lower", "upper"):
+            if not isinstance(getattr(self, name), tuple):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not all(type(b) is int for b in self.lower + self.upper):  # no bool or float
+            raise InvalidInputError("box bounds must be ints")
         if len(self.lower) != len(self.upper):
             raise InvalidInputError("box bounds have different lengths")
         if any(a > b for a, b in zip(self.lower, self.upper)):
@@ -113,6 +118,11 @@ def _check_sweep(count: int, what: str) -> None:
         )
 
 
+def _is_degree(deg, ambient: int) -> bool:
+    """Is deg a tuple of `ambient` ints (no bool or float)?"""
+    return type(deg) is tuple and len(deg) == ambient and all(type(x) is int for x in deg)
+
+
 def _sign_pattern(deg: tuple[int, ...]) -> tuple[int, int]:
     """Bitmasks of the negative and the positive coordinates of a degree."""
     neg = 0
@@ -134,8 +144,10 @@ def localization_piece(J: MonomialIdeal, w: int, deg: tuple[int, ...]) -> int:
     """
     if not J.is_squarefree() or J.is_unit():
         raise InvalidInputError("localization pieces need a squarefree proper ideal")
-    if len(deg) != J.ambient:
-        raise InvalidInputError("degree vector has the wrong length")
+    if type(w) is not int or w < 0 or w >> J.ambient:
+        raise InvalidInputError(f"w must be a bitmask of {J.ambient} variables, got {w!r}")
+    if not _is_degree(deg, J.ambient):
+        raise InvalidInputError(f"the degree must be a tuple of {J.ambient} ints, got {deg!r}")
     neg, pos = _sign_pattern(deg)
     return int(not neg & ~w and is_face(pos | w, [g.mask for g in J.gens]))
 
@@ -265,12 +277,7 @@ class DegreeRanks(Mapping):
         self._nonzero_cells = nonzero_cells
 
     def __getitem__(self, deg) -> tuple[int, ...]:
-        if (
-            type(deg) is not tuple
-            or len(deg) != len(self.box.lower)
-            or not all(type(x) is int for x in deg)
-            or deg not in self.box
-        ):
+        if not _is_degree(deg, len(self.box.lower)) or deg not in self.box:
             raise KeyError(deg)
         return self._by_pattern[_sign_pattern(deg)]
 

@@ -154,9 +154,9 @@ def load_instance(path: str, field_override: str | None, box_override: str | Non
             bounds = (raw["lower"], raw["upper"])
         except (TypeError, KeyError) as exc:
             raise InvalidInputError(f"malformed box: {exc}") from exc
-        if not all(isinstance(b, list) and all(type(x) is int for x in b) for b in bounds):
-            raise InvalidInputError("box bounds must be arrays of integers")
-        box = DegreeBox(tuple(bounds[0]), tuple(bounds[1]))
+        if not all(isinstance(b, list) for b in bounds):
+            raise InvalidInputError("box bounds must be arrays")
+        box = DegreeBox(*bounds)
         if len(box.lower) != d:
             raise InvalidInputError("box dimension does not match vars")
     return Instance(names, ring, acting, field, box)
@@ -170,11 +170,14 @@ def parse_box_text(text: str, d: int) -> DegreeBox:
     return DegreeBox.uniform(d, lo, hi)
 
 
+def _header(report: str, field: FieldSpec) -> dict:
+    """The three keys every report starts with: format version, report name and field."""
+    return {"format_version": FORMAT_VERSION, "report": report, "field": field.label()}
+
+
 def cd_report_dict(rep: CdReport, names) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "report": "cd",
-        "field": rep.field.label(),
+        **_header("cd", rep.field),
         "c": rep.c,
         "per_prime": [
             {"prime": varset_to_list(p, names), "cd": v} for p, v in rep.per_prime
@@ -184,9 +187,7 @@ def cd_report_dict(rep: CdReport, names) -> dict:
 
 def ann_report_dict(rep: AnnBoundsReport, heights: HeightReport, names) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "report": "annihilator-bounds",
-        "field": rep.field.label(),
+        **_header("annihilator-bounds", rep.field),
         "c": rep.c,
         "delta": [varset_to_list(p, names) for p in rep.delta],
         "witnesses": [
@@ -213,9 +214,7 @@ def ann_report_dict(rep: AnnBoundsReport, heights: HeightReport, names) -> dict:
 def lynch_report_dict(rep: LynchReport, names) -> dict:
     inst = rep.instance
     return {
-        "format_version": FORMAT_VERSION,
-        "report": "lynch",
-        "field": rep.field.label(),
+        **_header("lynch", rep.field),
         "params": {
             "d": inst.d,
             "X": varset_to_list(inst.X, names),
@@ -247,9 +246,7 @@ def cech_report_dict(rep: CechReport, names) -> dict:
     """The oracle report; `_dump` writes its "nonzero_slices" from `rep.ranks`, one
     {"degree": [...], "ranks": [...]} object per nonzero degree, in sorted order."""
     return {
-        "format_version": FORMAT_VERSION,
-        "report": "cech-ranks",
-        "field": rep.field.label(),
+        **_header("cech-ranks", rep.field),
         "generators": [monomial_to_obj(g, names) for g in rep.generators],
         "box": {"lower": list(rep.box.lower), "upper": list(rep.box.upper)},
         "top_nonvanishing": rep.top_nonvanishing,
@@ -259,9 +256,7 @@ def cech_report_dict(rep: CechReport, names) -> dict:
 
 def annihilation_dict(v: AnnihilationVerdict, m: Monomial, i: int, names, field) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "report": "cech-annihilation",
-        "field": field.label(),
+        **_header("cech-annihilation", field),
         "monomial": monomial_to_obj(m, names),
         "index": i,
         "verdict": v.verdict,
@@ -375,9 +370,7 @@ def _cmd_gamma(args) -> int:
     is_zero = lift == inst.ring.relations
     dim = krull_dim(lift)
     _emit(lambda: {
-        "format_version": FORMAT_VERSION,
-        "report": "torsion",
-        "field": inst.field.label(),
+        **_header("torsion", inst.field),
         "torsion_lift": ideal_to_list(lift, inst.names),
         "torsion_is_zero": is_zero,
         "dim_modulo_torsion": dim,
@@ -389,13 +382,9 @@ def _cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def _parse_indexset(text: str, d: int, what: str) -> frozenset[int]:
-    out = frozenset(
-        parse_int(tok.strip(), f"an index of {what}") for tok in text.split(",") if tok.strip()
-    )
-    if not all(1 <= i <= d for i in out):
-        raise InvalidInputError(f"{what} has indices outside 1..{d}")
-    return out
+def _parse_indexset(text: str, what: str) -> list[int]:
+    """The comma-separated indices of a variable set; `build_instance` checks them."""
+    return [parse_int(tok.strip(), f"an index of {what}") for tok in text.split(",") if tok.strip()]
 
 
 def _lynch_summary(rep: LynchReport, names) -> list[str]:
@@ -421,7 +410,7 @@ def _cmd_lynch_verify(args) -> int:
     field = FieldSpec.parse(args.field or "Q")
     d = args.d
     inst = build_instance(
-        d, *(_parse_indexset(getattr(args, k), d, k) for k in ("X", "Y", "Z", "Xp", "Yp"))
+        d, *(_parse_indexset(getattr(args, k), k) for k in ("X", "Y", "Z", "Xp", "Yp"))
     )
     return _verify_and_emit(field, inst, default_names(d), args)
 
@@ -440,9 +429,7 @@ def _cmd_lynch_search(args) -> int:
 
     def build() -> dict:
         return {
-            "format_version": FORMAT_VERSION,
-            "report": "lynch-search",
-            "field": field.label(),
+            **_header("lynch-search", field),
             "max_d": args.max_d,
             "instances": len(reports),
             "violations": violated,

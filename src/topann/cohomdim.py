@@ -40,10 +40,11 @@ transversal routine behind `krull_dim`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import GuardExceededError, InvalidInputError
 from .linalg import FieldSpec, homology_ranks_of_faces
-from .monomial import MonomialIdeal, VarSet, subset_unions, varset_mask
+from .monomial import MonomialIdeal, VarSet, subset_unions
 from .stanley_reisner import QuotientIdeal, _min_cover_size, is_face
 
 HOCHSTER_GUARD = 14
@@ -153,16 +154,14 @@ def _top_betti(supports: list[int], field: FieldSpec) -> tuple[int, int]:
     return pd, top
 
 
-def _image_masks(a: QuotientIdeal, prime: VarSet) -> list[int]:
-    """The image of the ideal in R/prime, as the supports of radical(lift) that
-    miss the prime (an antichain); empty when the image is zero.  Rejects a
-    prime outside the ring's support."""
-    a.ring.require_support(prime)
-    killed = varset_mask(prime)  # a generator meeting the prime is zero in S/prime
-    return [g.mask for g in a.radical_lift.gens if not g.mask & killed]
+def _image_masks(a: QuotientIdeal, prime: Iterable[int]) -> tuple[int, list[int]]:
+    """The prime's `require_support` mask, and the supports of radical(lift) that
+    miss it: the image of the ideal in R/prime, an antichain, empty when zero."""
+    killed = a.ring.require_support(prime)  # a generator meeting it is zero in S/prime
+    return killed, [g.mask for g in a.radical_lift.gens if not g.mask & killed]
 
 
-def cd_on_prime(a: QuotientIdeal, prime: VarSet, field: FieldSpec) -> int:
+def cd_on_prime(a: QuotientIdeal, prime: Iterable[int], field: FieldSpec) -> int:
     """cd of the ideal acting on R/prime, a polynomial ring on the other variables.
 
     If the image of the ideal is zero there, the torsion functor fixes
@@ -171,20 +170,20 @@ def cd_on_prime(a: QuotientIdeal, prime: VarSet, field: FieldSpec) -> int:
     ranked on `_image_masks`; the Betti guard applies to the d - |prime|
     surviving variables.
     """
-    supports = _image_masks(a, prime)
+    killed, supports = _image_masks(a, prime)
     if not supports:
         return 0
-    _guard_betti(a.ring.ambient - len(prime))
+    _guard_betti(a.ring.ambient - killed.bit_count())
     return _top_betti(supports, field)[0]
 
 
-def grade_on_prime(a: QuotientIdeal, prime: VarSet) -> int | None:
+def grade_on_prime(a: QuotientIdeal, prime: Iterable[int]) -> int | None:
     """Grade of the image ideal on R/prime, i.e. its height in that polynomial ring.
 
     The height is the fewest variables meeting every support of `_image_masks`.
     Returns None when the image is zero (grade undefined on torsion).
     """
-    supports = _image_masks(a, prime)
+    supports = _image_masks(a, prime)[1]
     return _min_cover_size(supports) if supports else None
 
 

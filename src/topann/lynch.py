@@ -25,8 +25,10 @@ from .monomial import (
     VarSet,
     default_names,
     ideal_sum,
+    mask_varset,
     prime_intersection,
     variable_ideal,
+    varset_mask,
 )
 from .stanley_reisner import QuotientIdeal, QuotientRing, guard_ambient, krull_dim
 
@@ -50,23 +52,21 @@ class LynchInstance:
 
 
 def build_instance(d, X, Y, Z, Xp, Yp) -> LynchInstance:
-    """Validate the family parameters and assemble J, R and the acting ideal."""
+    """Validate the parameters, the ambient guard first; assemble J, R and the acting ideal."""
     guard_ambient(d)
-    X, Y, Z, Xp, Yp = map(frozenset, (X, Y, Z, Xp, Yp))
-    universe = frozenset(range(1, d + 1))
-    for name, s in (("X", X), ("Y", Y), ("Z", Z)):
+    x, y, z, xp, yp = (varset_mask(s, d) for s in (X, Y, Z, Xp, Yp))
+    for name, s in (("X", x), ("Y", y), ("Z", z)):
         if not s:
             raise InvalidInputError(f"{name} must be nonempty")
-        if not s <= universe:
-            raise InvalidInputError(f"{name} must be a subset of 1..{d}")
-    if X & Y or X & Z or Y & Z:
+    if x & y or x & z or y & z:
         raise InvalidInputError("X, Y, Z must be pairwise disjoint")
-    if not (len(X) <= len(Y) <= len(Z)):
+    if not (x.bit_count() <= y.bit_count() <= z.bit_count()):
         raise InvalidInputError("sizes must satisfy |X| <= |Y| <= |Z|")
-    if not Xp or not Xp <= X:
+    if not xp or xp & ~x:
         raise InvalidInputError("Xp must be a nonempty subset of X")
-    if not Yp or not Yp <= Y:
+    if not yp or yp & ~y:
         raise InvalidInputError("Yp must be a nonempty subset of Y")
+    X, Y, Z, Xp, Yp = map(mask_varset, (x, y, z, xp, yp))
     ring = QuotientRing(d, prime_intersection((X, Y, Z), d))
     acting = QuotientIdeal(ring, variable_ideal(Xp | Yp, d))
     return LynchInstance(d=d, X=X, Y=Y, Z=Z, Xp=Xp, Yp=Yp, ring=ring, ideal=acting)

@@ -5,14 +5,16 @@ kept in canonical form: the unique minimal generating set, sorted, so that
 structural equality is ideal equality.
 
 A squarefree support (a set of variables) is also an int bitmask, with bit
-v - 1 set for variable v.  The layout is defined here once: `Monomial.mask`,
-`varset_mask`, `mask_varset` and `_BYTE_BITS`, the exponents of the eight
-variables of each byte value, from which `_squarefree` builds a squarefree
-monomial a byte at a time.  Here `_antichain` tests divisibility on masks
-first, and `_prime_meet` meets monomial primes on masks alone: it is the one
-kernel of `prime_intersection`, which builds `Monomial`s only for the final
-generators, and of the check that a ring's minimal primes meet in its ideal,
-which builds none.
+v - 1 set for variable v, a plain int in 1..d (no bool or float).  The layout
+is defined here once: `Monomial.mask`, `mask_varset`, `_BYTE_BITS`, the
+exponents of the eight variables of each byte value, from which `_squarefree`
+builds a squarefree monomial a byte at a time, and `varset_mask(varset,
+ambient)`, the one checked conversion of a set of variables, which every
+public entry that takes such a set calls.  Here `_antichain` tests
+divisibility on masks first, and `_prime_meet` meets monomial primes on masks
+alone: it is the one kernel of `prime_intersection`, which builds `Monomial`s
+only for the final generators, and of the check that a ring's minimal primes
+meet in its ideal, which builds none.
 
 The public constructors check their input: `Monomial(...)` its exponents and
 `MonomialIdeal(...)` that its generators are a sorted antichain.  Results that
@@ -134,10 +136,13 @@ def _squarefree(mask: int, ambient: int) -> Monomial:
     return m
 
 
-def varset_mask(varset: Iterable[int]) -> int:
-    """The variable bitmask of a set of variables (bit v - 1 for variable v)."""
+def varset_mask(varset: Iterable[int], ambient: int) -> int:
+    """The variable bitmask of a set of variables (bit v - 1 for variable v), each
+    a plain int in 1..ambient: a bool, a float or any other member is refused."""
     m = 0
     for v in varset:
+        if type(v) is not int or not 1 <= v <= ambient:
+            raise InvalidInputError(f"variable index {v!r} out of range 1..{ambient}")
         m |= 1 << (v - 1)
     return m
 
@@ -308,14 +313,7 @@ def prime_intersection(primes: Iterable[Iterable[int]], ambient: int) -> Monomia
     squarefree, and their supports are an antichain, so sorting their
     generators makes the result canonical.
     """
-    pmasks = []
-    for p in primes:
-        pmask = 0
-        for v in p:
-            if not 1 <= v <= ambient:
-                raise InvalidInputError(f"variable index {v} out of range 1..{ambient}")
-            pmask |= 1 << (v - 1)
-        pmasks.append(pmask)
+    pmasks = [varset_mask(p, ambient) for p in primes]
     gens = sorted(
         (_squarefree(s, ambient) for s in _prime_meet(pmasks)),
         key=lambda m: m.exponents,
@@ -350,12 +348,14 @@ def radical(ideal: MonomialIdeal) -> MonomialIdeal:
 def variable_ideal(varset: Iterable[int], ambient: int) -> MonomialIdeal:
     """The monomial prime generated by the given variables; empty set gives (0).
 
-    Distinct variables are an antichain, and in ascending index order their
-    monomials are in descending order, so the result is canonical.
+    Distinct variables are an antichain, and in ascending index order (the
+    mask's bits from low to high) their monomials are in descending order, so
+    the result is canonical.
     """
+    rest = varset_mask(varset, ambient)
     gens = []
-    for v in sorted(set(varset)):
-        if not 1 <= v <= ambient:
-            raise InvalidInputError(f"variable index {v} out of range 1..{ambient}")
-        gens.append(_squarefree(1 << (v - 1), ambient))
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        gens.append(_squarefree(low, ambient))
     return _canonical(ambient, tuple(gens))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 from .errors import GuardExceededError, InvalidInputError
 from .monomial import (
@@ -127,6 +128,7 @@ class QuotientRing:
     ambient: int
     relations: MonomialIdeal
     minimal_primes: tuple[VarSet, ...] = field(init=False)
+    prime_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)  # same order
 
     def __post_init__(self) -> None:
         if self.relations.ambient != self.ambient:
@@ -136,22 +138,24 @@ class QuotientRing:
         if self.relations.is_unit():
             raise InvalidInputError("quotient by the unit ideal is the zero ring")
         primes = minimal_primes(self.relations)
+        masks = tuple(varset_mask(p, self.ambient) for p in primes)
         # J is squarefree, so it equals the intersection exactly when the two
         # antichains of supports are the same set
-        if set(_prime_meet(map(varset_mask, primes))) != {g.mask for g in self.relations.gens}:
+        if set(_prime_meet(masks)) != {g.mask for g in self.relations.gens}:
             raise InvalidInputError("minimal primes do not intersect to the ideal")
         object.__setattr__(self, "minimal_primes", primes)
+        object.__setattr__(self, "prime_masks", masks)
 
     @property
     def dim(self) -> int:
         return self.ambient - min(len(p) for p in self.minimal_primes)
 
-    def require_support(self, q: VarSet) -> None:
-        """Reject q unless it is a set of variables of the ring over a minimal prime."""
-        if q and not q <= frozenset(range(1, self.ambient + 1)):
-            raise InvalidInputError("prime contains an out-of-range variable")
-        if not any(p <= q for p in self.minimal_primes):
+    def require_support(self, q: Iterable[int]) -> int:
+        """The `varset_mask` of q, which must lie over a minimal prime of the ring."""
+        qmask = varset_mask(q, self.ambient)
+        if not any(not p & ~qmask for p in self.prime_masks):
             raise InvalidInputError("prime is not in the support of the quotient ring")
+        return qmask
 
 
 @dataclass(frozen=True)

@@ -47,14 +47,15 @@ def test_degree_box_validation():
     box = DegreeBox.uniform(2, -1, 1)
     assert (0, 0) in box and (-2, 0) not in box
     assert len(list(box.degrees())) == 9
+    assert DegreeBox([-1, -1], [1, 1]) == box  # lists become tuples
 
 
 def test_localization_piece_examples():
     zero2 = ideal(2)
-    assert localization_piece(zero2, varset_mask({1, 2}), (-1, -1)) == 1
+    assert localization_piece(zero2, varset_mask({1, 2}, 2), (-1, -1)) == 1
     xy = ideal(2, (1, 1))
-    assert localization_piece(xy, varset_mask({1}), (-2, 1)) == 0
-    assert localization_piece(xy, varset_mask({1}), (-2, 0)) == 1
+    assert localization_piece(xy, varset_mask({1}, 2), (-2, 1)) == 0
+    assert localization_piece(xy, varset_mask({1}, 2), (-2, 0)) == 1
 
 
 def test_localization_piece_rejects_bad_input():
@@ -85,7 +86,7 @@ def test_localization_piece_against_truncated_fractions_exhaustive():
                 W = frozenset(i + 1 for i in range(d) if wmask >> i & 1)
                 for deg in box.degrees():
                     assert localization_piece(
-                        J, varset_mask(W), deg
+                        J, varset_mask(W, d), deg
                     ) == orc.truncated_localization_piece(J, W, deg)
 
 

@@ -428,6 +428,14 @@ def test_a_huge_ambient_exits_3_before_building_anything(tmp_path, argv):
     assert float(out) < 1.0
 
 
+def test_lynch_verify_tests_the_ambient_guard_before_the_indices(capsys):
+    # an index past d is invalid input, unless d is itself past the guard
+    code, _, err = run_cli(capsys, *LYNCH_VERIFY[:3], "30", *LYNCH_VERIFY[4:], "--d", "25")
+    assert code == 3 and "exceeds the guard 20" in err
+    code, _, err = run_cli(capsys, *LYNCH_VERIFY[:3], "0", *LYNCH_VERIFY[4:], "--d", "4")
+    assert code == 2 and "variable index 0 out of range 1..4" in err
+
+
 def test_main_reuses_its_parser_across_calls(sw_file, capsys):
     from topann.cli import build_parser
 

@@ -339,7 +339,7 @@ def test_cd_on_prime_guards_the_surviving_variables():
     assert cd_on_prime(a, frozenset({1}), Q) == 0
     with pytest.raises(GuardExceededError, match="ambient 15 exceeds the guard 14"):
         cd_on_prime(a, frozenset(), Q)
-    with pytest.raises(InvalidInputError, match="out-of-range"):
+    with pytest.raises(InvalidInputError, match="variable index 16 out of range 1..15"):
         cd_on_prime(a, frozenset({16}), Q)
 
 

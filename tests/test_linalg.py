@@ -166,7 +166,7 @@ def faces_of(*facets):
     """The downward closure of these vertex sets, as sorted face bitmasks (with 0)."""
     faces = set()
     for facet in facets:
-        top = varset_mask(facet)
+        top = varset_mask(facet, max(facet, default=0))
         sub = top
         while True:
             faces.add(sub)

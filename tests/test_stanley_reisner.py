@@ -198,7 +198,7 @@ def test_krull_dim_is_a_minimum_transversal():
         cases.append((d, edges))
     nested = singles = 0
     for d, edges in cases:
-        masks = [varset_mask(e) for e in edges]
+        masks = [varset_mask(e, d) for e in edges]
         smallest = _smallest_cover(edges, d)
         fewest = min(map(int.bit_count, sr._minimal_covers(masks)))
         assert fewest == smallest, (d, edges)
