@@ -7,8 +7,10 @@ on instances whose Betti degrees are ranked on either complex and on a d = 9
 ring with twelve minimal primes and squared lift generators whose supports
 repeat or nest (nested), `cd` and `ann-bounds` over Q and F_2 on ten cubic
 generators with J = 0 and with J covering every variable (cubics8,
-cubics8-fullj), where the top Betti degree search skips the most degrees, and
-Cech oracle reports on ten generators with J = 0 (rp2) and on a J whose
+cubics8-fullj), where the top Betti degree search skips the most degrees,
+`cd`, `ann-bounds` and `gamma` over Q and F_2 on the 14 consecutive triples of
+16 variables (chain16), whose J has 177 minimal primes,
+and Cech oracle reports on ten generators with J = 0 (rp2) and on a J whose
 support misses some variables (cycle).
 """
 from __future__ import annotations
