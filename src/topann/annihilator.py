@@ -48,8 +48,9 @@ def torsion_ideal(a: QuotientIdeal) -> MonomialIdeal:
     """Lift of the a-torsion submodule of R, (J : lift^infinity).
 
     It is the intersection of the minimal primes of J that do not contain the
-    lift, i.e. that miss the support of some generator.  Rejects ideals that
-    are zero in the quotient (no such prime), whose torsion would be all of R.
+    lift, i.e. that miss the support of some generator: all of them give back
+    J itself, as the ring checked.  Rejects ideals that are zero in the
+    quotient (no such prime), whose torsion would be all of R.
     """
     ring = a.ring
     kept = [
@@ -58,7 +59,9 @@ def torsion_ideal(a: QuotientIdeal) -> MonomialIdeal:
     ]
     if not kept:
         raise InvalidInputError("ideal is zero in the quotient; torsion is everything")
-    return prime_intersection(kept, a.ring.ambient)
+    if len(kept) == len(ring.minimal_primes):
+        return ring.relations
+    return prime_intersection(kept, ring.ambient)
 
 
 def localization_kernel(q: Iterable[int], ring: QuotientRing) -> MonomialIdeal:

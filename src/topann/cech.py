@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from itertools import product, repeat
 from math import prod
 
-from .errors import GuardExceededError, InvalidInputError
+from .errors import GuardExceededError, InvalidInputError, as_tuple
 from .linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks, eliminate, family_columns
 from .monomial import Monomial, MonomialIdeal, subset_unions
 from .stanley_reisner import QuotientIdeal, is_face
@@ -81,7 +81,7 @@ class DegreeBox:
     def __post_init__(self) -> None:
         for name in ("lower", "upper"):
             if not isinstance(getattr(self, name), tuple):
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+                object.__setattr__(self, name, as_tuple(getattr(self, name), "box bounds"))
         if not all(type(b) is int for b in self.lower + self.upper):  # no bool or float
             raise InvalidInputError("box bounds must be ints")
         if len(self.lower) != len(self.upper):

@@ -70,11 +70,10 @@ def varset_to_list(s: VarSet, names: list[str]) -> list[str]:
     return [names[i - 1] for i in sorted(s)]
 
 
-def monomial_from_obj(obj: dict[str, int], names: list[str]) -> Monomial:
+def monomial_from_obj(obj: dict[str, int], index: dict[str, int]) -> Monomial:
     if not isinstance(obj, dict):
         raise InvalidInputError(f"monomials must be objects mapping name to exponent, got {obj!r}")
-    index = {name: i for i, name in enumerate(names)}
-    exps = [0] * len(names)
+    exps = [0] * len(index)
     for name, e in obj.items():
         if name not in index:
             raise InvalidInputError(f"monomial references undeclared variable {name!r}")
@@ -95,7 +94,7 @@ def parse_monomial_text(text: str, names: list[str]) -> Monomial:
         name, caret, exp = token.partition("^")
         e = parse_int(exp, f"the exponent in {token!r}") if caret else 1
         obj[name] = obj.get(name, 0) + e
-    return monomial_from_obj(obj, names)
+    return monomial_from_obj(obj, {name: i for i, name in enumerate(names)})
 
 
 class Instance:
@@ -140,8 +139,9 @@ def load_instance(path: str, field_override: str | None, box_override: str | Non
     for key in ("J", "a"):
         if key in data and not isinstance(data[key], list):
             raise InvalidInputError(f"\"{key}\" must be an array of monomial objects")
-    j_gens = [monomial_from_obj(o, names) for o in data.get("J", [])]
-    a_gens = [monomial_from_obj(o, names) for o in data.get("a", [])]
+    index = {name: i for i, name in enumerate(names)}
+    j_gens = [monomial_from_obj(o, index) for o in data.get("J", [])]
+    a_gens = [monomial_from_obj(o, index) for o in data.get("a", [])]
     ring = QuotientRing(d, minimalize(j_gens, d))
     acting = QuotientIdeal(ring, minimalize(a_gens, d))
     field = FieldSpec.parse(field_override or data.get("field", "Q"))
@@ -368,7 +368,7 @@ def _cmd_gamma(args) -> int:
     inst = load_instance(args.instance, args.field, None)
     lift = torsion_ideal(inst.acting)
     is_zero = lift == inst.ring.relations
-    dim = krull_dim(lift)
+    dim = inst.ring.dim if is_zero else krull_dim(lift)
     _emit(lambda: {
         **_header("torsion", inst.field),
         "torsion_lift": ideal_to_list(lift, inst.names),

@@ -23,3 +23,11 @@ def parse_int(text: str, what: str = "an integer", signed: bool = False) -> int:
         return int(text)
     except ValueError as exc:  # more digits than int() converts
         raise InvalidInputError(f"cannot parse {what} {text!r}") from exc
+
+
+def as_tuple(values, what: str) -> tuple:
+    """tuple(values) for a constructor; a value that is not iterable is invalid input."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be a sequence, got {values!r}") from None

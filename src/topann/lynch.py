@@ -6,8 +6,9 @@ ideal generated by Xp and Yp has top local cohomology annihilated exactly by
 (Z), so dim(R / torsion) - dim(R / annihilator) = |Z| - |X|: the conjecture
 fails whenever |Z| > |X|.  The module verifies every claim from first
 principles rather than trusting the closed formulas, and computes each value
-once: claim i reads the ring's checked minimal primes, and claim ii the cd table
-of `annihilator_bounds` (a prime missing there reads None and fails the claim).
+once: claim i reads the ring's checked minimal primes, claim ii the cd table
+of `annihilator_bounds` (a prime missing there reads None and fails the claim),
+and claim iv the ring's dimension when the torsion lift is the relations.
 Claim ii's grade on each prime comes from the masks cd is ranked on, the
 radical's supports that miss the prime, as their smallest transversal.
 """
@@ -143,13 +144,14 @@ def verify_instance(inst: LynchInstance, field: FieldSpec) -> LynchReport:
 
     gamma = torsion_ideal(a)
     c = bounds.c
-    dim_mod_torsion = krull_dim(gamma)
+    torsion_is_zero = gamma == ring.relations
+    dim_mod_torsion = ring.dim if torsion_is_zero else krull_dim(gamma)
     checks.append(
         ClaimCheck(
             "iv",
             expected={"torsion_is_zero": True, "dim": d - nx, "c": nxp + nyp},
             computed={
-                "torsion_is_zero": gamma == ring.relations,
+                "torsion_is_zero": torsion_is_zero,
                 "dim": dim_mod_torsion,
                 "c": c,
             },

@@ -12,9 +12,9 @@ builds a squarefree monomial a byte at a time, and `varset_mask(varset,
 ambient)`, the one checked conversion of a set of variables, which every
 public entry that takes such a set calls.  Here `_antichain` tests
 divisibility on masks first, and `_prime_meet` meets monomial primes on masks
-alone: it is the one kernel of `prime_intersection`, which builds `Monomial`s
-only for the final generators, and of the check that a ring's minimal primes
-meet in its ideal, which builds none.
+alone: it is the one kernel of intersections and of minimal transversals, of
+`prime_intersection` (which builds `Monomial`s only for the final generators),
+and of the minimal primes, dimensions and meet check of `stanley_reisner`.
 
 The public constructors check their input: `Monomial(...)` its exponents and
 `MonomialIdeal(...)` that its generators are a sorted antichain.  Results that
@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product
 from typing import Iterable
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_tuple
 
 VarSet = frozenset[int]
 
@@ -42,7 +42,7 @@ class Monomial:
 
     def __post_init__(self) -> None:
         if not isinstance(self.exponents, tuple):
-            object.__setattr__(self, "exponents", tuple(self.exponents))
+            object.__setattr__(self, "exponents", as_tuple(self.exponents, "exponents"))
         if not all(type(e) is int and e >= 0 for e in self.exponents):  # no bool or float
             raise InvalidInputError("monomial exponents must be nonnegative ints")
 
@@ -176,9 +176,13 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
+        if type(self.ambient) is not int or self.ambient < 0:  # no bool or float
+            raise InvalidInputError(f"ambient {self.ambient!r} is not a nonnegative int")
         if not isinstance(self.gens, tuple):
-            object.__setattr__(self, "gens", tuple(self.gens))
+            object.__setattr__(self, "gens", as_tuple(self.gens, "generators"))
         for g in self.gens:
+            if not isinstance(g, Monomial):
+                raise InvalidInputError(f"generator {g!r} is not a Monomial")
             if g.ambient != self.ambient:
                 raise InvalidInputError(
                     f"generator of ambient {g.ambient} in ideal of ambient {self.ambient}"

@@ -2,13 +2,16 @@
 
 Monomial primes are represented by their variable sets; the minimal primes of a
 monomial ideal are the minimal vertex covers of the hypergraph of generator
-supports, found on variable bitmasks.  The supports are those of the ideal's
-own generators, with no radical taken: a prime holds a monomial exactly when
-it meets the monomial's support, and an edge that contains another edge
-changes no minimal transversal, so the radical's antichain of supports has
-the same covers.  The faces of the Stanley-Reisner complex of J are the
-supports of squarefree monomials outside J; `is_face` is the one test of a
-bitmask, made wherever a complex is ranked.
+supports.  By Alexander duality these are the generator supports of the
+intersection of the primes the edges span, so `monomial._prime_meet`, the one
+kernel of intersections, finds them on bitmasks; the ring's check that its
+primes meet in J runs it in the other direction.  The supports are those of
+the ideal's own generators, with no radical taken: a prime holds a monomial
+exactly when it meets the monomial's support, and an edge that contains
+another edge changes no minimal transversal, so the radical's antichain of
+supports has the same covers.  The faces of the Stanley-Reisner complex of J
+are the supports of squarefree monomials outside J; `is_face` is the one test
+of a bitmask, made wherever a complex is ranked.
 """
 from __future__ import annotations
 
@@ -34,40 +37,16 @@ def _sorted_varsets(sets) -> tuple[VarSet, ...]:
     return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
 
 
-def _minimal_covers(edges: list[int]) -> list[int]:
-    """All inclusion-minimal transversals, by branching on the smallest open edge.
-
-    Edges and transversals are variable bitmasks.  Edges are sorted once by
-    (size, mask), so the first open edge is the smallest one.  The branch
-    on a pivot vertex forbids the pivot vertices branched on before it: a
-    minimal transversal is reached through the first pivot vertex it holds,
-    so a branch in which some open edge has only forbidden vertices is dead.
-    """
-    masks = sorted(edges, key=lambda e: (e.bit_count(), e))
-    found: set[int] = set()
-
-    def descend(chosen: int, open_edges: list[int], forbidden: int) -> None:
-        if not open_edges:
-            found.add(chosen)
-            return
-        rest = open_edges[0] & ~forbidden
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            left = [e for e in open_edges if not e & low]
-            if all(e & ~forbidden for e in left):
-                descend(chosen | low, left, forbidden)
-            forbidden |= low
-
-    descend(0, masks, 0)
-    return [c for c in found if not any(o & c == o and o != c for o in found)]
+def _transversals(edges: list[int]) -> list[int]:
+    """The inclusion-minimal transversals of the edges (variable bitmasks): their
+    `_prime_meet` in order of (size, mask), so small edges cut the antichain first."""
+    return _prime_meet(sorted(edges, key=lambda e: (e.bit_count(), e)))
 
 
 def _min_cover_size(edges: list[int]) -> int:
-    """The fewest vertices that meet every edge: the smallest bit count among
-    `_minimal_covers`, 0 for no edges.  For the generator supports of an ideal
-    it is the ideal's height."""
-    return min(map(int.bit_count, _minimal_covers(edges)))
+    """The fewest vertices that meet every edge, 0 for no edges.  For the
+    generator supports of an ideal it is the ideal's height."""
+    return min(map(int.bit_count, _transversals(edges)))
 
 
 def is_face(vmask: int, j_masks: list[int]) -> bool:
@@ -100,7 +79,7 @@ def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
     if ideal.is_unit():
         raise InvalidInputError("the unit ideal has no minimal primes")
     guard_ambient(ideal.ambient)
-    return _sorted_varsets(map(mask_varset, _minimal_covers([g.mask for g in ideal.gens])))
+    return _sorted_varsets(map(mask_varset, _transversals([g.mask for g in ideal.gens])))
 
 
 def krull_dim(ideal: MonomialIdeal) -> int:

@@ -24,6 +24,7 @@ from topann.monomial import (
     ideal_sum,
     minimalize,
     power,
+    prime_intersection,
     variable_ideal,
 )
 from topann.stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient
@@ -50,6 +51,31 @@ def sw():
 def test_torsion_vanishes_on_the_three_prime_instance():
     inst = sw()
     assert torsion_ideal(inst.ideal) == inst.ring.relations
+
+
+def test_torsion_is_the_relations_themselves_when_every_prime_is_kept():
+    # the ring has checked that its minimal primes meet in J, so a lift that
+    # no minimal prime contains gets J back as the same object
+    rng = random.Random(263)
+    kept_all = some_dropped = 0
+    for _ in range(300):
+        d = rng.randint(1, 6)
+        J = orc.random_squarefree_ideal(rng, d)
+        if J.is_unit():
+            continue
+        ring = QuotientRing(d, J)
+        a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d))
+        if a.lift.is_unit() or all(g in J for g in a.lift.gens):
+            continue
+        lift_masks = [g.mask for g in a.lift.gens]
+        if all(any(not m & p for m in lift_masks) for p in ring.prime_masks):
+            kept_all += 1
+            assert torsion_ideal(a) is ring.relations
+            assert torsion_ideal(a) == prime_intersection(ring.minimal_primes, d) == J
+        else:
+            some_dropped += 1
+            assert torsion_ideal(a) != J
+    assert kept_all >= 50 and some_dropped >= 50
 
 
 def test_torsion_after_saturating_one_variable():

@@ -50,6 +50,12 @@ def test_degree_box_validation():
     assert DegreeBox([-1, -1], [1, 1]) == box  # lists become tuples
 
 
+@pytest.mark.parametrize("lower, upper", [(3, 4), ((0,), 4)])
+def test_degree_box_refuses_bounds_that_are_not_sequences(lower, upper):
+    with pytest.raises(InvalidInputError, match="sequence"):
+        DegreeBox(lower, upper)
+
+
 def test_localization_piece_examples():
     zero2 = ideal(2)
     assert localization_piece(zero2, varset_mask({1, 2}, 2), (-1, -1)) == 1

@@ -313,8 +313,9 @@ def test_report_round_trip(sw_file, capsys):
     # the serialized ideals reconstruct the library values exactly
     inst = load_instance(sw_file, None, None)
     rep = annihilator_bounds(inst.acting, FieldSpec.rationals())
+    index = {name: i for i, name in enumerate(inst.names)}
     lower = minimalize(
-        [monomial_from_obj(o, inst.names) for o in doc["lower"]], inst.ring.ambient
+        [monomial_from_obj(o, index) for o in doc["lower"]], inst.ring.ambient
     )
     assert lower == rep.lower
     assert doc["delta"] == [["z1", "z2"]]

@@ -90,6 +90,33 @@ def test_verify_computes_cd_once_per_prime(monkeypatch, name, d, l):
     assert len(set(primes[:3])) == 3
 
 
+def test_one_verify_finds_the_minimal_primes_of_j_once(monkeypatch, capsys):
+    # the ring finds them at build time; the torsion lift is J itself, so
+    # claim iv reads the ring's dimension instead of meeting J's edges again
+    import topann.monomial as monomial
+    import topann.stanley_reisner as sr
+    from topann.cli import main
+
+    inst = build_instance(11, {1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}, {1}, {4})
+    j_masks = {g.mask for g in inst.ring.relations.gens}
+    assert len(j_masks) == 48
+    real = monomial._prime_meet
+    runs_on_j = []
+
+    def spy(pmasks):
+        pmasks = list(pmasks)
+        runs_on_j.append(set(pmasks) == j_masks)
+        return real(pmasks)
+
+    monkeypatch.setattr(monomial, "_prime_meet", spy)
+    monkeypatch.setattr(sr, "_prime_meet", spy)
+    argv = ["--quiet", "lynch", "verify", "--d", "11", "--X", "1,2,3", "--Y", "4,5,6,7",
+            "--Z", "8,9,10,11", "--Xp", "1", "--Yp", "4"]
+    assert main(argv) == 0
+    assert sum(runs_on_j) == 1
+    assert '"torsion_is_zero": true' in capsys.readouterr().out
+
+
 def test_prime_missing_from_the_cd_table_fails_claim_ii(monkeypatch):
     import dataclasses
 

@@ -315,6 +315,19 @@ def test_public_constructor_refuses_negative_exponents():
     assert Monomial([1, 2]).exponents == (1, 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Monomial(5),
+    lambda: MonomialIdeal(3, 5),
+    lambda: MonomialIdeal(3, [5]),
+    lambda: MonomialIdeal(True, ()),
+    lambda: MonomialIdeal(-1, ()),
+], ids=["Monomial-int", "MonomialIdeal-int-gens", "MonomialIdeal-int-generator",
+        "MonomialIdeal-bool-ambient", "MonomialIdeal-negative-ambient"])
+def test_public_constructors_refuse_what_is_not_a_monomial_or_ideal(build):
+    with pytest.raises(InvalidInputError):
+        build()
+
+
 def test_operations_build_the_same_monomials_as_the_constructor():
     # the operations skip the constructor's checks; their results must still
     # be equal, hash alike and order alike with checked monomials

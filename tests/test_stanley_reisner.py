@@ -1,6 +1,7 @@
 """Minimal primes, dimensions, heights, and the Stanley-Reisner dictionary."""
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import topann.monomial as monomial
 import topann.stanley_reisner as sr
+from topann.cohomdim import grade_on_prime
 from topann.errors import GuardExceededError, InvalidInputError
 from topann.monomial import (
     Monomial,
@@ -200,8 +202,7 @@ def test_krull_dim_is_a_minimum_transversal():
     for d, edges in cases:
         masks = [varset_mask(e, d) for e in edges]
         smallest = _smallest_cover(edges, d)
-        fewest = min(map(int.bit_count, sr._minimal_covers(masks)))
-        assert fewest == smallest, (d, edges)
+        assert sr._min_cover_size(masks) == smallest, (d, edges)
         if edges:
             I = minimalize([orc.from_support(e, d) for e in edges], d)
             assert krull_dim(I) == d - smallest, (d, edges)
@@ -214,33 +215,81 @@ def test_krull_dim_is_a_minimum_transversal():
     assert nested >= 50 and singles >= 50
 
 
+def _family_edges(d):
+    """The path, cycle, triangle chain and perfect matching on d vertices."""
+    path = [{i, i + 1} for i in range(1, d)]
+    return {
+        "path": path,
+        "cycle": path + [{d, 1}] if d >= 3 else path,
+        "chain": [{i, i + 1, i + 2} for i in range(1, d - 1)],
+        "matching": [{i, i + 1} for i in range(1, d, 2)],
+    }
+
+
+def test_transversals_match_brute_force_on_families_and_hypergraphs():
+    # minimal primes, Krull dimension and the grade on each minimal prime, all
+    # read from `_prime_meet`, against every subset of the vertices: the four
+    # families up to d = 12, then seeded hypergraphs whose edges repeat and
+    # nest, as squared generators so that the radical would merge them
+    rng = random.Random(257)
+    cases = [(d, edges) for d in range(1, 13) for edges in _family_edges(d).values() if edges]
+    while len(cases) < 200:
+        d = rng.randint(2, 12)
+        base = [rng.sample(range(1, d + 1), rng.randint(1, min(d, 4))) for _ in range(3)]
+        edges = [set(e) for e in base for _ in range(rng.randint(1, 2))]
+        edges += [set(e) | {rng.randint(1, d)} for e in base]
+        cases.append((d, edges))
+    for d, edges in cases:
+        brute = orc.brute_minimal_covers(edges, d)
+        gens = [orc.from_support(e, d) for e in edges]
+        I = minimalize([g * g for g in gens], d)
+        assert list(minimal_primes(I)) == brute, (d, edges)
+        assert krull_dim(I) == d - len(brute[0]), (d, edges)
+        ring = QuotientRing(d, minimalize([orc.from_support({1, d}, d)], d))
+        a = QuotientIdeal(ring, I)
+        for p in ring.minimal_primes:
+            image = [e for e in edges if not e & p]
+            want = len(orc.brute_minimal_covers(image, d)[0]) if image else None
+            assert grade_on_prime(a, p) == want, (d, edges, p)
+
+
 def test_krull_dim_work_is_bounded_on_dense_hypergraphs():
-    # all squarefree cubics and the complete graph on 20 variables: C(20, 2)
-    # and 20 minimal covers, each reached through its first pivot only, so the
-    # cover search makes 1,330 and 210 calls of its recursive step `descend`;
-    # a search that retries the pivots already branched on makes about 3^17
-    # and 2^18
-    limit = 2000
-    calls = 0
+    # the kernel forms each candidate support s | v once per open support s
+    # and variable v of the next edge: 3,420 on all squarefree cubics on 20
+    # variables, 380 on the complete graph and 1,857 on the triangle chain,
+    # with 190, 20 and 684 minimal covers.  A meet that kept the redundant
+    # candidates forms 8,724, 686 and 128,286; one that took the edges in a
+    # shuffled order formed 28,611, 2,692 and 4,056
+    lines, first = inspect.getsourcelines(monomial._prime_meet)
+    target = first + next(i for i, line in enumerate(lines) if "g = s | low" in line)
+    code = monomial._prime_meet.__code__
+    formed = limit = 0
 
     def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_name == "descend":
-            calls += 1
-            if calls > limit:
-                raise RuntimeError(f"more than {limit} cover search calls")
+        nonlocal formed
+        if event == "line" and frame.f_lineno == target:
+            formed += 1
+            if formed > limit:
+                raise RuntimeError(f"more than {limit} candidate supports")
+        return count
+
+    def calls(frame, event, arg):
+        return count if frame.f_code is code else None
 
     d = 20
-    for k, dim in ((3, 2), (2, 1)):
-        supports = itertools.combinations(range(1, d + 1), k)
-        I = minimalize([orc.from_support(set(s), d) for s in supports], d)
-        calls = 0
-        sys.setprofile(count)
+    cubics = [set(s) for s in itertools.combinations(range(1, d + 1), 3)]
+    complete = [set(s) for s in itertools.combinations(range(1, d + 1), 2)]
+    chain = _family_edges(d)["chain"]
+    for edges, dim, limit in ((cubics, 2, 5_000), (complete, 1, 570), (chain, 14, 2_750)):
+        I = minimalize([orc.from_support(e, d) for e in edges], d)
+        formed = 0
+        previous = sys.gettrace()
+        sys.settrace(calls)
         try:
             assert krull_dim(I) == dim
         finally:
-            sys.setprofile(None)
-        assert 0 < calls <= limit
+            sys.settrace(previous)
+        assert 0 < formed <= limit
 
 
 def test_krull_dim_errors_unchanged():
