@@ -2,7 +2,8 @@
 
 The corpus under `tests/golden/` holds the README examples, both Lynch
 fixtures, `lynch search --max-d 6`, `lynch verify` over Q and F_2 on a d = 14
-tuple whose J has 96 generators, `cd`, `ann-bounds` and `gamma` over Q and F_2
+tuple whose J has 96 generators and on a d = 20 tuple whose J has 288 (the
+largest J the guards admit in the family), `cd`, `ann-bounds` and `gamma` over Q and F_2
 on instances whose Betti degrees are ranked on either complex and on a d = 9
 ring with twelve minimal primes and squared lift generators whose supports
 repeat or nest (nested), `cd` and `ann-bounds` over Q and F_2 on ten cubic
