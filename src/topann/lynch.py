@@ -4,13 +4,15 @@ An instance is built from disjoint variable sets X, Y, Z with |X| <= |Y| <= |Z|
 and nonempty subsets Xp of X, Yp of Y.  Over R = S/((X) cap (Y) cap (Z)) the
 ideal generated by Xp and Yp has top local cohomology annihilated exactly by
 (Z), so dim(R / torsion) - dim(R / annihilator) = |Z| - |X|: the conjecture
-fails whenever |Z| > |X|.  The module verifies every claim from first
-principles rather than trusting the closed formulas, and computes each value
-once: claim i reads the ring's checked minimal primes, claim ii the cd table
-of `annihilator_bounds` (a prime missing there reads None and fails the claim),
-and claim iv the ring's dimension when the torsion lift is the relations.
-Claim ii's grade on each prime comes from the masks cd is ranked on, the
-radical's supports that miss the prime, as their smallest transversal.
+fails whenever |Z| > |X|.  The checklist computes what the ring and the acting
+ideal decide, each value once: claim i reads the ring's checked minimal primes,
+claim ii the cd table of `annihilator_bounds` (a prime missing there reads None
+and fails the claim) and the grade as the smallest transversal of the masks cd
+is ranked on, and claim iv the ring's dimension when the torsion lift is J.  It
+reads in closed form what the family fixes: dim S/(p) = d - |p| for a monomial
+prime p (claim iii on the primes the ring found, so a wrong ring fails it, and
+claim v on q), and (Z) + J = (Z), since every generator of J lies in (Z) (claim
+vi).
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .monomial import (
     MonomialIdeal,
     VarSet,
     default_names,
-    ideal_sum,
     mask_varset,
     prime_intersection,
     variable_ideal,
@@ -138,7 +139,7 @@ def verify_instance(inst: LynchInstance, field: FieldSpec) -> LynchReport:
         ClaimCheck(
             "iii",
             expected=[d - nx, d - ny, d - nz],
-            computed=[krull_dim(variable_ideal(p, d)) for p in (inst.X, inst.Y, inst.Z)],
+            computed=[d - len(p) for p in ring.minimal_primes],
         )
     )
 
@@ -166,12 +167,11 @@ def verify_instance(inst: LynchInstance, field: FieldSpec) -> LynchReport:
             computed={
                 "contains_Z": inst.Z <= q,
                 "cd": cd_on_prime(a, q, field),
-                "dim": krull_dim(variable_ideal(q, d)),
+                "dim": d - len(q),
             },
         )
     )
 
-    expected_ann = ideal_sum(variable_ideal(inst.Z, d), ring.relations)
     dim_mod_ann = krull_dim(bounds.lower)
     gap = dim_mod_torsion - dim_mod_ann
     checks.append(
@@ -179,7 +179,7 @@ def verify_instance(inst: LynchInstance, field: FieldSpec) -> LynchReport:
             "vi",
             expected={
                 "exact": True,
-                "ann": [list(g.exponents) for g in expected_ann.gens],
+                "ann": [list(g.exponents) for g in variable_ideal(inst.Z, d).gens],
                 "dim_mod_ann": d - nz,
                 "gap": nz - nx,
             },

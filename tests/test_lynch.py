@@ -1,11 +1,14 @@
 """The counterexample family: fixtures, checklist verification, and the sweep."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from topann.errors import GuardExceededError, InvalidInputError
 from topann.linalg import FieldSpec
 from topann.lynch import (
+    LynchInstance,
     build_instance,
     canonical_parameters,
     fixture,
@@ -13,7 +16,8 @@ from topann.lynch import (
     search_family,
     verify_instance,
 )
-from topann.monomial import Monomial, minimalize
+from topann.monomial import Monomial, minimalize, prime_intersection, variable_ideal
+from topann.stanley_reisner import QuotientIdeal, QuotientRing
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -133,6 +137,87 @@ def test_prime_missing_from_the_cd_table_fails_claim_ii(monkeypatch):
     checks = {c.claim: c for c in verify_instance(inst, Q).checklist}
     assert not checks["ii"].passed
     assert [cd for _, _, cd in checks["ii"].computed].count(None) == 1
+
+
+def test_a_ring_whose_primes_are_not_x_y_z_fails_claims_i_and_iii():
+    # the ring's third prime {5, 6} is a proper subset of Z = {5, 6, 7}
+    d = 8
+    ring = QuotientRing(d, prime_intersection(({1, 2}, {3, 4}, {5, 6}), d))
+    inst = LynchInstance(
+        d=d, X=frozenset({1, 2}), Y=frozenset({3, 4}), Z=frozenset({5, 6, 7}),
+        Xp=frozenset({1}), Yp=frozenset({3}), ring=ring,
+        ideal=QuotientIdeal(ring, variable_ideal({1, 3}, d)),
+    )
+    checks = {c.claim: c for c in verify_instance(inst, Q).checklist}
+    assert not checks["i"].passed
+    assert not checks["iii"].passed
+    assert checks["iii"].expected == [6, 6, 5]
+    assert checks["iii"].computed == [6, 6, 6]
+
+
+def _shuffled_instances(count, seed):
+    """Seeded family tuples on shuffled, non-contiguous X, Y and Z."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(3, 14)
+        sizes = sorted(rng.randint(1, d - 2) for _ in range(3))
+        if sum(sizes) > d:
+            continue
+        order = rng.sample(range(1, d + 1), d)
+        nx, ny, nz = sizes
+        X, Y, Z = order[:nx], order[nx:nx + ny], order[nx + ny:nx + ny + nz]
+        Xp = rng.sample(X, rng.randint(1, nx))
+        Yp = rng.sample(Y, rng.randint(1, ny))
+        out.append(build_instance(d, X, Y, Z, Xp, Yp))
+    return out
+
+
+def test_closed_forms_equal_the_computations_they_replace():
+    # claim vi expects (Z), claim iii reads d - |p| on the ring's primes and
+    # claim v d - |q|; each must equal the value computed from the ideals
+    from topann.monomial import ideal_sum
+    from topann.stanley_reisner import krull_dim
+
+    instances = [instance_from_sizes(*params) for params in canonical_parameters(10)]
+    instances += [fixture("bahmanpour", d=d, l=l)[0]
+                  for d in range(7, 13) for l in range(7, d + 1)]
+    shuffled = _shuffled_instances(240, seed=30)
+    assert any(len(i.X) == len(i.Y) or len(i.Y) == len(i.Z) for i in shuffled)
+    assert any(max(i.Z) - min(i.Z) >= len(i.Z) for i in shuffled)
+    for inst in instances + shuffled:
+        d, J = inst.d, inst.ring.relations
+        assert variable_ideal(inst.Z, d).gens == ideal_sum(variable_ideal(inst.Z, d), J).gens
+        assert [d - len(p) for p in inst.ring.minimal_primes] == [
+            krull_dim(variable_ideal(p, d)) for p in (inst.X, inst.Y, inst.Z)
+        ]
+        q = frozenset(range(1, d + 1)) - (inst.Xp | inst.Yp)
+        assert d - len(q) == krull_dim(variable_ideal(q, d))
+
+
+def test_one_verify_at_d_14_meets_primes_nine_times_and_minimalizes_nothing(monkeypatch):
+    import topann.cli as cli
+    import topann.monomial as monomial
+    import topann.stanley_reisner as sr
+
+    counts = {"_prime_meet": 0, "minimalize": 0}
+
+    def counted(name, real):
+        def spy(*args):
+            counts[name] += 1
+            return real(*args)
+        return spy
+
+    meet = counted("_prime_meet", monomial._prime_meet)
+    monkeypatch.setattr(monomial, "_prime_meet", meet)
+    monkeypatch.setattr(sr, "_prime_meet", meet)
+    minimalize_spy = counted("minimalize", monomial.minimalize)
+    monkeypatch.setattr(monomial, "minimalize", minimalize_spy)
+    monkeypatch.setattr(cli, "minimalize", minimalize_spy)
+    argv = ["--quiet", "lynch", "verify", "--d", "14", "--X", "1,2,3,4", "--Y", "5,6,7,8",
+            "--Z", "9,10,11,12,13,14", "--Xp", "1,2,3,4", "--Yp", "5,6,7,8"]
+    assert cli.main(argv) == 0
+    assert counts == {"_prime_meet": 9, "minimalize": 0}
 
 
 def test_bahmanpour_parameter_validation():
