@@ -1,11 +1,11 @@
 """Annihilator bounds for the top local cohomology module H^c_a(R).
 
 Every ideal derived here from J is an intersection of some of J's minimal
-primes.  J is radical, so J = p_1 cap ... cap p_r, and a saturation splits
-over the primes: (p : A^infinity) is the unit ideal when A lies in p and p
-otherwise.  Thus the torsion (J : a^infinity) keeps the primes not containing
-a, and the kernel of R -> R_q, which saturates by the variables outside q,
-keeps the primes inside q.
+primes, met by `monomial._prime_ideal` on the ring's `prime_masks`.  J is
+radical, so J = p_1 cap ... cap p_r, and a saturation splits over the primes:
+(p : A^infinity) is the unit ideal when A lies in p and p otherwise.  Thus the
+torsion (J : a^infinity) keeps the primes not containing a, and the kernel of
+R -> R_q, which saturates by the variables outside q, keeps the primes inside q.
 
 The lower bound is the largest ideal T/J of R whose top local cohomology
 vanishes (the intersection of the associated primes achieving cd = c); the
@@ -27,13 +27,13 @@ from .linalg import FieldSpec
 from .monomial import (
     MonomialIdeal,
     VarSet,
+    _prime_ideal,
     ideal_sum,
     mask_varset,
     power,
-    prime_intersection,
     variable_ideal,
 )
-from .stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient, krull_dim
+from .stanley_reisner import QuotientIdeal, QuotientRing, _min_cover_size, height_in_quotient
 
 EXACTNESS_REASONS = (
     "all-witnesses-found",
@@ -53,22 +53,18 @@ def torsion_ideal(a: QuotientIdeal) -> MonomialIdeal:
     quotient (no such prime), whose torsion would be all of R.
     """
     ring = a.ring
-    kept = [
-        p for p, killed in zip(ring.minimal_primes, ring.prime_masks)
-        if any(not g.mask & killed for g in a.lift.gens)
-    ]
+    kept = [p for p in ring.prime_masks if any(not g.mask & p for g in a.lift.gens)]
     if not kept:
         raise InvalidInputError("ideal is zero in the quotient; torsion is everything")
-    if len(kept) == len(ring.minimal_primes):
+    if len(kept) == len(ring.prime_masks):
         return ring.relations
-    return prime_intersection(kept, ring.ambient)
+    return _prime_ideal(kept, ring.ambient)
 
 
 def localization_kernel(q: Iterable[int], ring: QuotientRing) -> MonomialIdeal:
     """Lift of ker(R -> R_q): the intersection of the minimal primes of J inside q."""
     qmask = ring.require_support(q)
-    inside = [p for p, pmask in zip(ring.minimal_primes, ring.prime_masks) if not pmask & ~qmask]
-    return prime_intersection(inside, ring.ambient)
+    return _prime_ideal([p for p in ring.prime_masks if not p & ~qmask], ring.ambient)
 
 
 def symbolic_power(q: Iterable[int], n: int, ring: QuotientRing) -> MonomialIdeal:
@@ -77,8 +73,8 @@ def symbolic_power(q: Iterable[int], n: int, ring: QuotientRing) -> MonomialIdea
     Saturating by a monomial acts generator-wise, so it splits over the sum, and
     it leaves (q)^n alone because w is coprime to its generators.
     """
-    if n < 1:
-        raise InvalidInputError("symbolic power requires n >= 1")
+    if type(n) is not int or n < 1:  # no bool or float
+        raise InvalidInputError("symbolic power requires an int n >= 1")
     q = mask_varset(ring.require_support(q))  # q is read once, so it may be an iterator
     return ideal_sum(power(variable_ideal(q, ring.ambient), n), localization_kernel(q, ring))
 
@@ -106,8 +102,8 @@ class AnnBoundsReport:
         return tuple(p for p, v in self.per_prime if v == self.c)
 
 
-def _witness_for(a: QuotientIdeal, p: VarSet, c: int) -> VarSet | None:
-    """The monomial prime q >= p with |q| = d - c and cd(a, R/q) = c, or None.
+def _witness_for(a: QuotientIdeal, p: int, c: int) -> int | None:
+    """The monomial prime mask q >= p with |q| = d - c and cd(a, R/q) = c, or None.
 
     On the polynomial ring R/q of dimension c, cd is the projective dimension
     of the radical image of a, which is c exactly when that image is the
@@ -121,8 +117,8 @@ def _witness_for(a: QuotientIdeal, p: VarSet, c: int) -> VarSet | None:
     """
     d = a.ring.ambient
     linear = sum(g.mask for g in a.radical_lift.gens if g.degree == 1)  # distinct bits
-    q = p | mask_varset(((1 << d) - 1) & ~linear)
-    return q if len(q) == d - c else None
+    q = p | (((1 << d) - 1) & ~linear)
+    return q if q.bit_count() == d - c else None
 
 
 def annihilator_bounds(a: QuotientIdeal, field: FieldSpec) -> AnnBoundsReport:
@@ -137,26 +133,30 @@ def annihilator_bounds(a: QuotientIdeal, field: FieldSpec) -> AnnBoundsReport:
     ring = a.ring
     report = cohomological_dimension(a, field)
     c = report.c
-    delta = tuple(p for p, v in report.per_prime if v == c)
-    lower = prime_intersection(delta, ring.ambient)
-    witnesses = tuple((p, _witness_for(a, p, c)) for p in delta)
+    # per_prime follows the ring's prime order, so it pairs with prime_masks
+    delta = [(p, pm) for (p, v), pm in zip(report.per_prime, ring.prime_masks) if v == c]
+    lower = _prime_ideal([pm for _, pm in delta], ring.ambient)
+    qs = [_witness_for(a, pm, c) for _, pm in delta]
+    witnesses = tuple((p, q if q is None else mask_varset(q)) for (p, _), q in zip(delta, qs))
     # the kernels at the witnesses meet in the minimal primes under some witness
     # (a witness lies over its critical prime, so none found means none under)
-    found = {q for _, q in witnesses if q is not None}
-    under = [p for p in ring.minimal_primes if any(p <= q for q in found)]
-    upper = prime_intersection(under, ring.ambient) if under else None
+    found = {q for q in qs if q is not None}
+    under = [p for p in ring.prime_masks if any(not p & ~q for q in found)]
+    upper = _prime_ideal(under, ring.ambient) if under else None
     # variables appearing in neither ideal are free polynomial directions: the
     # whole situation is extended flatly from the subring they are absent from,
-    # so the small-dimension certificates apply with those directions discounted
+    # so the small-dimension certificates apply with those directions discounted;
+    # the supports of radical(lift) and J have the minimal transversals of lift + J
+    edges = [g.mask for g in (*a.radical_lift.gens, *ring.relations.gens)]
     touched = 0
-    for g in (*a.radical_lift.gens, *ring.relations.gens):
-        touched |= g.mask
+    for e in edges:
+        touched |= e
     free = ring.ambient - touched.bit_count()
     if all(q is not None for _, q in witnesses):
         exact, reason = True, "all-witnesses-found"
     elif c <= 1:
         exact, reason = True, "cd-le-1"
-    elif krull_dim(a.full_lift()) - free <= 1:
+    elif ring.ambient - _min_cover_size(edges) - free <= 1:
         exact, reason = True, "dim-quotient-le-1"
     elif ring.dim - free <= 2:
         exact, reason = True, "dim-le-2"

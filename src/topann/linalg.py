@@ -50,6 +50,10 @@ class FieldSpec:
     characteristic: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.characteristic) is not int:  # no bool or float
+            raise InvalidInputError(
+                f"field characteristic must be an int, got {self.characteristic!r}"
+            )
         if self.characteristic >= PRIME_CHARACTERISTIC_CAP:
             raise InvalidInputError(
                 f"field characteristic must be below {PRIME_CHARACTERISTIC_CAP}"

@@ -26,9 +26,9 @@ from .linalg import FieldSpec
 from .monomial import (
     MonomialIdeal,
     VarSet,
+    _prime_ideal,
     default_names,
     mask_varset,
-    prime_intersection,
     variable_ideal,
     varset_mask,
 )
@@ -69,7 +69,7 @@ def build_instance(d, X, Y, Z, Xp, Yp) -> LynchInstance:
     if not yp or yp & ~y:
         raise InvalidInputError("Yp must be a nonempty subset of Y")
     X, Y, Z, Xp, Yp = map(mask_varset, (x, y, z, xp, yp))
-    ring = QuotientRing(d, prime_intersection((X, Y, Z), d))
+    ring = QuotientRing(d, _prime_ideal((x, y, z), d))
     acting = QuotientIdeal(ring, variable_ideal(Xp | Yp, d))
     return LynchInstance(d=d, X=X, Y=Y, Z=Z, Xp=Xp, Yp=Yp, ring=ring, ideal=acting)
 

@@ -13,8 +13,8 @@ ambient)`, the one checked conversion of a set of variables, which every
 public entry that takes such a set calls.  Here `_antichain` tests
 divisibility on masks first, and `_prime_meet` meets monomial primes on masks
 alone: it is the one kernel of intersections and of minimal transversals, of
-`prime_intersection` (which builds `Monomial`s only for the final generators),
-and of the minimal primes, dimensions and meet check of `stanley_reisner`.
+`_prime_ideal`, which meets primes kept as masks inside the library, and of
+the minimal primes, dimensions and meet check of `stanley_reisner`.
 
 The public constructors check their input: `Monomial(...)` its exponents and
 `MonomialIdeal(...)` that its generators are a sorted antichain.  Results that
@@ -22,7 +22,7 @@ are valid by construction skip those checks: `_trusted` builds a `Monomial`
 from the exponents of a monomial operation, and `_canonical` builds a
 `MonomialIdeal` from generators that are already canonical.  `_canonical` has
 three callers, each of which states why its output is canonical: `minimalize`,
-`prime_intersection` and `variable_ideal`.
+`_prime_ideal` and `variable_ideal`.
 """
 from __future__ import annotations
 
@@ -86,8 +86,8 @@ class Monomial:
         return _trusted(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def power(self, n: int) -> Monomial:
-        if n < 0:
-            raise InvalidInputError("monomial power requires n >= 0")
+        if type(n) is not int or n < 0:  # no bool or float
+            raise InvalidInputError("monomial power requires an int n >= 0")
         return Monomial(tuple(n * e for e in self.exponents))
 
     def squarefree_part(self) -> Monomial:
@@ -310,26 +310,24 @@ def _prime_meet(pmasks: Iterable[int]) -> list[int]:
 
 
 def prime_intersection(primes: Iterable[Iterable[int]], ambient: int) -> MonomialIdeal:
-    """The intersection of the monomial primes (x_v : v in p) over `primes`.
+    """The intersection of the monomial primes (x_v : v in p) over `primes`,
+    equal to that of their `variable_ideal`s: the `_prime_ideal` of their masks."""
+    return _prime_ideal([varset_mask(p, ambient) for p in primes], ambient)
 
-    Equal to the intersection of their `variable_ideal`s, computed on variable
-    bitmasks by `_prime_meet`: the generators of an intersection of primes are
-    squarefree, and their supports are an antichain, so sorting their
-    generators makes the result canonical.
-    """
-    pmasks = [varset_mask(p, ambient) for p in primes]
-    gens = sorted(
-        (_squarefree(s, ambient) for s in _prime_meet(pmasks)),
-        key=lambda m: m.exponents,
-        reverse=True,
-    )
+
+def _prime_ideal(pmasks: Iterable[int], ambient: int) -> MonomialIdeal:
+    """The intersection of the monomial primes with variable bitmasks `pmasks`, no
+    bit past the ambient: the supports `_prime_meet` gives are an antichain, so
+    sorting their squarefree monomials makes the result canonical."""
+    gens = [_squarefree(s, ambient) for s in _prime_meet(pmasks)]
+    gens.sort(key=lambda m: m.exponents, reverse=True)
     return _canonical(ambient, tuple(gens))
 
 
 def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
     """I^n as the minimalized set of n-fold products of generators."""
-    if n < 1:
-        raise InvalidInputError("ideal power requires n >= 1")
+    if type(n) is not int or n < 1:  # no bool or float
+        raise InvalidInputError("ideal power requires an int n >= 1")
     products = []
     for combo in combinations_with_replacement(ideal.gens, n):
         prod = combo[0]

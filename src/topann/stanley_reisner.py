@@ -1,17 +1,18 @@
 """Stanley-Reisner dictionary: minimal primes, quotient rings, dimensions, heights.
 
-Monomial primes are represented by their variable sets; the minimal primes of a
-monomial ideal are the minimal vertex covers of the hypergraph of generator
-supports.  By Alexander duality these are the generator supports of the
-intersection of the primes the edges span, so `monomial._prime_meet`, the one
-kernel of intersections, finds them on bitmasks; the ring's check that its
-primes meet in J runs it in the other direction.  The supports are those of
-the ideal's own generators, with no radical taken: a prime holds a monomial
-exactly when it meets the monomial's support, and an edge that contains
-another edge changes no minimal transversal, so the radical's antichain of
-supports has the same covers.  The faces of the Stanley-Reisner complex of J
-are the supports of squarefree monomials outside J; `is_face` is the one test
-of a bitmask, made wherever a complex is ranked.
+Inside the library a monomial prime is its variable bitmask (`prime_masks`);
+variable sets are built once, for the API.  The minimal primes of a monomial
+ideal are the minimal vertex covers of the hypergraph of generator supports.
+By Alexander duality these are the generator supports of the intersection of
+the primes the edges span, so `monomial._prime_meet`, the one kernel of
+intersections, finds them on bitmasks; the ring's check that its primes meet in
+J runs it in the other direction.  The supports are those of the ideal's own
+generators, with no radical taken: a prime holds a monomial exactly when it
+meets the monomial's support, and an edge that contains another edge changes no
+minimal transversal, so the radical's antichain of supports has the same
+covers.  The faces of the Stanley-Reisner complex of J are the supports of
+squarefree monomials outside J; `is_face` is the one test of a bitmask, made
+wherever a complex is ranked.
 """
 from __future__ import annotations
 
@@ -24,17 +25,12 @@ from .monomial import (
     MonomialIdeal,
     VarSet,
     _prime_meet,
-    ideal_sum,
     mask_varset,
     radical,
     varset_mask,
 )
 
 MINIMAL_PRIMES_GUARD = 20
-
-
-def _sorted_varsets(sets) -> tuple[VarSet, ...]:
-    return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
 
 
 def _transversals(edges: list[int]) -> list[int]:
@@ -67,6 +63,17 @@ def guard_ambient(ambient: int) -> None:
         )
 
 
+def _sorted_primes(ideal: MonomialIdeal) -> tuple[tuple[VarSet, ...], tuple[int, ...]]:
+    """The minimal primes over a proper ideal, sorted by (size, members), as
+    variable sets and as masks; the unit ideal is refused, then the guard applies."""
+    if ideal.is_unit():
+        raise InvalidInputError("the unit ideal has no minimal primes")
+    guard_ambient(ideal.ambient)
+    pairs = [(mask_varset(t), t) for t in _transversals([g.mask for g in ideal.gens])]
+    pairs.sort(key=lambda pt: (len(pt[0]), sorted(pt[0])))
+    return tuple(zip(*pairs))
+
+
 def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
     """Minimal monomial primes over a proper ideal, sorted by (size, members).
 
@@ -76,10 +83,7 @@ def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:
     meets the smaller one.  The zero ideal returns the zero prime, written as
     the empty variable set.
     """
-    if ideal.is_unit():
-        raise InvalidInputError("the unit ideal has no minimal primes")
-    guard_ambient(ideal.ambient)
-    return _sorted_varsets(map(mask_varset, _transversals([g.mask for g in ideal.gens])))
+    return _sorted_primes(ideal)[0]
 
 
 def krull_dim(ideal: MonomialIdeal) -> int:
@@ -116,8 +120,7 @@ class QuotientRing:
             raise InvalidInputError("quotient ring requires a squarefree ideal")
         if self.relations.is_unit():
             raise InvalidInputError("quotient by the unit ideal is the zero ring")
-        primes = minimal_primes(self.relations)
-        masks = tuple(varset_mask(p, self.ambient) for p in primes)
+        primes, masks = _sorted_primes(self.relations)
         # J is squarefree, so it equals the intersection exactly when the two
         # antichains of supports are the same set
         if set(_prime_meet(masks)) != {g.mask for g in self.relations.gens}:
@@ -125,9 +128,9 @@ class QuotientRing:
         object.__setattr__(self, "minimal_primes", primes)
         object.__setattr__(self, "prime_masks", masks)
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return self.ambient - min(len(p) for p in self.minimal_primes)
+        return self.ambient - min(map(int.bit_count, self.prime_masks))
 
     def require_support(self, q: Iterable[int]) -> int:
         """The `varset_mask` of q, which must lie over a minimal prime of the ring."""
@@ -155,10 +158,6 @@ class QuotientIdeal:
         """radical(lift), computed once per ideal."""
         return radical(self.lift)
 
-    def full_lift(self) -> MonomialIdeal:
-        """lift + J, the preimage of the ideal in S."""
-        return ideal_sum(self.lift, self.ring.relations)
-
 
 def height_in_quotient(a: QuotientIdeal) -> int:
     """Height of (lift+J)/J in R: min over primes q minimal over lift+J of dim R_q.
@@ -167,10 +166,11 @@ def height_in_quotient(a: QuotientIdeal) -> int:
     infimum over the whole support is attained at these monomial primes because
     every chain of monomial primes is realized in some polynomial quotient S/p.
     Neither lift nor J has the generator 1, so lift + J is proper and has a
-    minimal prime q; q holds J, so it holds a minimal prime of J.
+    minimal prime q; q holds J, so it holds a minimal prime of J.  The q are the
+    minimal transversals of the supports of both generator sets, as masks.
     """
     ring = a.ring
     return min(
-        max(len(q) - len(p) for p in ring.minimal_primes if p <= q)
-        for q in minimal_primes(a.full_lift())
+        max(q.bit_count() - p.bit_count() for p in ring.prime_masks if not p & ~q)
+        for q in _transversals([g.mask for g in (*a.lift.gens, *ring.relations.gens)])
     )

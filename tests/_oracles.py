@@ -20,6 +20,9 @@ search's own `_degree_betti` kernel, which `koszul_tor_table` and
 `dense_betti_table` check from first principles.  `_image_in_prime_quotient`,
 the image of an ideal in R/p built as a reindexed ideal, is the reference for
 the support masks from which `cd_on_prime` and `grade_on_prime` read it.
+`full_lift`, the preimage lift + J of an ideal of R, and `height_in_quotient`
+on variable sets are the references for the masks of `height_in_quotient` and
+of the dim-quotient-le-1 certificate.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from topann.cohomdim import (
 )
 from topann.errors import InvalidInputError
 from topann.linalg import FieldSpec, VectorSpaceComplex, cohomology_ranks
-from topann.monomial import Monomial, MonomialIdeal, VarSet, minimalize
+from topann.monomial import Monomial, MonomialIdeal, VarSet, ideal_sum, minimalize
 from topann.stanley_reisner import is_face
 
 
@@ -179,6 +182,21 @@ def brute_minimal_covers(edges, d):
         (c for c in covers if not any(o < c for o in covers)),
         key=lambda s: (len(s), sorted(s)),
     )
+
+
+def full_lift(a) -> MonomialIdeal:
+    """lift + J, the preimage in S of the ideal a of R = S/J."""
+    return ideal_sum(a.lift, a.ring.relations)
+
+
+def height_in_quotient(a) -> int:
+    """The height of a in R on variable sets: the least, over the minimal primes
+    q of `full_lift(a)` (by `brute_minimal_covers`), of the largest |q| - |p|
+    over the ring's minimal primes p inside q.  The reference for
+    `topann.stanley_reisner.height_in_quotient`, which reads masks."""
+    ring = a.ring
+    covers = brute_minimal_covers([g.support() for g in full_lift(a).gens], ring.ambient)
+    return min(max(len(q) - len(p) for p in ring.minimal_primes if p <= q) for q in covers)
 
 
 @dataclass(frozen=True)

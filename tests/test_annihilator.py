@@ -26,8 +26,15 @@ from topann.monomial import (
     power,
     prime_intersection,
     variable_ideal,
+    varset_mask,
 )
-from topann.stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient
+from topann.stanley_reisner import (
+    QuotientIdeal,
+    QuotientRing,
+    _min_cover_size,
+    height_in_quotient,
+    krull_dim,
+)
 
 import _oracles as orc
 from _oracles import intersect
@@ -193,6 +200,13 @@ def test_symbolic_power_on_the_three_prime_ring():
     assert symbolic_power(frozenset({3, 4}), 1, ring) == ideal(4, (0, 0, 1, 0), (0, 0, 0, 1))
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_symbolic_power_refuses_an_exponent_that_is_not_an_int(n):
+    # True was read as n = 1, and 2.0 ended in TypeError from the ideal power
+    with pytest.raises(InvalidInputError, match="an int n"):
+        symbolic_power(frozenset({3, 4}), n, QuotientRing(4, J_SW))
+
+
 def test_symbolic_powers_stabilize_to_localization_kernel():
     # over a minimal prime the local ring is artinian, so the decreasing chain
     # of symbolic powers reaches the kernel of localization and stays there
@@ -348,6 +362,40 @@ def test_sandwich_and_top_self_witnessing_on_random_instances():
             assert all(q == p for p, q in rep.sigma_witnesses)
 
 
+def test_exactness_reason_matches_the_full_lift_reference():
+    # dim R/(a) is read as d minus the smallest transversal of the masks of
+    # radical(lift) and J; the reference takes the Krull dimension of lift + J
+    rng = random.Random(101)
+    reasons = {}
+    for _ in range(400):
+        d = rng.randint(1, 8)
+        ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+        lift = orc.random_monomial_ideal(rng, d)
+        if lift.is_unit():
+            continue
+        a = QuotientIdeal(ring, lift)
+        rep = annihilator_bounds(a, Q)
+        covers = orc.brute_minimal_covers([g.support() for g in orc.full_lift(a).gens], d)
+        dim_quotient = d - min(map(len, covers))
+        edges = [g.mask for g in (*a.radical_lift.gens, *ring.relations.gens)]
+        assert d - _min_cover_size(edges) == dim_quotient == krull_dim(orc.full_lift(a)), a
+        touched = set().union(*(g.support() for g in (*lift.gens, *ring.relations.gens)))
+        free = d - len(touched)
+        if all(q is not None for _, q in rep.sigma_witnesses):
+            expected = "all-witnesses-found"
+        elif rep.c <= 1:
+            expected = "cd-le-1"
+        elif dim_quotient - free <= 1:
+            expected = "dim-quotient-le-1"
+        elif ring.dim - free <= 2:
+            expected = "dim-le-2"
+        else:
+            expected = "none"
+        assert rep.exactness_reason == expected, a
+        reasons[expected] = reasons.get(expected, 0) + 1
+    assert reasons.get("dim-quotient-le-1", 0) > 0, reasons
+
+
 def test_closed_form_witness_matches_the_search_oracle():
     # every minimal prime, not only the critical ones, so that both answers
     # (a witness or None) are exercised at every cd the instance reaches
@@ -359,12 +407,25 @@ def test_closed_form_witness_matches_the_search_oracle():
         a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d))
         for field in (Q, FieldSpec.prime_field(2)):
             c = cohomological_dimension(a, field).c
-            for p in ring.minimal_primes:
-                q = _witness_for(a, p, c)
-                assert q == orc.search_witness(a, p, c, field), (a, p, c, field)
+            for p, pmask in zip(ring.minimal_primes, ring.prime_masks):
+                q = _witness_for(a, pmask, c)
+                expected = orc.search_witness(a, p, c, field)
+                assert q == (None if expected is None else varset_mask(expected, d)), (a, p, c)
                 pairs += 1
                 found += q is not None
     assert pairs > 3000 and 0 < found < pairs
+
+
+def test_chain16_ann_bounds_sums_no_ideals(count_calls):
+    # the heights of the bounds read the transversals of the lift's and J's
+    # generator masks, so no lift + J is summed and minimalized; the two
+    # minimalize calls are the instance's J and lift
+    from golden.record import run_case
+
+    counts = count_calls("minimalize", "ideal_sum")
+    code, text = run_case(["--quiet", "ann-bounds", "instances/chain16.json"])
+    assert code == 0 and text
+    assert counts == {"minimalize": 2, "ideal_sum": 0}
 
 
 def test_height_report_on_fixtures():

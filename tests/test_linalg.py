@@ -42,6 +42,13 @@ def test_field_spec_parsing():
         FieldSpec.prime_field(0)
 
 
+@pytest.mark.parametrize("characteristic", [2.0, False, True, 0.0, "2"])
+def test_field_spec_refuses_a_characteristic_that_is_not_an_int(characteristic):
+    # 2.0 was labelled Fp:2.0 and failed later in pow(); False was read as Q
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        FieldSpec(characteristic)
+
+
 def test_miller_rabin_matches_trial_division():
     def by_trial_division(n):
         return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))

@@ -195,29 +195,18 @@ def test_closed_forms_equal_the_computations_they_replace():
         assert d - len(q) == krull_dim(variable_ideal(q, d))
 
 
-def test_one_verify_at_d_14_meets_primes_nine_times_and_minimalizes_nothing(monkeypatch):
-    import topann.cli as cli
-    import topann.monomial as monomial
-    import topann.stanley_reisner as sr
+def test_one_verify_at_d_14_meets_primes_nine_times_and_minimalizes_nothing(count_calls):
+    # build_instance checks its five sets once and the ring takes its prime
+    # masks from the transversals, so no prime is turned back into a set and
+    # checked again
+    from topann.cli import main
 
-    counts = {"_prime_meet": 0, "minimalize": 0}
-
-    def counted(name, real):
-        def spy(*args):
-            counts[name] += 1
-            return real(*args)
-        return spy
-
-    meet = counted("_prime_meet", monomial._prime_meet)
-    monkeypatch.setattr(monomial, "_prime_meet", meet)
-    monkeypatch.setattr(sr, "_prime_meet", meet)
-    minimalize_spy = counted("minimalize", monomial.minimalize)
-    monkeypatch.setattr(monomial, "minimalize", minimalize_spy)
-    monkeypatch.setattr(cli, "minimalize", minimalize_spy)
+    counts = count_calls("_prime_meet", "minimalize", "varset_mask")
     argv = ["--quiet", "lynch", "verify", "--d", "14", "--X", "1,2,3,4", "--Y", "5,6,7,8",
             "--Z", "9,10,11,12,13,14", "--Xp", "1,2,3,4", "--Yp", "5,6,7,8"]
-    assert cli.main(argv) == 0
-    assert counts == {"_prime_meet": 9, "minimalize": 0}
+    assert main(argv) == 0
+    assert counts["_prime_meet"] == 9 and counts["minimalize"] == 0, counts
+    assert counts["varset_mask"] <= 14, counts
 
 
 def test_bahmanpour_parameter_validation():

@@ -12,6 +12,7 @@ from topann.errors import InvalidInputError
 from topann.monomial import (
     Monomial,
     MonomialIdeal,
+    _prime_ideal,
     _squarefree,
     ideal_sum,
     mask_varset,
@@ -231,12 +232,13 @@ def test_prime_intersection_matches_intersect():
         d = rng.randint(1, 12)
         primes = _random_primes(rng, d)
         expected = intersect(*(variable_ideal(p, d) for p in primes))
-        assert prime_intersection(primes, d) == expected, (d, primes)
+        masks = [varset_mask(p, d) for p in primes]  # what the library meets
+        assert _prime_ideal(masks, d) == prime_intersection(primes, d) == expected, (d, primes)
 
 
 def test_prime_intersection_edges():
-    assert prime_intersection([], 3) == ideal(3, (0, 0, 0))
-    assert prime_intersection([frozenset()], 3).is_zero()
+    assert prime_intersection([], 3) == _prime_ideal([], 3) == ideal(3, (0, 0, 0))
+    assert prime_intersection([frozenset()], 3).is_zero() and _prime_ideal([0], 3).is_zero()
     assert prime_intersection([{1, 2}, set(), {3}], 3).is_zero()
     assert prime_intersection(iter([{1}, {2}, {3, 4}]), 4) == ideal(
         4, (1, 1, 1, 0), (1, 1, 0, 1)
@@ -300,6 +302,10 @@ def test_square_with_mixed_generators():
 def test_power_requires_positive_exponent():
     with pytest.raises(InvalidInputError):
         power(ideal(1, (1,)), 0)
+    # True was read as n = 1, and 2.0 ended in TypeError
+    for n in (True, False, 2.0, 1.0):
+        with pytest.raises(InvalidInputError, match="an int n"):
+            power(ideal(2, (1, 0), (0, 1)), n)
 
 
 # ---------------------------------------------------------- the constructor
@@ -312,6 +318,9 @@ def test_public_constructor_refuses_negative_exponents():
             Monomial(exps)
     with pytest.raises(InvalidInputError, match="n >= 0"):
         mono(2, 0).power(-1)
+    for n in (True, False, 2.0):  # True was read as n = 1
+        with pytest.raises(InvalidInputError, match="an int n"):
+            mono(2, 1).power(n)
     assert Monomial([1, 2]).exponents == (1, 2)
 
 

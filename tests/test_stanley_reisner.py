@@ -348,7 +348,9 @@ def test_quotient_ring_rejects_primes_that_miss_the_ideal(monkeypatch):
         [{1, 2}, {1, 3}, {2, 3}],
     ]
     for primes in wrong:
-        monkeypatch.setattr(sr, "minimal_primes", lambda ideal: tuple(map(frozenset, primes)))
+        monkeypatch.setattr(sr, "_sorted_primes", lambda ideal: (
+            tuple(map(frozenset, primes)), tuple(varset_mask(p, 3) for p in primes)
+        ))
         with pytest.raises(InvalidInputError, match="do not intersect"):
             QuotientRing(3, J)
 
@@ -369,6 +371,24 @@ def test_height_examples():
 
     ring_xy = QuotientRing(2, ideal(2, (1, 1)))
     assert height_in_quotient(QuotientIdeal(ring_xy, ideal(2, (1, 1)))) == 0
+
+
+def test_height_on_masks_matches_the_full_lift_reference():
+    # the height reads the minimal transversals of the lift's and J's generator
+    # masks; the reference finds the minimal primes of lift + J by brute force
+    rng = random.Random(97)
+    heights = set()
+    for _ in range(400):
+        d = rng.randint(1, 8)
+        ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+        lift = orc.random_monomial_ideal(rng, d)
+        if lift.is_unit():
+            continue
+        a = QuotientIdeal(ring, lift)
+        height = height_in_quotient(a)
+        assert height == orc.height_in_quotient(a), a
+        heights.add(height)
+    assert len(heights) >= 3
 
 
 def test_height_plus_dim_in_polynomial_ring():
