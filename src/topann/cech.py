@@ -4,14 +4,18 @@ The Cech complex on the minimal generators of radical(lift) computes the local
 cohomology of R = S/J with respect to the ideal.  Each Z^d-degree slice is a
 finite complex of vector spaces whose components are 0- or 1-dimensional
 localization pieces, and the slice depends only on the sign pattern (neg, pos)
-of the degree (Takayama's degree-wise formula), and only on part of it:
+of the degree (Takayama's degree-wise formula), and only on part of it.  The
+slice is {sigma in F : neg inside W[sigma]}, where F, the face family of pos,
+is the admissible sigma with pos | W[sigma] a face:
 
-- pos is read only through the variables of J (supp J): a J generator lies
-  inside pos | W[sigma] iff it lies inside (pos & supp J) | W[sigma];
-- a neg that meets a variable outside every generator's support gives the
-  zero slice, since no W[sigma] holds it.
+- pos is read only through F, so patterns whose F are equal give equal member
+  lists and equal ranks; F is listed once per pos & supp J, since a J
+  generator lies inside pos | W[sigma] iff it lies inside (pos & supp J) |
+  W[sigma], and each distinct F is numbered once;
+- a neg that meets a variable outside the reach of F, the union of its
+  W[sigma], gives the zero slice, since no W[sigma] of F holds it.
 
-So slices are ranked once per key (neg, pos & supp J), with one shared zero
+So slices are ranked once per key (neg, index of F), with one shared zero
 slice, only their ranks are kept, and no box is walked degree by degree:
 
 - `cech_ranks` looks up each sign pattern the box allows once (at most 3^d), and
@@ -34,8 +38,8 @@ generators), the patterns ranked, the interval tuples walked and the degrees
 listed, so cost follows those counts and never the box volume.
 
 A slice is a complex on subsets sigma of the generators: the face family of
-its positive support (pos | W[sigma] a face, listed once per positive support)
-cut to the sigma whose union of supports W[sigma] holds its negative support.
+its positive support cut to the sigma whose union of supports W[sigma] holds
+its negative support.
 Its differentials are the signed columns of `linalg.family_columns`, ranked
 by `linalg.eliminate`.  It is built, d∘d-checked and ranked only on the band
 [lo, hi) from its lowest to its highest nonempty component (one zero
@@ -160,10 +164,12 @@ def _coboundary(members: list[list[int]], i: int) -> list[list[tuple[int, int]]]
 class _SliceEngine:
     """Cech slices, built, checked and ranked once per key, which keeps only
     their ranks.  The key is the part of the sign pattern a slice reads:
-    (neg, pos & supp J), since the face test reads pos only through J's
-    variables, and one zero slice for every neg that meets a variable outside
-    all generators, since no W[sigma] holds such a neg.  A slice keeps only its
-    admissible members, of the same cohomology (Lyubeznik; Batzies-Welker).
+    (neg, index of the face family of pos), since a slice is the sigma of that
+    family whose W[sigma] holds neg, and one zero slice (key None) for every
+    neg that meets a variable outside the family's reach, since no W[sigma] of
+    the family holds such a neg.  Every complex built is d∘d-checked, empty
+    ones included.  A slice keeps only its admissible members, of the same
+    cohomology (Lyubeznik; Batzies-Welker).
     Its complex spans only the band from its lowest to its highest nonempty
     component, and the ranks are padded with zeros outside it; the components
     outside are 0, so neither the ranks nor the d∘d check change."""
@@ -192,17 +198,26 @@ class _SliceEngine:
         self._supp_j = 0
         for m in self.j_masks:
             self._supp_j |= m
-        # the variables outside every generator's support
-        self._outside = ((1 << ring.ambient) - 1) & ~self.W[-1]
-        self._by_pos: dict[int, list[int]] = {}
-        self._ranks: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._by_pos: dict[int, tuple[int, tuple[int, ...], int]] = {}
+        self._families: dict[tuple[int, ...], tuple[int, tuple[int, ...], int]] = {}
+        self._ranks: dict[tuple[int, int] | None, tuple[int, ...]] = {}
 
-    def _face_family(self, pos: int) -> list[int]:
-        """The admissible sigma with pos | W[sigma] a face, in increasing order."""
+    def _family(self, pos: int) -> tuple[int, tuple[int, ...], int]:
+        """(index, members, reach) of the face family of pos & supp J: its members
+        are the admissible sigma with pos | W[sigma] a face, in increasing order,
+        each distinct family is numbered once, and its reach is the union of its
+        W[sigma]."""
+        pos &= self._supp_j
         hit = self._by_pos.get(pos)
         if hit is None:
             W, j_masks = self.W, self.j_masks
-            hit = [m for m in self._admissible if is_face(pos | W[m], j_masks)]
+            family = tuple(m for m in self._admissible if is_face(pos | W[m], j_masks))
+            hit = self._families.get(family)
+            if hit is None:
+                reach = 0
+                for m in family:
+                    reach |= W[m]
+                hit = self._families[family] = (len(self._families), family, reach)
             self._by_pos[pos] = hit
         return hit
 
@@ -211,17 +226,18 @@ class _SliceEngine:
         the rule of `localization_piece`: neg inside W[sigma], pos | W[sigma] a face."""
         neg, pos = pat
         members: list[list[int]] = [[] for _ in range(self.t + 1)]
-        for m in self._face_family(pos & self._supp_j):
+        for m in self._family(pos)[1]:
             if not neg & ~self.W[m]:
                 members[m.bit_count()].append(m)
         return members
 
     def ranks(self, pat: tuple[int, int]) -> tuple[int, ...]:
         neg, pos = pat
-        key = (self._outside, 0) if neg & self._outside else (neg, pos & self._supp_j)
+        index, _, reach = self._family(pos)
+        key = None if neg & ~reach else (neg, index)  # None: the shared zero slice
         hit = self._ranks.get(key)
         if hit is None:
-            members = self.members(key)
+            members = self.members(pat)
             band = [i for i, component in enumerate(members) if component]
             lo, hi = (band[0], band[-1] + 1) if band else (0, 1)
             diffs = tuple(_coboundary(members, i) for i in range(lo, hi - 1))

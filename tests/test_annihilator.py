@@ -1,6 +1,8 @@
 """Torsion, contractions, symbolic powers, and the annihilator bounds."""
 from __future__ import annotations
 
+import json
+import os
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from topann.annihilator import (
     symbolic_power,
     torsion_ideal,
 )
+from topann.cli import load_instance
 from topann.cohomdim import cohomological_dimension
 from topann.errors import InvalidInputError
 from topann.linalg import FieldSpec
@@ -198,6 +201,25 @@ def test_symbolic_power_of_variable_prime_in_polynomial_ring():
 def test_symbolic_power_on_the_three_prime_ring():
     ring = QuotientRing(4, J_SW)
     assert symbolic_power(frozenset({3, 4}), 1, ring) == ideal(4, (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def test_symbolic_power_checks_q_once(count_calls):
+    # q is checked into a mask once, and the primes under it are met on that
+    # mask: one varset_mask call per symbolic_power call; an invalid q is refused
+    ring = QuotientRing(4, J_SW)
+    primes = [*ring.minimal_primes, frozenset({1, 2, 3, 4})]
+    expected = [
+        orc.saturate(ideal_sum(power(variable_ideal(q, 4), 2), J_SW),
+                     orc.from_support(frozenset(range(1, 5)) - q, 4))
+        for q in primes
+    ]
+    counts = count_calls("varset_mask")
+    for k, (q, ideal_) in enumerate(zip(primes, expected), 1):
+        assert symbolic_power(iter(q), 2, ring) == ideal_
+        assert counts["varset_mask"] == k
+    for q in ({5}, {0}, {True}, {1.0}, {3}):  # out of range, not an int, over no prime
+        with pytest.raises(InvalidInputError):
+            symbolic_power(q, 1, ring)
 
 
 @pytest.mark.parametrize("n", [True, 2.0])
@@ -426,6 +448,48 @@ def test_chain16_ann_bounds_sums_no_ideals(count_calls):
     code, text = run_case(["--quiet", "ann-bounds", "instances/chain16.json"])
     assert code == 0 and text
     assert counts == {"minimalize": 2, "ideal_sum": 0}
+
+
+def test_deficient_prime_height_is_read_in_closed_form(count_calls):
+    # a critical prime p is a minimal prime of J, so ht(pR) = 0 and the
+    # deficient-prime check reads 0 <= dim R - c - 1; against the height of
+    # variable_ideal(p) from the transversal kernel, on seeded rings and on
+    # chain16, whose ann-bounds then runs the prime-meet kernel 6 times, not 137
+    from golden.record import run_case
+
+    rng = random.Random(181)
+    cases = []
+    for _ in range(80):
+        d = rng.randint(1, 6)
+        ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+        cases.append(QuotientIdeal(ring, orc.random_monomial_ideal(rng, d)))
+    path = os.path.join(os.path.dirname(__file__), "golden", "instances", "chain16.json")
+    cases.append(load_instance(path, None, None).acting)
+    seen = {"deficient": 0, "none": 0}
+    for a in cases:
+        ring = a.ring
+        rep = annihilator_bounds(a, Q)
+        deficient = [p for p in rep.delta if ring.ambient - len(p) > rep.c]
+        heights = [
+            height_in_quotient(QuotientIdeal(ring, variable_ideal(p, ring.ambient)))
+            for p in deficient
+        ]
+        assert heights == [0] * len(deficient)
+        checks = dict(height_report(rep, ring).corollary_checks)
+        if deficient:
+            ok = all(h <= ring.dim - rep.c - 1 for h in heights)
+            assert checks["deficient-prime-height-bound"] is ok is True
+        else:
+            assert "deficient-prime-height-bound" not in checks
+        seen["deficient" if deficient else "none"] += 1
+    assert len(deficient) > 100, "chain16 has over a hundred deficient critical primes"
+    assert min(seen.values()) >= 10, seen
+    counts = count_calls("_prime_meet")
+    code, text = run_case(["--quiet", "ann-bounds", "instances/chain16.json"])
+    assert code == 0
+    checks = {c["name"]: c["holds"] for c in json.loads(text)["heights"]["checks"]}
+    assert checks["deficient-prime-height-bound"] is True
+    assert counts == {"_prime_meet": 6}
 
 
 def test_height_report_on_fixtures():

@@ -26,7 +26,7 @@ from topann.cli import load_instance
 from topann.linalg import FieldSpec, VectorSpaceComplex
 from topann.lynch import fixture
 from topann.monomial import Monomial, minimalize, power, radical, varset_mask
-from topann.stanley_reisner import QuotientIdeal, QuotientRing
+from topann.stanley_reisner import QuotientIdeal, QuotientRing, is_face
 
 import _oracles as orc
 
@@ -436,15 +436,40 @@ def _ring_with_idle_variables(rng, d):
     return ring, QuotientIdeal(ring, minimalize(gens, d))
 
 
+def _rule_keys(engine, d):
+    """The key of every sign pattern on d variables by the rule, from the
+    definitions alone: the face family of pos is the admissible subsets sigma
+    (by the definition in _oracles) with pos | W[sigma] a face, its reach is the
+    union of their W[sigma], and the key is "zero" when neg meets a variable
+    outside the reach, else (neg, the family).  pos is not cut to supp J."""
+    masks = [g.mask for g in engine.gens]
+    unions = [0] * (1 << engine.t)
+    for s in range(1, 1 << engine.t):
+        low = s & -s
+        unions[s] = unions[s ^ low] | masks[low.bit_length() - 1]
+    admissible = [s for s in range(1 << engine.t) if orc.admissible(masks, s)]
+    keys = {}
+    for pos in range(1 << d):
+        family = tuple(s for s in admissible if is_face(pos | unions[s], engine.j_masks))
+        reach = 0
+        for s in family:
+            reach |= unions[s]
+        for neg in range(1 << d):
+            if not neg & pos:
+                keys[neg, pos] = "zero" if neg & ~reach else (neg, family)
+    return keys
+
+
 def test_slices_are_keyed_by_the_variables_they_read():
-    # the engine keys a slice by (neg, pos & supp J), and gives every neg that
-    # meets a variable outside all generators one zero slice; each request is
-    # checked against the dense slice of its raw pattern, together with a twin
-    # of the same key and the previous request (members against its admissible
-    # part, ranks and verdicts against all of it), and the engine builds exactly
-    # one slice per distinct key
+    # the engine keys a slice by (neg, the index of the face family of pos), and
+    # gives every neg that meets a variable outside the family's reach one zero
+    # slice; each request is checked against the dense slice of its raw pattern,
+    # together with a twin of the same key by the rule and the previous request
+    # (members against its admissible part, ranks and verdicts against all of
+    # it), and the engine builds exactly one slice per distinct key
     rng = random.Random(149)
-    seen = {"j-zero": 0, "pos-twins": 0, "zero-twins": 0, "nonzero-slices": 0}
+    seen = {"j-zero": 0, "family-twins": 0, "zero-twins": 0, "reach-zero-twins": 0,
+            "nonzero-slices": 0}
     nonzero_maps = 0
     for _ in range(40):
         d = rng.randint(3, 6)
@@ -454,53 +479,75 @@ def test_slices_are_keyed_by_the_variables_they_read():
             supp_j |= g.mask
         for g in a.radical_lift.gens:
             covered |= g.mask
-        uncovered = [v for v in range(d) if not covered >> v & 1]
         seen["j-zero"] += supp_j == 0
-
-        def key(b):
-            neg, pos = _sign_pattern(b)
-            return "zero" if neg & ~covered else (neg, pos & supp_j)
-
-        def twin(b):
-            if key(b) == "zero":
-                t = [rng.randint(-1, 1) for _ in range(d)]
-                t[rng.choice(uncovered)] = -1
-                return tuple(t)
-            return tuple(
-                rng.randint(0, 2) if x >= 0 and not supp_j >> v & 1 else x
-                for v, x in enumerate(b)
-            )
-
-        for field in (Q, F2):
+        for field in (Q, F2, F3):
             engine = _SliceEngine(a, field, CECH_GUARD_DEFAULT)
+            keys = _rule_keys(engine, d)
+            twins = {}
+            for pat, key in keys.items():
+                twins.setdefault(key, []).append(pat)
             dense = orc.DenseSlices(engine)
             requested = set()
-            previous = (0,) * d
+            previous = (0, 0)
             for _ in range(12):
-                b = tuple(rng.randint(-1, 1) for _ in range(d))
-                c = twin(b)
-                assert key(b) == key(c)
-                pat1, pat2 = _sign_pattern(b), _sign_pattern(c)
-                if pat1 != pat2:
-                    seen["zero-twins" if key(b) == "zero" else "pos-twins"] += 1
-                requested.add(key(b))
+                pat1 = _sign_pattern(tuple(rng.randint(-1, 1) for _ in range(d)))
+                pat2 = rng.choice(twins[keys[pat1]])
+                assert _slice_key(engine, pat1) == _slice_key(engine, pat2)
+                (neg1, pos1), (neg2, pos2) = pat1, pat2
+                index, family, reach = engine._family(pos2)
+                if keys[pat1] == "zero":
+                    # a zero twin: its neg lies outside its family's reach
+                    assert neg2 & ~reach
+                    seen["zero-twins"] += pat1 != pat2
+                    # ... though inside some generator's support
+                    seen["reach-zero-twins"] += not neg2 & ~covered
+                else:
+                    # twins share a family, whatever pos & supp J they have
+                    assert neg1 == neg2 and engine._family(pos1)[0] == index
+                    assert family == keys[pat1][1]
+                    seen["family-twins"] += pos1 & supp_j != pos2 & supp_j
+                requested |= {keys[pat1], keys[previous]}
                 for pat in (pat1, pat2):
                     members, ranks = engine.members(pat), engine.ranks(pat)
                     dense_bases, _, _, mats = dense.slice(pat)
                     assert members == orc.admissible_part(engine, dense_bases, mats)[0]
                     assert ranks == dense.ranks(pat)
                     seen["nonzero-slices"] += any(ranks)
-                pairs = ((pat1, pat2), (pat2, pat1), (_sign_pattern(previous), pat1))
-                requested.add(key(previous))
-                for p, q in pairs:
+                for p, q in ((pat1, pat2), (pat2, pat1), (previous, pat1)):
                     for i in range(-1, engine.t + 2):
                         zero = _induced_map_is_zero(engine, p, q, i)
                         assert zero == dense.induced_map_is_zero(p, q, i)
                         nonzero_maps += not zero
-                previous = b
+                previous = pat1
             assert len(engine._ranks) == len(requested)
     assert min(seen.values()) >= 5, seen
     assert nonzero_maps >= 50
+
+
+def test_one_complex_per_family_key(monkeypatch):
+    # a work count: a sweep builds exactly one complex per distinct key by the
+    # rule, (neg, face family of pos) or the one zero slice, and no more; keying
+    # by (neg, pos & supp J) built 37, 289 and 5,833 on readme, cycle and nested
+    from topann import cech
+
+    built = []
+
+    def counting(field, dims, diffs):
+        built.append(dims)
+        return VectorSpaceComplex(field, dims, diffs)
+
+    monkeypatch.setattr(cech, "VectorSpaceComplex", counting)
+    expected = {"readme": ("-3:1", 12), "cycle": ("-1:1", 74), "nested": ("-3:1", 422),
+                "rp2": ("-1:1", 64), "cubics8": ("-1:1", 256)}
+    for name, (box, count) in expected.items():
+        path = os.path.join(os.path.dirname(__file__), "golden", "instances", f"{name}.json")
+        inst = load_instance(path, None, box)
+        built.clear()
+        cech_ranks(inst.acting, inst.box, inst.field)
+        engine = _SliceEngine(inst.acting, inst.field, CECH_GUARD_DEFAULT)
+        # every box -k:1 with k >= 1 has all 3^d sign patterns
+        keys = set(_rule_keys(engine, inst.ring.ambient).values())
+        assert len(built) == len(keys) == count, name
 
 
 def _overlapping_ring(rng):
@@ -595,13 +642,16 @@ def test_engine_lists_only_the_admissible_subsets():
         listed = [s for s in range(1 << engine.t) if orc.admissible(masks, s)]
         assert (engine.t, len(listed)) == (10, admissible)
         assert engine._admissible == listed
-        assert len(engine._face_family(0)) == family
+        assert len(engine._family(0)[1]) == family
 
 
 def _slice_key(engine, pat):
-    """The key under which the engine keeps the ranks of a sign pattern."""
+    """The key under which the engine keeps the ranks of a sign pattern: None,
+    the shared zero slice, when neg meets a variable outside the reach of the
+    face family of pos, else (neg, the family's index)."""
     neg, pos = pat
-    return (engine._outside, 0) if neg & engine._outside else (neg, pos & engine._supp_j)
+    index, _, reach = engine._family(pos)
+    return None if neg & ~reach else (neg, index)
 
 
 def test_slices_are_ranked_on_their_nonzero_band():
@@ -613,13 +663,17 @@ def test_slices_are_ranked_on_their_nonzero_band():
     seen = {"keys": 0, "lo > 0": 0, "hi < t + 1": 0, "empty": 0}
 
     def check(engine, pats):
-        for pat in pats:
-            engine.ranks(pat)
-        for key in engine._ranks:
-            ranks = engine.ranks(key)
+        keys = set()
+        for pat in sorted(pats):
+            # the ranks kept under the pattern's key are its own
+            ranks = engine.ranks(pat)
             assert len(ranks) == engine.t + 1
-            assert ranks == orc.full_slice_ranks(engine, key)
-            band = [i for i, component in enumerate(engine.members(key)) if component]
+            assert ranks == orc.full_slice_ranks(engine, pat)
+            key = _slice_key(engine, pat)
+            if key in keys:
+                continue
+            keys.add(key)
+            band = [i for i, component in enumerate(engine.members(pat)) if component]
             seen["keys"] += 1
             seen["empty"] += not band
             seen["lo > 0"] += bool(band) and band[0] > 0
@@ -648,7 +702,7 @@ def test_a_zero_source_leaves_the_target_slice_unranked():
     # a target whose source H^i is nonzero is ranked
     rng = random.Random(173)
     seen = {"skipped": 0, "ranked": 0}
-    for _ in range(40):
+    for _ in range(48):
         d = rng.randint(2, 5)
         ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
         a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d, max_gens=6))
@@ -682,8 +736,9 @@ def _live_complexes():
 
 def test_slice_engine_keeps_only_ranks():
     # a ranked slice keeps its cohomology ranks and nothing else: no complex,
-    # member list or differential outlives the call that ranked it
-    path = os.path.join(os.path.dirname(__file__), "golden", "instances", "cycle.json")
+    # member list or differential outlives the call that ranked it; nested has
+    # 422 family keys (the sign patterns of --box=-1:1 are those of -3:1)
+    path = os.path.join(os.path.dirname(__file__), "golden", "instances", "nested.json")
     inst = load_instance(path, None, "-1:1")
     before = _live_complexes()
     engine = _SliceEngine(inst.acting, inst.field, CECH_GUARD_DEFAULT)
