@@ -19,7 +19,7 @@ So slices are ranked once per key (neg, index of F), with one shared zero
 slice, only their ranks are kept, and no box is walked degree by degree:
 
 - `cech_ranks` looks up each sign pattern the box allows once (at most 3^d), and
-  `CechReport.ranks` maps degrees to ranks through their patterns.  Degrees are
+  `CechReport.ranks` reads a degree's ranks from the engine's table.  Degrees are
   listed only by `DegreeRanks._listing`, each nonzero pattern as the product of
   its per-coordinate ranges, as sorted (degree, cell index) pairs: `nonzero`
   pairs them with their ranks, and the CLI writes one text template per cell.
@@ -163,16 +163,16 @@ def _coboundary(members: list[list[int]], i: int) -> list[list[tuple[int, int]]]
 
 class _SliceEngine:
     """Cech slices, built, checked and ranked once per key, which keeps only
-    their ranks.  The key is the part of the sign pattern a slice reads:
-    (neg, index of the face family of pos), since a slice is the sigma of that
-    family whose W[sigma] holds neg, and one zero slice (key None) for every
-    neg that meets a variable outside the family's reach, since no W[sigma] of
-    the family holds such a neg.  Every complex built is d∘d-checked, empty
-    ones included.  A slice keeps only its admissible members, of the same
-    cohomology (Lyubeznik; Batzies-Welker).
-    Its complex spans only the band from its lowest to its highest nonempty
-    component, and the ranks are padded with zeros outside it; the components
-    outside are 0, so neither the ranks nor the d∘d check change."""
+    their ranks, the one table the report's `DegreeRanks` reads.  The key is
+    the part of the sign pattern a slice reads: (neg, index of the face family
+    of pos), since a slice is the sigma of that family whose W[sigma] holds
+    neg, and one zero slice (key None) for every neg that meets a variable
+    outside the family's reach, since no W[sigma] of the family holds such a
+    neg.  Every complex built is d∘d-checked, empty ones included.  A slice
+    keeps only its admissible members, of the same cohomology (Lyubeznik;
+    Batzies-Welker).  Its complex spans only the band from its lowest to its
+    highest nonempty component, padded with zero ranks outside it; the
+    components outside are 0, so neither the ranks nor the d∘d check change."""
 
     def __init__(self, a: QuotientIdeal, field: FieldSpec, guard: int):
         ring = a.ring
@@ -283,19 +283,20 @@ def _lex_rank(deg: tuple[int, ...], lower: tuple[int, ...], widths) -> int:
 class DegreeRanks(Mapping):
     """Read-only map from every degree of a box to the cohomology ranks there.
 
-    It holds one entry per sign pattern; iteration follows `box.degrees()`.
+    It reads a degree's ranks from the engine that ranked every sign pattern of
+    the box, so a lookup ranks no slice; iteration follows `box.degrees()`.
     """
 
-    def __init__(self, box: DegreeBox, by_pattern: dict, nonzero_cells: list):
+    def __init__(self, box: DegreeBox, engine: _SliceEngine, nonzero_cells: list):
         self.box = box
-        self._by_pattern = by_pattern
+        self._engine = engine
         # (per-coordinate ranges of a pattern, its ranks) for nonzero patterns
         self._nonzero_cells = nonzero_cells
 
     def __getitem__(self, deg) -> tuple[int, ...]:
         if not _is_degree(deg, len(self.box.lower)) or deg not in self.box:
             raise KeyError(deg)
-        return self._by_pattern[_sign_pattern(deg)]
+        return self._engine.ranks(_sign_pattern(deg))
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return self.box.degrees()
@@ -350,12 +351,10 @@ def cech_ranks(
     per_coord = [_sign_ranges(lo, hi) for lo, hi in zip(box.lower, box.upper)]
     _check_sweep(prod(map(len, per_coord)), "sign patterns")
     engine = _SliceEngine(a, field, guard)
-    by_pattern: dict[tuple[int, int], tuple[int, ...]] = {}
     nonzero_cells = []
     top = -1
     for cell, pat in zip(product(*per_coord), _cell_patterns(per_coord, repeat(0))):
         slice_ranks = engine.ranks(pat)
-        by_pattern[pat] = slice_ranks
         if any(slice_ranks):
             nonzero_cells.append((cell, slice_ranks))
             top = max(top, max(i for i, r in enumerate(slice_ranks) if r))
@@ -363,7 +362,7 @@ def cech_ranks(
         field=field,
         generators=engine.gens,
         box=box,
-        ranks=DegreeRanks(box, by_pattern, nonzero_cells),
+        ranks=DegreeRanks(box, engine, nonzero_cells),
         top_nonvanishing=top,
     )
 

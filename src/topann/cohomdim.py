@@ -154,11 +154,20 @@ def _top_betti(supports: list[int], field: FieldSpec) -> tuple[int, int]:
     return pd, top
 
 
-def _image_masks(a: QuotientIdeal, prime: Iterable[int]) -> tuple[int, list[int]]:
-    """The prime's `require_support` mask, and the supports of radical(lift) that
-    miss it: the image of the ideal in R/prime, an antichain, empty when zero."""
-    killed = a.ring.require_support(prime)  # a generator meeting it is zero in S/prime
-    return killed, [g.mask for g in a.radical_lift.gens if not g.mask & killed]
+def _image_masks(a: QuotientIdeal, killed: int) -> list[int]:
+    """The supports of radical(lift) that miss the prime's mask `killed` (one
+    meeting it is zero in S/prime): the image of the ideal in R/prime, an
+    antichain, empty when zero."""
+    return [g.mask for g in a.radical_lift.gens if not g.mask & killed]
+
+
+def _cd_on_mask(a: QuotientIdeal, killed: int, field: FieldSpec) -> int:
+    """`cd_on_prime` on the prime's mask, which the caller has checked."""
+    supports = _image_masks(a, killed)
+    if not supports:
+        return 0
+    _guard_betti(a.ring.ambient - killed.bit_count())
+    return _top_betti(supports, field)[0]
 
 
 def cd_on_prime(a: QuotientIdeal, prime: Iterable[int], field: FieldSpec) -> int:
@@ -170,11 +179,7 @@ def cd_on_prime(a: QuotientIdeal, prime: Iterable[int], field: FieldSpec) -> int
     ranked on `_image_masks`; the Betti guard applies to the d - |prime|
     surviving variables.
     """
-    killed, supports = _image_masks(a, prime)
-    if not supports:
-        return 0
-    _guard_betti(a.ring.ambient - killed.bit_count())
-    return _top_betti(supports, field)[0]
+    return _cd_on_mask(a, a.ring.require_support(prime), field)
 
 
 def grade_on_prime(a: QuotientIdeal, prime: Iterable[int]) -> int | None:
@@ -183,7 +188,7 @@ def grade_on_prime(a: QuotientIdeal, prime: Iterable[int]) -> int | None:
     The height is the fewest variables meeting every support of `_image_masks`.
     Returns None when the image is zero (grade undefined on torsion).
     """
-    supports = _image_masks(a, prime)[1]
+    supports = _image_masks(a, a.ring.require_support(prime))
     return _min_cover_size(supports) if supports else None
 
 
@@ -195,8 +200,10 @@ class CdReport:
 
 
 def cohomological_dimension(a: QuotientIdeal, field: FieldSpec) -> CdReport:
-    """cd(a, R) as the maximum of cd over the minimal primes of the relations."""
+    """cd(a, R) as the maximum of cd over the minimal primes of the relations,
+    on the prime masks the ring checked when it found them."""
+    ring = a.ring
     per_prime = tuple(
-        (p, cd_on_prime(a, p, field)) for p in a.ring.minimal_primes
+        (p, _cd_on_mask(a, mask, field)) for p, mask in zip(ring.minimal_primes, ring.prime_masks)
     )
     return CdReport(field=field, c=max(v for _, v in per_prime), per_prime=per_prime)

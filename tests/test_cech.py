@@ -314,10 +314,19 @@ def _span_box(rng, d):
     return DegreeBox(tuple(lower), tuple(upper)), spans
 
 
-def test_cell_walk_sums_the_sign_pattern_of_each_cell():
-    # both walks sum per-coordinate shares of a cell's sign pattern: the keys
-    # of cech_ranks against _sign_pattern of each cell's first degree and of
-    # every degree, and annihilation_check against the per-degree sweep
+def test_cell_walk_sums_the_sign_pattern_of_each_cell(monkeypatch):
+    # both walks sum per-coordinate shares of a cell's sign pattern: the
+    # patterns cech_ranks asks the engine for against _sign_pattern of each
+    # cell's first degree and of every degree, and annihilation_check against
+    # the per-degree sweep
+    real = _SliceEngine.ranks
+    asked = []
+
+    def spy(engine, pat):
+        asked.append(pat)
+        return real(engine, pat)
+
+    monkeypatch.setattr(_SliceEngine, "ranks", spy)
     rng = random.Random(2207)
     spans = {1: 0, 2: 0, 3: 0}
     verdicts = {"acts-nonzero": 0, "annihilates-in-box": 0}
@@ -327,12 +336,13 @@ def test_cell_walk_sums_the_sign_pattern_of_each_cell():
         a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d))
         box, box_spans = _span_box(rng, d)
         field = (Q, F2, F3)[n % 3]
+        asked.clear()
         rep = cech_ranks(a, box, field)
-        keys = list(rep.ranks._by_pattern)
+        walk = asked[:]
         cells = product(*(_sign_ranges(lo, hi) for lo, hi in zip(box.lower, box.upper)))
-        assert keys == [_sign_pattern(tuple(r[0] for r in cell)) for cell in cells]
-        assert keys == list(dict.fromkeys(map(_sign_pattern, box.degrees())))
-        live = sorted({i for r in rep.ranks._by_pattern.values() for i, x in enumerate(r) if x})
+        assert walk == [_sign_pattern(tuple(r[0] for r in cell)) for cell in cells]
+        assert walk == list(dict.fromkeys(map(_sign_pattern, box.degrees())))
+        live = sorted({i for r in rep.ranks.values() for i, x in enumerate(r) if x})
         for _ in range(3):
             m = _random_shift(rng, d)
             i = rng.choice(live) if live and rng.random() < 0.9 else rng.randint(0, d)
@@ -750,6 +760,48 @@ def test_slice_engine_keeps_only_ranks():
         type(ranks) is tuple and all(type(r) is int for r in ranks)
         for ranks in engine._ranks.values()
     )
+
+
+def test_reading_the_report_ranks_no_slice(monkeypatch):
+    # the report reads the engine's table, which the walk filled with every
+    # pattern of the box: a lookup builds no complex and adds no entry; nested
+    # has 1,953,125 degrees at -3:1, so there the first and last degree of
+    # each of its 19,683 sign cells are read, which covers every pattern
+    from topann import cech
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return VectorSpaceComplex(*args)
+
+    def read_all(rep, degrees):
+        engine = rep.ranks._engine
+        sizes = len(engine._ranks), len(engine._by_pos)
+        with monkeypatch.context() as m:
+            m.setattr(cech, "VectorSpaceComplex", counted)
+            ranks = [rep.ranks[deg] for deg in degrees]
+        assert built == [] and (len(engine._ranks), len(engine._by_pos)) == sizes
+        return ranks
+
+    rng = random.Random(331)
+    for n in range(150):
+        d = rng.randint(1, 4)
+        ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+        a = QuotientIdeal(ring, orc.random_monomial_ideal(rng, d))
+        box = _span_box(rng, d)[0]
+        rep = cech_ranks(a, box, (Q, F2, F3)[n % 3])
+        read_all(rep, rep.ranks)
+    path = os.path.join(os.path.dirname(__file__), "golden", "instances", "nested.json")
+    inst = load_instance(path, None, "-3:1")
+    rep = cech_ranks(inst.acting, inst.box, inst.field)
+    cells = list(product(*(_sign_ranges(lo, hi) for lo, hi in zip(inst.box.lower,
+                                                                    inst.box.upper))))
+    assert len(cells) == 19_683
+    corners = [tuple(r[k] for r in cell) for cell in cells for k in (0, -1)]
+    ranks = read_all(rep, corners)
+    assert ranks[::2] == ranks[1::2]
+    assert len(rep.ranks._engine._ranks) == 422
 
 
 def test_degree_ranks_is_a_read_only_mapping():

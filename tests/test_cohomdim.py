@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from itertools import combinations
 
@@ -9,7 +10,7 @@ import pytest
 
 from topann import cohomdim
 
-from topann.cli import main
+from topann.cli import load_instance, main
 from topann.cohomdim import (
     cd_on_prime,
     cohomological_dimension,
@@ -328,6 +329,38 @@ def test_cd_and_grade_on_prime_match_the_reindexed_image():
             primes_seen += 1
             nonzero += not image.is_zero()
     assert primes_seen > 300 and nonzero > 100
+
+
+def test_cd_table_reads_the_rings_checked_prime_masks(monkeypatch):
+    # the table reads the masks the ring checked when it found its primes, so
+    # it checks no prime again, and matches cd_on_prime prime by prime; a
+    # prime over no minimal prime is still refused there
+    path = os.path.join(os.path.dirname(__file__), "golden", "instances", "chain16.json")
+    rng = random.Random(77)
+    instances = [_random_quotient_instance(rng, rng.randint(1, 7)) for _ in range(60)]
+    instances.append(load_instance(path, None, None).acting)
+    real = QuotientRing.require_support
+    calls = []
+
+    def counted(ring, q):
+        calls.append(q)
+        return real(ring, q)
+
+    monkeypatch.setattr(QuotientRing, "require_support", counted)
+    refused = 0
+    for a in instances:
+        for field in (Q, F2):
+            calls.clear()
+            per_prime = cohomological_dimension(a, field).per_prime
+            assert calls == []
+            assert per_prime == tuple((p, cd_on_prime(a, p, field)) for p in a.ring.minimal_primes)
+            assert len(calls) == len(per_prime)
+        outside = frozenset(range(1, a.ring.ambient + 1)) - a.ring.minimal_primes[0]
+        if not any(p <= outside for p in a.ring.minimal_primes):
+            with pytest.raises(InvalidInputError, match="not in the support"):
+                cd_on_prime(a, outside, Q)
+            refused += 1
+    assert len(instances[-1].ring.minimal_primes) == 177 and refused > 10
 
 
 def test_cd_on_prime_guards_the_surviving_variables():

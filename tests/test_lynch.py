@@ -75,19 +75,18 @@ def test_bahmanpour_dimensions():
 @pytest.mark.parametrize("name, d, l", [("singh-walther", None, None), ("bahmanpour", 8, 8)])
 def test_verify_computes_cd_once_per_prime(monkeypatch, name, d, l):
     # X, Y and Z for the bounds' per-prime table, and q for claim v, which
-    # checks cd on its own prime even where q is Z (singh-walther)
+    # checks cd on its own prime even where q is Z (singh-walther); both reach
+    # the kernel on the prime's mask
     import topann.cohomdim as cohomdim
-    import topann.lynch as lynch
 
-    real = cohomdim.cd_on_prime
+    real = cohomdim._cd_on_mask
     primes = []
 
-    def counted(a, prime, field):
-        primes.append(prime)
-        return real(a, prime, field)
+    def counted(a, killed, field):
+        primes.append(killed)
+        return real(a, killed, field)
 
-    monkeypatch.setattr(cohomdim, "cd_on_prime", counted)
-    monkeypatch.setattr(lynch, "cd_on_prime", counted)
+    monkeypatch.setattr(cohomdim, "_cd_on_mask", counted)
     inst, _ = fixture(name, d=d, l=l)
     assert verify_instance(inst, Q).all_claims_pass()
     assert len(primes) == 4
