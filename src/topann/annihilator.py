@@ -32,13 +32,12 @@ from .monomial import (
     mask_varset,
     power,
 )
-from .stanley_reisner import QuotientIdeal, QuotientRing, _min_cover_size, height_in_quotient
+from .stanley_reisner import QuotientIdeal, QuotientRing, _min_cover_size
 
 EXACTNESS_REASONS = (
     "all-witnesses-found",
     "cd-le-1",
     "dim-quotient-le-1",
-    "dim-le-2",
     "none",
 )
 
@@ -130,9 +129,13 @@ def annihilator_bounds(a: QuotientIdeal, field: FieldSpec) -> AnnBoundsReport:
 
     exact = True certifies ann(H^c) equals the lower bound.  The certificate is
     either a witness over every critical prime, or one of the small-dimension
-    exactness criteria, evaluated on the essential variables: cd <= 1,
-    dim R/(a) <= 1, or dim R <= 2.  With the free directions discounted, the
-    certificate is stable under padding the ambient ring with unused variables.
+    exactness criteria, evaluated on the essential variables: cd <= 1 or
+    dim R/(a) <= 1.  With the free directions discounted, the certificate is
+    stable under padding the ambient ring with unused variables.  dim R <= 2
+    needs no criterion: a critical p misses the free variables, so past cd <= 1
+    the image of a in R/p has pd c >= 2 on at most dim R - free <= 2 variables,
+    so it is their maximal ideal (x, y), every other variable outside p is free,
+    and V - {x, y} is the witness over p (its size is d - 2 = d - c).
     """
     ring = a.ring
     report = cohomological_dimension(a, field)
@@ -162,8 +165,6 @@ def annihilator_bounds(a: QuotientIdeal, field: FieldSpec) -> AnnBoundsReport:
         exact, reason = True, "cd-le-1"
     elif ring.ambient - _min_cover_size(edges) - free <= 1:
         exact, reason = True, "dim-quotient-le-1"
-    elif ring.dim - free <= 2:
-        exact, reason = True, "dim-le-2"
     else:
         exact, reason = False, "none"
     return AnnBoundsReport(
@@ -188,16 +189,14 @@ class HeightReport:
 def height_report(rep: AnnBoundsReport, ring: QuotientRing) -> HeightReport:
     """Heights of the reported bounds plus the height-zero consequence checks.
 
-    ht_ann is only known when the report certifies exactness.  The checks:
-    a found witness forces the upper bound to have height zero; an exact
-    annihilator in the near-top case c = dim R - 1 has height zero; and a
-    critical prime with dim R/p > c has height at most dim R - c - 1, read in
-    closed form: a critical prime is a minimal prime of J, of height 0.
+    Both bounds meet minimal primes of J, each of height 0, so ht_upper is 0 when
+    there is an upper bound and ht_ann is 0 when the report is exact (unknown
+    otherwise).  The checks: a found witness forces the upper bound to have height
+    zero; an exact annihilator in the near-top case c = dim R - 1 has height zero;
+    and a critical prime, of height 0, with dim R/p > c has height <= dim R - c - 1.
     """
-    ht_upper = (
-        height_in_quotient(QuotientIdeal(ring, rep.upper)) if rep.upper is not None else None
-    )
-    ht_ann = height_in_quotient(QuotientIdeal(ring, rep.lower)) if rep.exact else None
+    ht_upper = None if rep.upper is None else 0
+    ht_ann = 0 if rep.exact else None
     checks: list[tuple[str, bool]] = []
     if ht_upper is not None:
         checks.append(("upper-bound-height-zero", ht_upper == 0))

@@ -22,14 +22,19 @@ the image of an ideal in R/p built as a reindexed ideal, is the reference for
 the support masks from which `cd_on_prime` and `grade_on_prime` read it.
 `full_lift`, the preimage lift + J of an ideal of R, and `height_in_quotient`
 on variable sets are the references for the masks of `height_in_quotient` and
-of the dim-quotient-le-1 certificate.
+of the dim-quotient-le-1 certificate.  `hochster_ranks`, local cohomology at
+the maximal ideal from the links of the Stanley-Reisner complex, is a second
+reference for the Cech oracle that shares none of its slice rule.
+`canonical_pairs` lists every (J, a) pair of squarefree ideals with d <= 4 up
+to relabelling.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from topann.cech import (
     CECH_GUARD_DEFAULT,
@@ -630,6 +635,30 @@ def dense_homology_ranks_of_faces(faces, field: FieldSpec) -> dict[int, int]:
     }
 
 
+def hochster_ranks(relations: MonomialIdeal, deg, field: FieldSpec) -> tuple[int, ...]:
+    """dim H^i_m(S/J)_deg for i = 0..d, m the maximal ideal, by Hochster's
+    formula (Bruns-Herzog, Theorem 5.3.8; Miller-Sturmfels, Theorem 13.13):
+    0 unless deg <= 0 and F = {v : deg_v < 0} is a face of the Stanley-Reisner
+    complex Delta of J, and then dim H~_{i-|F|-1}(lk F; k).  It reads the links
+    of Delta, with tuple faces ranked by `dense_homology_ranks_of_faces`, and
+    no Cech complex or slice rule."""
+    d = relations.ambient
+    supports = [g.support() for g in relations.gens]
+
+    def in_delta(vertices) -> bool:
+        return not any(s <= vertices for s in supports)
+
+    face = frozenset(v for v, e in enumerate(deg, 1) if e < 0)
+    if any(e > 0 for e in deg) or not in_delta(face):
+        return (0,) * (d + 1)
+    rest = [v for v in range(1, d + 1) if v not in face]
+    # lk F: the faces G of Delta that miss F and whose union with F is a face
+    link = [g for k in range(len(rest) + 1) for g in combinations(rest, k)
+            if in_delta(face | set(g))]
+    homology = dense_homology_ranks_of_faces(link, field)
+    return tuple(homology.get(i - len(face) - 1, 0) for i in range(d + 1))
+
+
 def dense_betti_table(ideal: MonomialIdeal, field: FieldSpec):
     """Hochster's formula on every subset sigma of the variables, with tuple
     faces and dense boundary matrices: {(i, sigma mask): beta} for nonzero beta."""
@@ -649,3 +678,57 @@ def dense_betti_table(ideal: MonomialIdeal, field: FieldSpec):
             if h:
                 table[(len(sigma) - dim - 1, smask)] = h
     return table
+
+
+def all_squarefree_ideals(d):
+    """Every squarefree ideal on d variables except the unit ideal, as support antichains."""
+    subsets = [
+        frozenset(i + 1 for i in range(d) if mask >> i & 1) for mask in range(1, 1 << d)
+    ]
+    n = len(subsets)
+    out = []
+    for mask in range(1 << n):
+        chosen = [subsets[i] for i in range(n) if mask >> i & 1]
+        if all(not a <= b for i, a in enumerate(chosen) for j, b in enumerate(chosen) if i != j):
+            out.append(tuple(sorted(tuple(sorted(s)) for s in chosen)))
+    return out
+
+
+@functools.cache
+def canonical_pairs(d):
+    """(relations, ideal) support-antichain pairs up to simultaneous relabeling.
+
+    Each pair is the least of its orbit, listed in order of first appearance.
+    Supports are relabelled as bitmasks through one table per permutation.
+    The least pair of an orbit takes J to the least relabeling of J, so only
+    the permutations that do so (a coset of J's stabilizer) relabel A.
+    """
+    perms = list(permutations(range(1, d + 1)))
+    # tables[k][mask] is the support `mask` under perms[k], as a sorted tuple
+    tables = [
+        [tuple(sorted(perm[i] for i in range(d) if mask >> i & 1)) for mask in range(1 << d)]
+        for perm in perms
+    ]
+    ideals = [[sum(1 << (v - 1) for v in sup) for sup in key] for key in all_squarefree_ideals(d)]
+
+    def relabel(table, key):
+        return tuple(sorted(table[m] for m in key))
+
+    least = []
+    for key in ideals:
+        images = [relabel(table, key) for table in tables]
+        low = min(images)
+        least.append((low, [t for t, image in zip(tables, images) if image == low]))
+    seen = set()
+    pairs = []
+    for jkey, jtables in least:
+        for akey in ideals:
+            key = (jkey, min(relabel(t, akey) for t in jtables))
+            if key not in seen:
+                seen.add(key)
+                pairs.append(key)
+    return pairs
+
+
+def ideal_from_key(key, d):
+    return minimalize([from_support(s, d) for s in key], d)

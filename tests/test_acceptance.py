@@ -6,11 +6,9 @@ few minutes combined.
 """
 from __future__ import annotations
 
-import functools
 import json
 import random
 import time
-from itertools import permutations
 
 import pytest
 
@@ -22,13 +20,12 @@ from topann.linalg import FieldSpec
 from topann.lynch import search_family
 from topann.monomial import (
     ideal_sum,
-    minimalize,
     variable_ideal,
 )
 from topann.stanley_reisner import QuotientIdeal, QuotientRing, height_in_quotient
 
 import _oracles as orc
-from _oracles import intersect
+from _oracles import canonical_pairs, ideal_from_key, intersect
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -40,60 +37,6 @@ def _report(criterion: str, elapsed: float, budget: float, detail: str = "") -> 
         line += f" - {detail}"
     print(line)
     assert elapsed < budget, f"{criterion} exceeded its {budget}s budget ({elapsed:.1f}s)"
-
-
-def all_squarefree_ideals(d):
-    """Every squarefree ideal on d variables except the unit ideal, as support antichains."""
-    subsets = [
-        frozenset(i + 1 for i in range(d) if mask >> i & 1) for mask in range(1, 1 << d)
-    ]
-    n = len(subsets)
-    out = []
-    for mask in range(1 << n):
-        chosen = [subsets[i] for i in range(n) if mask >> i & 1]
-        if all(not a <= b for i, a in enumerate(chosen) for j, b in enumerate(chosen) if i != j):
-            out.append(tuple(sorted(tuple(sorted(s)) for s in chosen)))
-    return out
-
-
-@functools.cache
-def canonical_pairs(d):
-    """(relations, ideal) support-antichain pairs up to simultaneous relabeling.
-
-    Each pair is the least of its orbit, listed in order of first appearance.
-    Supports are relabelled as bitmasks through one table per permutation.
-    The least pair of an orbit takes J to the least relabeling of J, so only
-    the permutations that do so (a coset of J's stabilizer) relabel A.
-    """
-    perms = list(permutations(range(1, d + 1)))
-    # tables[k][mask] is the support `mask` under perms[k], as a sorted tuple
-    tables = [
-        [tuple(sorted(perm[i] for i in range(d) if mask >> i & 1)) for mask in range(1 << d)]
-        for perm in perms
-    ]
-    ideals = [[sum(1 << (v - 1) for v in sup) for sup in key] for key in all_squarefree_ideals(d)]
-
-    def relabel(table, key):
-        return tuple(sorted(table[m] for m in key))
-
-    least = []
-    for key in ideals:
-        images = [relabel(table, key) for table in tables]
-        low = min(images)
-        least.append((low, [t for t, image in zip(tables, images) if image == low]))
-    seen = set()
-    pairs = []
-    for jkey, jtables in least:
-        for akey in ideals:
-            key = (jkey, min(relabel(t, akey) for t in jtables))
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
-    return pairs
-
-
-def ideal_from_key(key, d):
-    return minimalize([orc.from_support(s, d) for s in key], d)
 
 
 def test_criterion_1_singh_walther_reproduction(capsys):
@@ -238,7 +181,7 @@ def test_criterion_6_annihilator_sandwich_suite(capsys):
         if rep.c == ring.dim:
             assert rep.exact
             assert rep.exactness_reason in ("all-witnesses-found", "cd-le-1",
-                                            "dim-quotient-le-1", "dim-le-2")
+                                            "dim-quotient-le-1")
             assert all(q == p for p, q in rep.sigma_witnesses)
         # Cech evidence on a small-dimension subsample
         if cech_done < cech_budget and ring.ambient <= 4 and rep.exact and rep.upper is not None:
@@ -338,12 +281,17 @@ def test_criterion_8_height_zero_consequences(capsys):
         rep = annihilator_bounds(a, Q)
         hr = height_report(rep, a.ring)
         assert all(holds for _, holds in hr.corollary_checks), (a, hr)
+        # the heights are read in closed form; the transversal search is the reference
+        lower_height = height_in_quotient(QuotientIdeal(a.ring, rep.lower))
+        assert hr.ht_ann == (lower_height if rep.exact else None)
         if rep.exact and rep.c == a.ring.dim - 1:
             assert hr.ht_ann == 0
             near_top += 1
         if rep.upper is not None:
-            assert hr.ht_upper == 0
+            assert hr.ht_upper == height_in_quotient(QuotientIdeal(a.ring, rep.upper)) == 0
             witnessed += 1
+        else:
+            assert hr.ht_upper is None
     assert near_top > 0 and witnessed > 0
     elapsed = time.time() - t0
     with capsys.disabled():

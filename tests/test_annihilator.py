@@ -409,9 +409,9 @@ def test_exactness_reason_matches_the_full_lift_reference():
             expected = "cd-le-1"
         elif dim_quotient - free <= 1:
             expected = "dim-quotient-le-1"
-        elif ring.dim - free <= 2:
-            expected = "dim-le-2"
         else:
+            # dim R - free <= 2 is no criterion of its own: it implies every witness
+            assert ring.dim - free > 2, a
             expected = "none"
         assert rep.exactness_reason == expected, a
         reasons[expected] = reasons.get(expected, 0) + 1
@@ -454,7 +454,9 @@ def test_deficient_prime_height_is_read_in_closed_form(count_calls):
     # a critical prime p is a minimal prime of J, so ht(pR) = 0 and the
     # deficient-prime check reads 0 <= dim R - c - 1; against the height of
     # variable_ideal(p) from the transversal kernel, on seeded rings and on
-    # chain16, whose ann-bounds then runs the prime-meet kernel 6 times, not 137
+    # chain16, whose ann-bounds then runs the prime-meet kernel 4 times: the
+    # ring's primes, both bounds and the dim R/(a) transversals, with no height
+    # searched
     from golden.record import run_case
 
     rng = random.Random(181)
@@ -463,8 +465,7 @@ def test_deficient_prime_height_is_read_in_closed_form(count_calls):
         d = rng.randint(1, 6)
         ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
         cases.append(QuotientIdeal(ring, orc.random_monomial_ideal(rng, d)))
-    path = os.path.join(os.path.dirname(__file__), "golden", "instances", "chain16.json")
-    cases.append(load_instance(path, None, None).acting)
+    cases.append(_chain16())
     seen = {"deficient": 0, "none": 0}
     for a in cases:
         ring = a.ring
@@ -489,7 +490,74 @@ def test_deficient_prime_height_is_read_in_closed_form(count_calls):
     assert code == 0
     checks = {c["name"]: c["holds"] for c in json.loads(text)["heights"]["checks"]}
     assert checks["deficient-prime-height-bound"] is True
-    assert counts == {"_prime_meet": 6}
+    assert counts == {"_prime_meet": 4}
+
+
+def _chain16():
+    path = os.path.join(os.path.dirname(__file__), "golden", "instances", "chain16.json")
+    return load_instance(path, None, None).acting
+
+
+def _canonical_and_seeded(max_d, count, seed):
+    """Every canonical (J, a) pair with d <= 4 whose a is not zero, then `count`
+    seeded rings with 1 <= d <= max_d."""
+    for d in range(1, 5):
+        for jkey, akey in orc.canonical_pairs(d):
+            if akey:
+                ring = QuotientRing(d, orc.ideal_from_key(jkey, d))
+                yield QuotientIdeal(ring, orc.ideal_from_key(akey, d))
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, max_d)
+        ring = QuotientRing(d, orc.random_squarefree_ideal(rng, d))
+        yield QuotientIdeal(ring, orc.random_monomial_ideal(rng, d))
+
+
+def test_heights_are_read_in_closed_form():
+    # both bounds meet minimal primes of J, so the report reads ht_upper = 0
+    # when there is an upper bound and ht_ann = 0 when it is exact, with no
+    # search; the transversal search of height_in_quotient is the reference
+    seen = {"upper": 0, "exact": 0, "not exact": 0}
+    for a in [*_canonical_and_seeded(6, 200, 191), _chain16()]:
+        ring = a.ring
+        rep = annihilator_bounds(a, Q)
+        hr = height_report(rep, ring)
+        if rep.upper is None:
+            assert hr.ht_upper is None
+        else:
+            assert hr.ht_upper == height_in_quotient(QuotientIdeal(ring, rep.upper)), a
+            seen["upper"] += 1
+        if rep.exact:
+            assert hr.ht_ann == height_in_quotient(QuotientIdeal(ring, rep.lower)), a
+        else:
+            assert hr.ht_ann is None
+        seen["exact" if rep.exact else "not exact"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_small_dimension_always_has_every_witness():
+    # past cd <= 1, dim R - free <= 2 makes the image of a in R/p the maximal
+    # ideal (x, y) on each critical prime p, whose witness is every variable
+    # but x and y; so annihilator_bounds needs no dim R <= 2 criterion
+    hits = 0
+    for field in (Q, FieldSpec.prime_field(2)):
+        for a in _canonical_and_seeded(7, 300, 193):
+            supports = [g.support() for g in (*a.radical_lift.gens, *a.ring.relations.gens)]
+            free = a.ring.ambient - len(frozenset().union(*supports))
+            rep = annihilator_bounds(a, field)
+            if rep.c >= 2 and a.ring.dim - free <= 2:
+                assert all(q is not None for _, q in rep.sigma_witnesses), a
+                assert rep.exactness_reason == "all-witnesses-found"
+                hits += 1
+    assert hits > 100, hits
+
+
+def test_the_dim_le_2_reason_is_refused():
+    import dataclasses
+
+    rep = annihilator_bounds(sw().ideal, Q)
+    with pytest.raises(InvalidInputError, match="unknown exactness reason 'dim-le-2'"):
+        dataclasses.replace(rep, exactness_reason="dim-le-2")
 
 
 def test_height_report_on_fixtures():

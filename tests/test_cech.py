@@ -56,6 +56,20 @@ def test_degree_box_refuses_bounds_that_are_not_sequences(lower, upper):
         DegreeBox(lower, upper)
 
 
+def _plane_pair():
+    return QuotientIdeal(QuotientRing(2, ideal(2, (1, 1))), ideal(2, (1, 0), (0, 1)))
+
+
+def test_cech_ranks_refuses_a_box_of_another_ambient():
+    with pytest.raises(InvalidInputError, match="box dimension does not match"):
+        cech_ranks(_plane_pair(), DegreeBox.uniform(3, -1, 1), Q)
+
+
+def test_annihilation_check_refuses_a_monomial_of_another_ambient():
+    with pytest.raises(InvalidInputError, match="monomial or box dimension mismatch"):
+        annihilation_check(Monomial((1, 0, 0)), _plane_pair(), 1, DegreeBox.uniform(2, -1, 1), Q)
+
+
 def test_localization_piece_examples():
     zero2 = ideal(2)
     assert localization_piece(zero2, varset_mask({1, 2}, 2), (-1, -1)) == 1
@@ -425,6 +439,40 @@ def test_zero_induced_maps_between_nonzero_spaces_match_the_dense_reference():
                             assert zero == dense.induced_map_is_zero(pat1, pat2, i)
                             verdicts[zero] += 1
     assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+
+def test_cech_ranks_at_the_maximal_ideal_follow_hochsters_formula():
+    # every (degree, i) of cech_ranks(m, box -2:1) against Hochster's formula,
+    # which reads the links of the Stanley-Reisner complex and no slice rule:
+    # seeded rings with d <= 6 over Q, F_2 and F_3, and the six-vertex RP^2 (the
+    # generators of rp2.json taken as J) over all three
+    rng = random.Random(199)
+    cases = []
+    for k in range(150):
+        d = rng.randint(1, 6)
+        cases.append((orc.random_squarefree_ideal(rng, d), (Q, F2, Q, F2, F3)[k % 5]))
+    path = os.path.join(os.path.dirname(__file__), "golden", "instances", "rp2.json")
+    rp2 = load_instance(path, None, None).acting.lift
+    cases += [(rp2, field) for field in (Q, F2, F3)]
+    degrees = 0
+    nonzero = []  # nonzero (degree, i) entries per case
+    for J, field in cases:
+        d = J.ambient
+        m = minimalize([orc.variable(v, d) for v in range(1, d + 1)], d)
+        box = DegreeBox.uniform(d, -2, 1)
+        rep = cech_ranks(QuotientIdeal(QuotientRing(d, J), m), box, field)
+        expected = {}  # the formula reads a degree through its signs only
+        nonzero.append(0)
+        for deg in box.degrees():
+            signs = tuple((e > 0) - (e < 0) for e in deg)
+            if signs not in expected:
+                expected[signs] = orc.hochster_ranks(J, deg, field)
+            assert rep.ranks[deg] == expected[signs], (J.pretty(), field.label(), deg)
+            degrees += 1
+            nonzero[-1] += sum(map(bool, expected[signs]))
+    # H^i_m of RP^2 differs over F_2, where H~_1 and H~_2 of RP^2 are not 0
+    assert nonzero[-3:] == [152, 154, 152]
+    assert degrees == 148_008 and sum(nonzero) == 7_098, (degrees, sum(nonzero))
 
 
 def _ring_with_idle_variables(rng, d):

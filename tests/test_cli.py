@@ -202,6 +202,8 @@ def test_non_squarefree_relations_rejected(tmp_path, capsys):
         {"vars": ["x", 2]},                   # non-string name
         {"box": {"lower": [0, 0]}},           # missing upper
         {"box": {"lower": [0] * 4, "upper": ["a"] * 4}},
+        {"box": {"lower": 1, "upper": 2}},    # bounds are not arrays
+        {"box": {"lower": [0] * 3, "upper": [1] * 3}},      # one bound short of vars
         {"field": 5},                         # not a string
         {"field": "Fp:0"},                    # characteristic 0 is not prime
         {"a": [{"x": True}]},                 # bool exponent
@@ -262,6 +264,29 @@ def test_malformed_integers_exit_2(sw_file, capsys, argv):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("content, argv, message", [
+    ([], ["cd", None], "instance file must be a JSON object"),
+    (None, ["cd", None], "cannot read instance file"),
+    (SW_INSTANCE, ["oracle", "ranks", None, "--box=1"], "cannot parse box '1'"),
+    (SW_INSTANCE, ["--field", "R", "cd", None], "cannot parse field spec 'R'"),
+    (None, ["lynch", "search", "--max-d", "9" * 5000], "invalid natural value"),
+], ids=["array-file", "missing-file", "box-without-colon", "unknown-field",
+        "max-d-of-5000-digits"])
+def test_refusals_exit_2_with_their_message(tmp_path, capsys, content, argv, message):
+    # the file is written only when there is content, so None names a missing file
+    path = tmp_path / "instance.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    argv = [str(path) if a is None else a for a in argv]
+    try:
+        code = main(["--quiet", *argv])
+    except SystemExit as exc:  # argparse refuses a flag's value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 def test_integers_may_still_be_signed_or_spaced_where_legal(sw_file, capsys):

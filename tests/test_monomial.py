@@ -62,6 +62,11 @@ def test_minimalize_rejects_dimension_mismatch():
         minimalize([mono(1, 0), mono(1, 0, 0)], 2)
 
 
+def test_membership_refuses_another_ambient():
+    with pytest.raises(InvalidInputError, match="ambient dimension mismatch"):
+        Monomial((1, 0)) in minimalize([Monomial((1, 0, 0))], 3)
+
+
 def test_ideal_rejects_a_repeated_generator():
     g = mono(1, 0)
     with pytest.raises(InvalidInputError):

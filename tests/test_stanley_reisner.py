@@ -361,6 +361,16 @@ def test_quotient_ideal_requires_proper_sum():
         QuotientIdeal(ring, ideal(4, (0, 0, 0, 0)))
 
 
+def test_quotient_ring_refuses_relations_of_another_ambient():
+    with pytest.raises(InvalidInputError, match="relations ideal has the wrong ambient"):
+        QuotientRing(3, ideal(2, (1, 1)))
+
+
+def test_quotient_ideal_refuses_a_lift_of_another_ambient():
+    with pytest.raises(InvalidInputError, match="lift has the wrong ambient"):
+        QuotientIdeal(QuotientRing(4, J_SW), ideal(3, (1, 0, 0)))
+
+
 def test_height_examples():
     ring = QuotientRing(4, J_SW)
     zz = QuotientIdeal(ring, ideal(4, (0, 0, 1, 0), (0, 0, 0, 1)))
