@@ -45,7 +45,7 @@ from .lynch import (
     search_family,
     verify_instance,
 )
-from .monomial import Monomial, MonomialIdeal, VarSet, default_names, minimalize
+from .monomial import Monomial, MonomialIdeal, VarSet, _trusted, default_names, minimalize
 from .stanley_reisner import QuotientIdeal, QuotientRing, guard_ambient, krull_dim
 
 FORMAT_VERSION = 1
@@ -80,7 +80,7 @@ def monomial_from_obj(obj: dict[str, int], index: dict[str, int]) -> Monomial:
         if type(e) is not int or e < 0:  # bool is an int subclass; refuse it
             raise InvalidInputError(f"exponent of {name!r} must be a nonnegative integer")
         exps[index[name]] = e
-    return Monomial(tuple(exps))
+    return _trusted(tuple(exps))  # every exponent was checked above
 
 
 def parse_monomial_text(text: str, names: list[str]) -> Monomial:

@@ -9,24 +9,41 @@ sigma (Hochster), or the crosscut complex of the generators below sigma
 families of bitmasks, ranked by `linalg.homology_ranks_of_faces`.
 
 pd needs only the largest i, so `top_betti_degree` searches for it instead of
-building the whole table.  If beta_{i, sigma} != 0 then i <= min(m, |sigma|),
-where m is the number of generators below sigma.  The crosscut faces omit at
-least one of those m generators, since all of them join to sigma, so
-H~_{i-2} != 0 needs i - 2 <= m - 2.  Hochster's H~_{|sigma|-i-1} != 0 needs
-|sigma| - i - 1 >= -1.  The degrees are ranked in descending order of this
-bound, and the search stops at the first bound no larger than the best i found.
-Every degree left unranked then has no nonzero Betti number past that i, so the
-result is pd exactly, together with a degree that attains it.  The whole
-table, every degree ranked by the same `_degree_betti`, is built only in the
-test oracles (`tests/_oracles.py`), as the reference for the search.
+building the whole table.  Let m be the number of generators below a degree
+sigma of the lcm lattice; they join to sigma.  Call sigma Taylor-private when
+each of them holds a variable of sigma that none of the others holds.
 
-Most ideals met in practice need no search.  If each of the k generators holds
-a variable that no other generator holds, dropping any generator from a set
-drops its variable from the lcm, so Taylor's resolution is minimal (Taylor
-1966): pd = k over every field, attained at sigma = the union of the supports.
-That sigma is also the only degree with bound k, so the search would return
-the same pair first; `_top_betti` answers it in one pass over the supports and
-builds the lcm lattice only for the other ideals.
+- A private sigma is settled with no homology: every proper subset of the m
+  generators misses a private variable, so its join is not sigma, and the
+  crosscut complex at sigma is all of the boundary of the (m-1)-simplex.
+  Hence beta_{m, sigma} = 1 over every field, and beta_{i, sigma} = 0 for
+  every other i.
+- Any other sigma has beta_{i, sigma} = 0 for every i >= min(m, |sigma|).  If
+  m <= |sigma|, some generator holds no private variable, so the others join
+  to sigma and the crosscut complex misses that facet of the boundary of the
+  (m-1)-simplex.  The only (m-2)-cycles on m vertices are the multiples of
+  that boundary, which uses every facet, so H~_{m-2} = 0; the crosscut
+  complex has no higher faces.  If m > |sigma|, Hochster's H~_{-1} of
+  the restriction to sigma is nonzero only when every variable of sigma is a
+  generator; those are then all the generators below sigma, so m = |sigma|,
+  which contradicts m > |sigma|.
+
+So each degree has a bound on its largest i: m when settled, else
+min(m, |sigma|) - 1.  The degrees are taken in descending order of that bound,
+settled ones first, and the search stops at the first bound no larger than
+the best i found.  A settled degree gives its i = m unranked, and only the
+others are ranked.  Every degree left untaken then has no nonzero Betti number
+past that i, so the result is pd exactly, together with a degree that attains
+it.  The whole table, every degree ranked by the same `_degree_betti`, is
+built only in the test oracles (`tests/_oracles.py`), as the reference for the
+search.
+
+Most ideals met in practice need no lattice.  If each of the k generators
+holds a variable that no other generator holds, the union of the supports is
+a private degree with bound k, and every other degree has fewer generators
+below it, so Taylor's resolution is minimal (Taylor 1966): pd = k over every
+field, attained at sigma = the union.  `_top_betti` answers it in one pass
+over the supports and builds the lcm lattice only for the other ideals.
 
 Over a quotient R = S/J, cd is the maximum of cd on the associated prime
 quotients, each of which is again a polynomial ring.  On R/p the image of a is
@@ -123,30 +140,64 @@ def top_betti_degree(ideal: MonomialIdeal, field: FieldSpec) -> tuple[int, int]:
     return _top_betti(_betti_supports(ideal), field)
 
 
-def _top_betti(supports: list[int], field: FieldSpec) -> tuple[int, int]:
-    """(pd, sigma) of the ideal generated by the squarefree `supports`, an antichain.
-
-    When every support holds a variable no other one holds, Taylor's closed
-    form answers (k, union) (module docstring).  Otherwise degrees are ranked
-    in descending order of the bound min(m, |sigma|), ties by sigma, and the
-    search stops at the first bound no larger than the best i found; sigma = 0
-    (beta_{0, 0} = 1) is the start.  Only (bound, sigma) is kept per degree,
-    and the supports below sigma are listed again when sigma is ranked.
-    """
+def _taylor_private(supports: list[int]) -> tuple[int, bool]:
+    """(union, private) of the squarefree `supports`: private when each one
+    holds a variable that no other one holds (vacuously, when there are none)."""
     once = seen = 0  # variables held by exactly one support, by at least one
     for s in supports:
         once = once & ~s | s & ~seen
         seen |= s
-    if all(s & once for s in supports):
-        return len(supports), seen
-    order = sorted(
-        (-min(len(_below(sigma, supports)), sigma.bit_count()), sigma)
-        for sigma in _lcm_support_closure(supports)
-    )
+    for s in supports:
+        if not s & once:
+            return seen, False
+    return seen, True
+
+
+def _search_order(supports: list[int]) -> list[tuple[int, bool, int]]:
+    """(-bound, unsettled, sigma) for each degree sigma of the lcm lattice, in
+    the order `_top_betti` takes them.  With m supports below sigma, a
+    Taylor-private sigma is settled with bound m: beta_{m, sigma} = 1 and no
+    other i.  Any other sigma has beta_{i, sigma} = 0 for every
+    i > min(m, |sigma|) - 1 (module docstring).  Privacy needs m <= |sigma|,
+    and only then is it tested."""
+    order = []
+    for sigma in _lcm_support_closure(supports):
+        below = _below(sigma, supports)
+        m, size = len(below), sigma.bit_count()
+        if m <= size and _taylor_private(below)[1]:
+            order.append((-m, False, sigma))
+        else:
+            order.append((1 - min(m, size), True, sigma))
+    order.sort()
+    return order
+
+
+def _top_betti(supports: list[int], field: FieldSpec) -> tuple[int, int]:
+    """(pd, sigma) of the ideal generated by the squarefree `supports`, an antichain.
+
+    When every support holds a variable no other one holds, Taylor's closed
+    form answers (k, union) with no lattice (module docstring).  Otherwise the
+    degrees of the lcm lattice are taken in `_search_order`: descending bound,
+    settled degrees first, ties by sigma.  A Taylor-private degree has bound
+    m, the number of supports below it, and gives i = m with no homology:
+    every proper subset of those supports misses a private variable, so the
+    crosscut complex is the whole boundary of the (m-1)-simplex.  Any other
+    degree has bound min(m, |sigma|) - 1 and is ranked, on the supports below
+    it listed again: if m <= |sigma|, the crosscut complex misses a facet of
+    that boundary, so H~_{m-2} = 0; if m > |sigma|, Hochster's H~_{-1} != 0
+    would make the supports below sigma its |sigma| variables.  The search
+    stops at the first bound no larger than the best i found; sigma = 0
+    (beta_{0, 0} = 1) is the start.
+    """
+    union, private = _taylor_private(supports)
+    if private:
+        return len(supports), union
     pd, top = 0, 0
-    for neg_bound, sigma in order:
+    for neg_bound, unsettled, sigma in _search_order(supports):
         if -neg_bound <= pd:
             break
+        if not unsettled:
+            return -neg_bound, sigma  # every later bound is at most this one
         below = _below(sigma, supports)
         i = max(_degree_betti(sigma, below, field, len(below) < sigma.bit_count()), default=0)
         if i > pd:

@@ -19,7 +19,8 @@ the minimal primes, dimensions and meet check of `stanley_reisner`.
 The public constructors check their input: `Monomial(...)` its exponents and
 `MonomialIdeal(...)` that its generators are a sorted antichain.  Results that
 are valid by construction skip those checks: `_trusted` builds a `Monomial`
-from the exponents of a monomial operation, and `_canonical` builds a
+from the exponents of a monomial operation, or from those that
+`cli.monomial_from_obj` has checked one by one, and `_canonical` builds a
 `MonomialIdeal` from generators that are already canonical.  `_canonical` has
 three callers, each of which states why its output is canonical: `minimalize`,
 `_prime_ideal` and `variable_ideal`.
@@ -111,7 +112,8 @@ class Monomial:
 
 def _trusted(exponents: tuple[int, ...]) -> Monomial:
     """A Monomial from a tuple of nonnegative ints, skipping the checks of
-    `__post_init__`: for results of monomial operations on valid monomials."""
+    `__post_init__`: for results of monomial operations on valid monomials,
+    and for exponents the caller has already checked."""
     m = object.__new__(Monomial)
     object.__setattr__(m, "exponents", exponents)
     return m

@@ -207,6 +207,8 @@ def test_non_squarefree_relations_rejected(tmp_path, capsys):
         {"field": 5},                         # not a string
         {"field": "Fp:0"},                    # characteristic 0 is not prime
         {"a": [{"x": True}]},                 # bool exponent
+        {"a": [{"x": 1.5}]},                  # float exponent
+        {"a": [{"x": -1}]},                   # negative exponent
         {"box": {"lower": [-1.7] * 4, "upper": [1] * 4}},   # float bound
         {"box": {"lower": ["-1"] * 4, "upper": [1] * 4}},   # numeric string bound
         # --monomial text on a valid instance: exponents must be ASCII digits

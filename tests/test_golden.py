@@ -10,7 +10,9 @@ repeat or nest (nested), `cd` and `ann-bounds` over Q and F_2 on ten cubic
 generators with J = 0 and with J covering every variable (cubics8,
 cubics8-fullj), where the top Betti degree search skips the most degrees,
 `cd`, `ann-bounds` and `gamma` over Q and F_2 on the 14 consecutive triples of
-16 variables (chain16), whose J has 177 minimal primes, `ann-bounds` over Q
+16 variables (chain16), whose J has 177 minimal primes, `cd` and
+`ann-bounds` over F_3 on rp2, whose top Betti search ends at its top degree
+over F_2 and ranks six more degrees over Q and F_3, `ann-bounds` over Q
 and F_2 on a principal ideal whose certificate is cd <= 1 (principal),
 and Cech oracle reports on ten generators with J = 0 (rp2), on a J whose
 support misses some variables (cycle), and on nested, whose ring has 9 face
