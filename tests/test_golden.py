@@ -14,6 +14,10 @@ cubics8-fullj), where the top Betti degree search skips the most degrees,
 `ann-bounds` over F_3 on rp2, whose top Betti search ends at its top degree
 over F_2 and ranks six more degrees over Q and F_3, `ann-bounds` over Q
 and F_2 on a principal ideal whose certificate is cd <= 1 (principal),
+`cd`, `ann-bounds` and `gamma` over Q and F_2 on an instance file whose J
+lists a redundant non-squarefree generator and a duplicate, whose a lists a
+duplicate and a generator over another, and which writes zero exponents out
+(loader-edges),
 and Cech oracle reports on ten generators with J = 0 (rp2), on a J whose
 support misses some variables (cycle), and on nested, whose ring has 9 face
 families over 128 positive supports: its ranks at -1:1, and the action of u9
