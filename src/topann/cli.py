@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 
@@ -55,6 +56,9 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_GUARD_EXCEEDED = 3
 
+# `\s` matches exactly the characters of `str.isspace`
+_NAME_SEPARATOR = re.compile(r"[*^·\s]")
+
 
 # ---------------------------------------------------------------- serialization
 
@@ -74,13 +78,17 @@ def monomial_from_obj(obj: dict[str, int], index: dict[str, int]) -> Monomial:
     if not isinstance(obj, dict):
         raise InvalidInputError(f"monomials must be objects mapping name to exponent, got {obj!r}")
     exps = [0] * len(index)
+    mask = 0
     for name, e in obj.items():
-        if name not in index:
+        i = index.get(name)
+        if i is None:
             raise InvalidInputError(f"monomial references undeclared variable {name!r}")
         if type(e) is not int or e < 0:  # bool is an int subclass; refuse it
             raise InvalidInputError(f"exponent of {name!r} must be a nonnegative integer")
-        exps[index[name]] = e
-    return _trusted(tuple(exps))  # every exponent was checked above
+        exps[i] = e
+        if e:
+            mask |= 1 << i
+    return _trusted(tuple(exps), mask)  # every exponent was checked above
 
 
 def parse_monomial_text(text: str, names: list[str]) -> Monomial:
@@ -127,9 +135,12 @@ def load_instance(path: str, field_override: str | None, box_override: str | Non
     ):
         raise InvalidInputError("\"vars\" must be a nonempty list of unique names")
     for name in names:
-        # `parse_monomial_text` splits on these, so such a name could not be named
-        if any(c in "*^·" or c.isspace() for c in name):
+        # `parse_monomial_text` splits on these and reads "1" and "" as the
+        # identity, so such a name could not be named
+        if _NAME_SEPARATOR.search(name):
             raise InvalidInputError(f"variable name {name!r} holds '*', '^', '·' or whitespace")
+        if name in ("1", ""):
+            raise InvalidInputError(f"variable name {name!r} reads as the identity monomial")
         try:
             name.encode("utf-8")  # a lone surrogate could not be written in a summary
         except UnicodeEncodeError as exc:

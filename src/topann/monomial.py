@@ -22,14 +22,25 @@ are valid by construction skip those checks: `_trusted` builds a `Monomial`
 from the exponents of a monomial operation, or from those that
 `cli.monomial_from_obj` has checked one by one, and `_canonical` builds a
 `MonomialIdeal` from generators that are already canonical.  `_canonical` has
-three callers, each of which states why its output is canonical: `minimalize`,
-`_prime_ideal` and `variable_ideal`.
+three callers, each of which states why its output is canonical: `minimalize`
+for the unit ideal, `variable_ideal`, and `_sorted_ideal`, which sorts an
+antichain; `_sorted_ideal` in turn builds the ideals of `minimalize`,
+`_prime_ideal` and `radical`.
+
+A mask is computed once, where it is first known, and carried on: `_trusted`
+stores a mask its caller passes, which `cli.monomial_from_obj` builds while
+it checks the exponents and `_squarefree` has as its input, so the monomials
+of an instance file, squarefree parts, radical generators and every prime
+meet's generators carry theirs.  `Monomial.mask` computes it only for a
+monomial of the checked constructor or of monomial arithmetic (products,
+lcms, gcds, powers).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, product
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import InvalidInputError, as_tuple
@@ -92,7 +103,7 @@ class Monomial:
         return Monomial(tuple(n * e for e in self.exponents))
 
     def squarefree_part(self) -> Monomial:
-        return _trusted(tuple(min(e, 1) for e in self.exponents))
+        return _squarefree(self.mask, len(self.exponents))
 
     def is_squarefree(self) -> bool:
         """No exponent above 1: the degree is the number of variables in the support."""
@@ -110,12 +121,16 @@ class Monomial:
         return "·".join(parts) if parts else "1"
 
 
-def _trusted(exponents: tuple[int, ...]) -> Monomial:
+def _trusted(exponents: tuple[int, ...], mask: int | None = None) -> Monomial:
     """A Monomial from a tuple of nonnegative ints, skipping the checks of
     `__post_init__`: for results of monomial operations on valid monomials,
-    and for exponents the caller has already checked."""
+    and for exponents the caller has already checked.  A caller that knows
+    the support passes its `mask`, which is then stored, not recomputed."""
     m = object.__new__(Monomial)
-    object.__setattr__(m, "exponents", exponents)
+    state = m.__dict__
+    state["exponents"] = exponents
+    if mask is not None:
+        state["mask"] = mask
     return m
 
 
@@ -133,9 +148,7 @@ def _squarefree(mask: int, ambient: int) -> Monomial:
     exponents: tuple[int, ...] = ()
     for shift in range(0, ambient, 8):
         exponents += _BYTE_BITS[mask >> shift & 255]
-    m = _trusted(exponents[:ambient])
-    m.__dict__["mask"] = mask
-    return m
+    return _trusted(exponents[:ambient], mask)
 
 
 def varset_mask(varset: Iterable[int], ambient: int) -> int:
@@ -234,37 +247,45 @@ def _antichain(gens: Iterable[Monomial]) -> list[Monomial]:
     """
     kept: list[tuple[int, tuple[int, ...] | None]] = []
     out = []
-    for g in sorted(gens, key=lambda m: sum(m.exponents)):
+    for g in sorted(gens, key=attrgetter("degree")):
         exps = g.exponents
         mask = g.mask
         for hm, hexps in kept:
-            if hm & ~mask == 0 and (
-                hexps is None or all(a <= b for a, b in zip(hexps, exps))
-            ):
+            if not hm & ~mask and (hexps is None or all(map(int.__le__, hexps, exps))):
                 break
         else:
-            kept.append((mask, exps if max(exps, default=0) > 1 else None))
+            kept.append((mask, None if mask.bit_count() == sum(exps) else exps))
             out.append(g)
     return out
+
+
+_exponents = attrgetter("exponents")
+
+
+def _sorted_ideal(gens: list[Monomial], ambient: int) -> MonomialIdeal:
+    """The canonical ideal of `gens`, a divisibility antichain of monomials of
+    the given ambient: sorted in place by exponents, descending, which is the
+    order of the dataclass comparison on the single field."""
+    gens.sort(key=_exponents, reverse=True)
+    return _canonical(ambient, tuple(gens))
 
 
 def minimalize(gens: Iterable[Monomial], ambient: int) -> MonomialIdeal:
     """Canonical ideal generated by `gens`: the divisibility antichain, sorted.
 
-    Every generator is checked to have the given ambient; `_antichain` and the
-    sort then make the result canonical, and the identity alone is the unit
-    ideal.
+    Every generator is checked to have the given ambient and kept once per
+    exponent tuple; `_antichain` and `_sorted_ideal` then make the result
+    canonical, and the identity alone is the unit ideal.
     """
-    pool = set()
+    pool: dict[tuple[int, ...], Monomial] = {}
     for g in gens:
-        if g.ambient != ambient:
-            raise InvalidInputError(
-                f"generator of ambient {g.ambient}, expected {ambient}"
-            )
-        if g.is_identity():
+        exps = g.exponents
+        if len(exps) != ambient:
+            raise InvalidInputError(f"generator of ambient {len(exps)}, expected {ambient}")
+        if not any(exps):
             return _canonical(ambient, (g,))
-        pool.add(g)
-    return _canonical(ambient, tuple(sorted(_antichain(pool), reverse=True)))
+        pool[exps] = g
+    return _sorted_ideal(_antichain(pool.values()), ambient)
 
 
 def _check_same_ambient(*ideals: MonomialIdeal) -> int:
@@ -290,24 +311,46 @@ def _prime_meet(pmasks: Iterable[int]) -> list[int]:
     variable v of p.  The grown s | v are an antichain and never lie under a
     kept support (s misses p), so the only redundant ones are those over a
     kept support, which must hold v.  The supports are thus an antichain at
-    every step.  No prime gives [0], the unit ideal; the zero prime gives [],
-    the zero ideal.
+    every step.  Such a kept t meets p in v alone, as s misses p, so the kept
+    supports that meet p in one variable are indexed by it, each held as t
+    without it, and s | v is tested only against those of v: it is redundant
+    when one of them lies in s.  No prime gives [0], the unit ideal; the zero
+    prime gives [], the zero ideal.
     """
     supports = [0]
     for pmask in pmasks:
-        kept = [s for s in supports if s & pmask]
-        grown = []
-        for s in supports:
-            if s & pmask:
+        kept = []
+        missed = []
+        hits: dict[int, list[int]] = {}
+        for t in supports:
+            h = t & pmask
+            if not h:
+                missed.append(t)
                 continue
-            rest = pmask
-            while rest:
-                low = rest & -rest
-                rest ^= low
+            kept.append(t)
+            if not h & (h - 1):
+                if h in hits:
+                    hits[h].append(t ^ h)
+                else:
+                    hits[h] = [t ^ h]
+        variables = []
+        rest = pmask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            variables.append((low, hits.get(low)))
+        for s in missed:
+            for low, under in variables:
                 g = s | low
-                if not any(t & ~g == 0 for t in kept if t & low):
-                    grown.append(g)
-        supports = kept + grown
+                if under is None:
+                    kept.append(g)
+                    continue
+                for r in under:
+                    if not r & ~s:
+                        break
+                else:
+                    kept.append(g)
+        supports = kept
     return supports
 
 
@@ -321,9 +364,7 @@ def _prime_ideal(pmasks: Iterable[int], ambient: int) -> MonomialIdeal:
     """The intersection of the monomial primes with variable bitmasks `pmasks`, no
     bit past the ambient: the supports `_prime_meet` gives are an antichain, so
     sorting their squarefree monomials makes the result canonical."""
-    gens = [_squarefree(s, ambient) for s in _prime_meet(pmasks)]
-    gens.sort(key=lambda m: m.exponents, reverse=True)
-    return _canonical(ambient, tuple(gens))
+    return _sorted_ideal([_squarefree(s, ambient) for s in _prime_meet(pmasks)], ambient)
 
 
 def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
@@ -342,11 +383,15 @@ def power(ideal: MonomialIdeal, n: int) -> MonomialIdeal:
 def radical(ideal: MonomialIdeal) -> MonomialIdeal:
     """Radical of a monomial ideal: minimalized squarefree parts of generators.
 
-    A squarefree ideal is its own radical and comes back unchanged.
+    A squarefree ideal is its own radical and comes back unchanged.  Otherwise
+    the parts are the squarefree monomials of the distinct generator masks,
+    and `_antichain` keeps the minimal ones.
     """
     if ideal.is_squarefree():
         return ideal
-    return minimalize((g.squarefree_part() for g in ideal.gens), ideal.ambient)
+    d = ideal.ambient
+    parts = [_squarefree(s, d) for s in {g.mask for g in ideal.gens}]
+    return _sorted_ideal(_antichain(parts), d)
 
 
 def variable_ideal(varset: Iterable[int], ambient: int) -> MonomialIdeal:

@@ -30,7 +30,7 @@ from .monomial import (
     varset_mask,
 )
 
-MINIMAL_PRIMES_GUARD = 20
+MINIMAL_PRIMES_GUARD = 20  # at most 24, the width `_size_members_key` orders
 
 
 def _transversals(edges: list[int]) -> list[int]:
@@ -63,15 +63,28 @@ def guard_ambient(ambient: int) -> None:
         )
 
 
+# each byte value with its eight bits in reverse order
+_BYTE_REVERSED = [int(f"{b:08b}"[::-1], 2) for b in range(256)]
+
+
+def _size_members_key(t: int) -> tuple[int, int]:
+    """A sort key of masks of at most 24 variables, in the order of (size,
+    sorted members).  Of two sets of one size, the first by members holds the
+    lowest variable of their symmetric difference, which is its highest bit
+    once the bits are reversed, so the key negates the reversed mask."""
+    rev = _BYTE_REVERSED
+    return t.bit_count(), -(rev[t & 255] << 16 | rev[t >> 8 & 255] << 8 | rev[t >> 16])
+
+
 def _sorted_primes(ideal: MonomialIdeal) -> tuple[tuple[VarSet, ...], tuple[int, ...]]:
     """The minimal primes over a proper ideal, sorted by (size, members), as
     variable sets and as masks; the unit ideal is refused, then the guard applies."""
     if ideal.is_unit():
         raise InvalidInputError("the unit ideal has no minimal primes")
     guard_ambient(ideal.ambient)
-    pairs = [(mask_varset(t), t) for t in _transversals([g.mask for g in ideal.gens])]
-    pairs.sort(key=lambda pt: (len(pt[0]), sorted(pt[0])))
-    return tuple(zip(*pairs))
+    masks = _transversals([g.mask for g in ideal.gens])
+    masks.sort(key=_size_members_key)
+    return tuple(map(mask_varset, masks)), tuple(masks)
 
 
 def minimal_primes(ideal: MonomialIdeal) -> tuple[VarSet, ...]:

@@ -6,7 +6,9 @@ code paths it is checking.  The Cech sweeps reuse the slice engine and visit
 every degree of a box: they are the reference for the pattern sweep of
 `topann.cech`, which they check.  The iterated colon and saturation loops are
 the reference for the prime-intersection closed forms of `topann.annihilator`,
-and `intersect`, by pairwise lcms, is the reference for `prime_intersection`.
+and `intersect`, by pairwise lcms, is the reference for `prime_intersection`;
+`reference_prime_meet`, the prime-meet kernel that tests each grown support
+against every kept one, is the reference for the indexed `_prime_meet`.
 The dense matrices (Bareiss and reduced row echelon form, dense slices, tuple
 faces) are the reference for the sparse elimination kernel of
 `topann.linalg`, and Koszul homology is ranked with them.  `full_slice_ranks`,
@@ -174,6 +176,29 @@ def brute_minimalize(gens) -> tuple[Monomial, ...]:
         return (units[0],)
     minimal = [g for g in pool if not any(h != g and h.divides(g) for h in pool)]
     return tuple(sorted(minimal, reverse=True))
+
+
+def reference_prime_meet(pmasks) -> list[int]:
+    """The prime-meet kernel as it was before its kept supports were indexed:
+    every grown s | v is tested against each kept support that holds v.  It is
+    the reference for `monomial._prime_meet`, which must return the same list
+    in the same order and form the same candidates s | v."""
+    supports = [0]
+    for pmask in pmasks:
+        kept = [s for s in supports if s & pmask]
+        grown = []
+        for s in supports:
+            if s & pmask:
+                continue
+            rest = pmask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                g = s | low
+                if not any(t & ~g == 0 for t in kept if t & low):
+                    grown.append(g)
+        supports = kept + grown
+    return supports
 
 
 def brute_minimal_covers(edges, d):

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
-from topann.cli import load_instance, main, parse_monomial_text
+from topann.cli import _NAME_SEPARATOR, load_instance, main, monomial_from_obj, parse_monomial_text
 from topann.errors import GuardExceededError, InvalidInputError
+from topann.monomial import Monomial, radical
 
 SW_INSTANCE = {
     "vars": ["x", "y", "z1", "z2"],
@@ -221,6 +223,12 @@ def test_non_squarefree_relations_rejected(tmp_path, capsys):
         {"vars": ["x", "y", "z1", "z2", "w^2"]},
         {"vars": ["x", "y", "z1", "z2", "w 2"]},
         {"vars": ["x", "y", "z1", "z2", "w\t2"]},
+        # nor one the syntax reads as the identity, each with a ring that loads
+        # otherwise: --monomial 1 would act by the identity
+        {"vars": ["1", "y", "z1", "z2"], "J": [{"1": 1, "y": 1, "z1": 1}],
+         "a": [{"1": 1}, {"y": 1}], "--monomial": "1"},
+        {"vars": ["", "y", "z1", "z2"], "J": [{"": 1, "y": 1, "z1": 1}],
+         "a": [{"": 1}, {"y": 1}]},
     ],
 )
 def test_malformed_instances_exit_2(tmp_path, capsys, patch):
@@ -546,6 +554,85 @@ def test_oracle_ranks_on_a_box_wider_than_an_index_never_raises(tmp_path, capsys
         assert "nonzero slices: 1 of 100000000000000000002 degrees" in out
 
 
+def test_name_separator_matches_the_characters_split_on():
+    # the loader's pattern refuses a name exactly when it holds '*', '^', '·'
+    # or a character of `str.isspace`, checked on every code point
+    for c in map(chr, range(0x110000)):
+        assert bool(_NAME_SEPARATOR.search(c)) == (c in "*^·" or c.isspace()), hex(ord(c))
+
+
+def _seeded_instance(rng) -> dict:
+    """An instance file whose J lists duplicates and redundant non-squarefree
+    multiples, whose a lists duplicates and generators over others, and which
+    writes some zero exponents out."""
+    d = rng.randint(2, 9)
+    names = [f"v{i}" for i in range(1, d + 1)]
+
+    def obj(exps):
+        return {n: e for n, e in zip(names, exps) if e or rng.random() < 0.2}
+
+    J = []
+    for _ in range(rng.randint(0, 5)):
+        support = rng.sample(range(d), rng.randint(1, d))
+        exps = [int(i in support) for i in range(d)]
+        J += [obj(exps)] * rng.randint(1, 2)
+        J.append(obj([e * rng.randint(1, 3) or rng.randint(0, 1) for e in exps]))
+    a = []
+    for _ in range(rng.randint(1, 5)):
+        exps = [rng.choice((0, 0, 1, 2, 3)) for _ in range(d)]
+        if not any(exps):
+            exps[rng.randrange(d)] = 1
+        a += [obj(exps)] * rng.randint(1, 2)
+        a.append(obj([e + rng.randint(0, 1) for e in exps]))
+    rng.shuffle(J)
+    rng.shuffle(a)
+    return {"vars": names, "J": J, "a": a}
+
+
+def _checked_mask(m: Monomial) -> int:
+    return sum(1 << i for i, e in enumerate(m.exponents) if e)
+
+
+def test_loader_carries_masks_that_its_exponents_give(tmp_path):
+    # the loader's monomials, the kept generators of J and a, their squarefree
+    # parts and the generators of radical(a) each store the mask their
+    # exponents give, and the ideals equal the checked constructions
+    import glob
+    import random
+
+    import _oracles as orc
+
+    rng = random.Random(277)
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden", "instances",
+                                          "*.json")))
+    for k in range(150):
+        path = tmp_path / f"seeded{k}.json"
+        path.write_text(json.dumps(_seeded_instance(rng)))
+        paths.append(str(path))
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        inst = load_instance(path, None, None)
+        names, d = inst.names, len(inst.names)
+        index = {n: i for i, n in enumerate(names)}
+        lift = inst.acting.lift
+        for ideal, objs in ((inst.ring.relations, raw.get("J", [])), (lift, raw["a"])):
+            checked = [Monomial(tuple(o.get(n, 0) for n in names)) for o in objs]
+            assert [monomial_from_obj(o, index) for o in objs] == checked
+            assert ideal.gens == orc.brute_minimalize(checked), path
+            parts = [g.squarefree_part() for g in ideal.gens]
+            assert parts == [Monomial(tuple(min(e, 1) for e in g.exponents)) for g in ideal.gens]
+            for g in (*(monomial_from_obj(o, index) for o in objs), *ideal.gens, *parts):
+                assert vars(g)["mask"] == _checked_mask(g), (path, g)
+        parts = [Monomial(tuple(min(e, 1) for e in g.exponents)) for g in lift.gens]
+        assert radical(lift).gens == orc.brute_minimalize(parts), path
+        for g in radical(lift).gens:
+            assert vars(g)["mask"] == _checked_mask(g), (path, g)
+        if d <= 12:
+            edges = [g.support() for g in inst.ring.relations.gens]
+            assert list(inst.ring.minimal_primes) == orc.brute_minimal_covers(edges, d), path
+
+
 @pytest.mark.parametrize("prefix", ["", '{"vars": ["x"], "J": '])
 def test_deeply_nested_instance_exits_2(tmp_path, capsys, prefix):
     path = tmp_path / "deep.json"
@@ -564,6 +651,20 @@ def test_profile_cmd_passes_output_and_exit_code_through(sw_file, capsys):
         code, out, err = _fresh_process("--top", "5", "--", *argv, script=script)
         assert (code, out) == run_cli(capsys, *argv)[:2]
         assert "tottime" in err
+
+
+def test_profile_cmd_repeat_passes_only_the_first_run_through(sw_file, capsys):
+    from pathlib import Path
+
+    script = str(Path(__file__).resolve().parents[1] / "scripts" / "profile_cmd.py")
+    argv = ("--quiet", "gamma", sw_file)
+    code, out, err = _fresh_process("--top", "1000", "--repeat", "3", "--", *argv,
+                                    script=script)
+    assert (code, out) == run_cli(capsys, *argv)[:2]
+    assert re.search(r"^ +3 .*\(load_instance\)$", err, re.M)
+    code, out, err = _fresh_process("--repeat", "0", "--", *argv, script=script)
+    assert code == 2 and out == ""
+    assert "--repeat must be at least 1" in err
 
 
 @pytest.mark.parametrize("top", ["٥", "+3", "1_0", "-2"])

@@ -292,6 +292,104 @@ def test_krull_dim_work_is_bounded_on_dense_hypergraphs():
         assert 0 < formed <= limit
 
 
+def _hypergraph_meets(rng, d):
+    """Edge masks on d vertices that repeat and nest, with the zero edge now
+    and then, in a random order and in the (size, mask) order of the minimal
+    prime search."""
+    edges = []
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        if edges and roll < 0.2:
+            edges.append(rng.choice(edges))
+        elif edges and roll < 0.4:
+            edges.append(rng.choice(edges) | rng.getrandbits(d))
+        elif roll < 0.45:
+            edges.append(0)
+        else:
+            edges.append(rng.getrandbits(d) or 1 << rng.randrange(d))
+    return [edges, sorted(edges, key=lambda e: (e.bit_count(), e))]
+
+
+def _recorded_meets(argvs):
+    """The argument of every `_prime_meet` call that the commands make."""
+    from golden.record import run_case
+
+    calls = []
+    real = monomial._prime_meet
+
+    def record(pmasks):
+        calls.append(list(pmasks))
+        return real(calls[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (monomial, sr):
+            mp.setattr(mod, "_prime_meet", record)
+        for argv in argvs:
+            assert run_case(["--quiet", *argv])[0] == 0
+    return calls
+
+
+def _formed(kernel, pmasks) -> int:
+    """How many times `kernel` runs its line `g = s | low` on `pmasks`."""
+    lines, first = inspect.getsourcelines(kernel)
+    target = first + next(i for i, line in enumerate(lines) if line.strip() == "g = s | low")
+    code = kernel.__code__
+    formed = 0
+
+    def count(frame, event, arg):
+        nonlocal formed
+        if event == "line" and frame.f_lineno == target:
+            formed += 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        kernel(pmasks)
+    finally:
+        sys.settrace(previous)
+    return formed
+
+
+def test_prime_meet_matches_the_reference_kernel():
+    # the same supports in the same order, and the same candidates formed, on
+    # seeded hypergraphs with d <= 12, no primes and the zero prime, and on
+    # every meet that Lynch relations, chain16 and chain20 ask for
+    rng = random.Random(269)
+    cases = [[], [0], [0, 0b11], [0b11, 0]]
+    for _ in range(600):
+        cases += _hypergraph_meets(rng, rng.randint(1, 12))
+    lynch = ["lynch", "verify", "--d", "14", "--X", "1,2,3,4", "--Y", "5,6,7,8",
+             "--Z", "9,10,11,12,13,14", "--Xp", "1,2,3,4", "--Yp", "5,6,7,8"]
+    family = _recorded_meets([
+        lynch, ["lynch", "verify", "--d", "9", "--X", "3,7", "--Y", "1,5,9",
+                "--Z", "2,4,6,8", "--Xp", "7", "--Yp", "1,9"],
+        ["lynch", "fixture", "bahmanpour", "--d", "7", "--l", "7"],
+        *[[cmd, f"instances/{name}.json"] for name in ("chain16", "chain20")
+          for cmd in ("cd", "ann-bounds", "gamma")],
+    ])
+    lynch_primes = [0b1111, 0b1111 << 4, 0b111111 << 8]
+    assert lynch_primes in family and len(family) > 20
+    for pmasks in cases + family:
+        assert monomial._prime_meet(pmasks) == orc.reference_prime_meet(pmasks), pmasks
+    for pmasks in [*cases[:200], *(c for c in family if len(c) < 200)]:
+        assert _formed(monomial._prime_meet, pmasks) == _formed(
+            orc.reference_prime_meet, pmasks), pmasks
+
+
+def test_minimal_primes_sort_by_size_then_members():
+    # the key of `_sorted_primes` orders masks as (size, sorted members) do:
+    # every mask on up to 10 variables, and seeded ones up to the guard
+    rng = random.Random(271)
+    samples = [list(range(1 << 10))]
+    for _ in range(200):
+        d = rng.randint(1, sr.MINIMAL_PRIMES_GUARD)
+        samples.append([rng.getrandbits(d) for _ in range(rng.randint(1, 40))])
+    for masks in samples:
+        expected = sorted(masks, key=lambda t: (t.bit_count(), sorted(mask_varset(t))))
+        assert sorted(masks, key=sr._size_members_key) == expected
+
+
 def test_krull_dim_errors_unchanged():
     for d in (2, 21):
         with pytest.raises(InvalidInputError, match="zero ring"):
